@@ -7,12 +7,12 @@ Builds a small graph with an obvious dense core, then solves the same
 1. ``core`` — Algorithm 1 (the paper's few-pass peeling); the
    ``engine=`` option walks the tier ladder — ``python`` (interpreted
    loops), ``numpy`` (vectorized CSR kernels), ``native`` (incremental
-   bucket-queue peeler, compiled via numba or a ctypes-loaded C
-   library when a toolchain is present, pure-numpy bucket queue
-   otherwise) — all bit-identical answers, each tier just faster;
-   ``engine="auto"`` picks by input size and ``repro-densest densest
-   --engine native`` is the CLI spelling (``repro-densest backends
-   --verbose`` shows which compiled backend is live),
+   bucket-queue peeler in C, loaded through ctypes when a toolchain is
+   present, the numpy kernels otherwise) — all bit-identical answers,
+   each tier just faster; ``engine="auto"`` picks by input size and
+   ``repro-densest densest --engine native`` is the CLI spelling
+   (``repro-densest backends --verbose`` shows whether the C kernels
+   loaded),
 2. ``greedy`` — Charikar's one-node-per-step greedy baseline,
 3. ``exact-flow`` — Goldberg's exact max-flow solver,
 
@@ -71,9 +71,9 @@ def main() -> None:
 
     # Same peel on every execution engine: identical answer, each tier
     # just runs it faster (see DESIGN.md §6 and §11).  "native" is the
-    # incremental bucket-queue peeler; it uses a compiled backend
-    # (numba or C) when one is available and falls back to the
-    # pure-numpy bucket queue otherwise — the answer never changes.
+    # incremental bucket-queue peeler in C; it falls back to the numpy
+    # kernels when no C toolchain is available — the answer never
+    # changes.
     py = solve(DensestSubgraph(graph, epsilon=0.5), backend="core", engine="python")
     vec = solve(DensestSubgraph(graph, epsilon=0.5), backend="core", engine="numpy")
     nat = solve(DensestSubgraph(graph, epsilon=0.5), backend="core", engine="native")
@@ -82,7 +82,7 @@ def main() -> None:
     print(
         f"engine parity        : python == numpy == native is "
         f"{py.nodes == vec.nodes == nat.nodes} (rho={nat.density:.3f}, "
-        f"compiled backend: {available_backend() or 'none, bucketq fallback'})"
+        f"compiled backend: {available_backend() or 'none, numpy fallback'})"
     )
 
     # --- Baselines ------------------------------------------------------

@@ -45,7 +45,7 @@ Three suites, selected with ``--suite``:
   hardware-independent measure and what the wall ratio approaches when
   rescans are genuinely disk-bound.  Gate CI on bytes, not wall.
 * ``kernels`` times the kernel tier ladder and writes
-  ``BENCH_kernels.json``: numpy vs bucketq vs native (numba/C) peels on
+  ``BENCH_kernels.json``: numpy vs native (C) peels on
   the BENCH_core fixtures and on the ≈18M-edge nested-core store
   (CSR-loaded; wall-clock, not a bytes proxy), plus one threaded
   shard-scan pass (4 threads vs sequential, bit-exact counters).  The
@@ -938,7 +938,7 @@ def run_faults_benches(scale_factor: float, repeats: int):
 
 
 def run_kernels_benches(scale_factor: float, repeats: int):
-    """Kernel tier ladder: numpy vs bucketq vs native peels.
+    """Kernel tier ladder: numpy vs native peels.
 
     Three regimes, all on the BENCH_core peel fixtures (flickr_sim /
     livejournal_sim CSR snapshots) plus the big shard store:
@@ -967,8 +967,7 @@ def run_kernels_benches(scale_factor: float, repeats: int):
     Every tier-bench row (shallow and deep) first asserts identical
     node sets, pass counts, and densities across all importable tiers.
     ``speedup`` (numpy-median / native-median) appears on native rows
-    only — that is what ``--min-speedup`` gates — bucketq rows carry
-    an informational ``speedup_vs_numpy``.
+    only — that is what ``--min-speedup`` gates.
     """
     import os
     import tempfile
@@ -983,8 +982,8 @@ def run_kernels_benches(scale_factor: float, repeats: int):
 
     records: list = []
     backend = native_backend()
-    tiers = ["bucketq"] + (["native"] if backend is not None else [])
-    print(f"kernel tiers: numpy, {', '.join(tiers)} "
+    tiers = ["native"] if backend is not None else []
+    print(f"kernel tiers: {', '.join(['numpy'] + tiers)} "
           f"(native backend: {backend or 'none'})")
 
     flickr = load("flickr_sim", scale=0.25 * scale_factor)
@@ -1024,20 +1023,18 @@ def run_kernels_benches(scale_factor: float, repeats: int):
         )
         parts = [f"numpy {medians['numpy'] * 1e3:9.3f} ms"]
         for tier in tiers:
-            row = {
-                "bench": name,
-                "fixture": fixture,
-                "engine": tier,
-                "median_seconds": medians[tier],
-            }
             ratio = (
                 medians["numpy"] / medians[tier] if medians[tier] > 0 else None
             )
-            if tier == "native":
-                row["speedup"] = ratio
-            else:
-                row["speedup_vs_numpy"] = ratio
-            records.append(row)
+            records.append(
+                {
+                    "bench": name,
+                    "fixture": fixture,
+                    "engine": tier,
+                    "median_seconds": medians[tier],
+                    "speedup": ratio,
+                }
+            )
             parts.append(f"{tier} {medians[tier] * 1e3:9.3f} ms x{ratio:5.2f}")
         print(f"{name:28s} " + "   ".join(parts))
 

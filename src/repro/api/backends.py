@@ -249,8 +249,8 @@ class CoreSolver:
     Accepts an ``engine=`` option (any name in
     :data:`repro.kernels.ENGINES`), forwarded to the core peels;
     ``"auto"`` (the default) lets :func:`repro.kernels.resolve_engine`
-    pick per graph.  ``"native"``/``"numba"`` request the compiled
-    backend and degrade (with a warning) to the best importable tier.
+    pick per graph.  ``"native"`` requests the compiled C kernels and
+    degrades (with a warning) to numpy when they cannot be loaded.
     """
 
     name = "core"
@@ -265,10 +265,10 @@ class CoreSolver:
             memory_class=MEM_EDGES,
             semantics="batch-peel",
             # Advertise only the engines that can actually run here;
-            # "native"/"numba" resolve (possibly with a fallback
-            # warning) whenever the numpy tier exists underneath them.
+            # "native" resolves (possibly with a fallback warning)
+            # whenever the numpy tier exists underneath it.
             engines=(
-                ("python", "numpy", "bucketq", "native", "numba")
+                ("python", "numpy", "native")
                 if CSRGraph is not None
                 else ("python",)
             ),

@@ -113,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="also report the kernel tier ladder: which peel engines "
-        "(python/numpy/bucketq/native) are importable here, which "
-        "compiled backend (numba or C) serves the native tier, and the "
-        "input sizes at which engine=auto switches tiers",
+        "(python/numpy/native) are importable here, whether the C "
+        "kernels behind the native tier loaded, and the input sizes at "
+        "which engine=auto switches tiers",
     )
 
     p_solve = sub.add_parser(
@@ -131,14 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--engine",
-        choices=["auto", "python", "numpy", "bucketq", "native", "numba"],
+        choices=["auto", "python", "numpy", "native"],
         default="auto",
         help="execution engine for the core/mapreduce/sketch backends: "
         "'python' (interpreted record loops), 'numpy' (vectorized kernels / "
-        "columnar MapReduce batches), 'bucketq' (incremental bucket-queue "
-        "peel), 'native'/'numba' (compiled bucket-queue kernels, degrading "
-        "to the best importable tier), or 'auto' (pick per graph; see "
-        "`repro-densest backends --verbose`)",
+        "columnar MapReduce batches), 'native' (bucket-queue peel in C, "
+        "degrading to numpy when no C toolchain is available), or 'auto' "
+        "(pick per graph; see `repro-densest backends --verbose`)",
     )
     p_solve.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument(
@@ -408,7 +407,7 @@ def _load_any(args) -> Union[UndirectedGraph, DirectedGraph]:
     """
     directed = getattr(args, "directed", False)
     wants_csr = (
-        getattr(args, "engine", "auto") in ("numpy", "bucketq", "native", "numba")
+        getattr(args, "engine", "auto") in ("numpy", "native")
         or getattr(args, "backend", None) == "core-csr"
     )
     if getattr(args, "shard_store", None):
@@ -508,7 +507,7 @@ def _cmd_backends(args) -> int:
         report = tier_report()
         print()
         print("kernel tiers (peel engines importable in this environment):")
-        for tier in ("python", "numpy", "bucketq", "native"):
+        for tier in ("python", "numpy", "native"):
             status = "yes" if report[tier] else "no"
             if tier == "native" and report[tier]:
                 status = f"yes ({report['native_backend']} backend)"
@@ -519,7 +518,6 @@ def _cmd_backends(args) -> int:
             f"  n >= {ladder['native_cutoff']}: native"
             "  (when a compiled backend is importable)"
         )
-        print(f"  n >= {ladder['bucketq_cutoff']}: bucketq")
         print("  otherwise: numpy")
     return 0
 

@@ -8,20 +8,17 @@ algorithms, arranged as a tier ladder:
     package; selecting it simply skips the kernels).
 ``numpy``
     Per-pass vectorized kernels (:mod:`repro.kernels.peel`) over CSR
-    snapshots (:mod:`repro.kernels.csr`).
-``bucketq``
-    Incremental bucket-queue peeler (:mod:`repro.kernels.bucketq`):
-    O(m + n) total work with no per-pass rescans, pure numpy.
+    snapshots (:mod:`repro.kernels.csr`); also what ``native`` falls
+    back to when no C toolchain is available.
 ``native``
-    The bucket-queue algorithm compiled — numba ``@njit`` kernels when
-    numba is importable, else a ctypes-loaded C library built with the
-    system toolchain (:mod:`repro.kernels.native`).  ``numba`` is
-    accepted as an engine alias that *requests* the numba backend
-    specifically and warns when it degrades.
+    Incremental bucket-queue peeling in C (``peel_kernels.c``), built
+    with the system toolchain and called through ctypes
+    (:mod:`repro.kernels.native`): O(m + n) total work with no
+    per-pass rescans.
 
 All tiers return identical node sets, traces, and pass counts;
-``engine="auto"`` walks the ladder by input size (compiled > bucketq >
-numpy > python).  NumPy is a hard dependency of the package, but every
+``engine="auto"`` walks the ladder by input size (native > numpy >
+python).  NumPy is a hard dependency of the package, but every
 import of this layer from the algorithm modules is guarded so a
 stripped environment degrades to the pure-Python engine instead of
 failing at import time.
@@ -53,12 +50,10 @@ if HAVE_NUMPY:
     )
 
 #: Engine names accepted by the ``engine=`` parameter of the core peels.
-#: ``numba`` is an alias for ``native`` that insists on the numba
-#: backend (falling back with a warning when it is not importable).
-ENGINES = ("auto", "python", "numpy", "bucketq", "native", "numba")
+ENGINES = ("auto", "python", "numpy", "native")
 
 #: The tiers an ``engine=`` argument can resolve to.
-RESOLVED_TIERS = ("python", "numpy", "bucketq", "native")
+RESOLVED_TIERS = ("python", "numpy", "native")
 
 #: ``engine="auto"`` switches to the vectorized kernels at this node
 #: count even for graphs with non-integer labels (the O(n) label
@@ -68,11 +63,6 @@ AUTO_SIZE_CUTOFF = 256
 #: ``engine="auto"`` prefers the compiled tier from this node count
 #: (below it, the per-call scratch setup outweighs the loop savings).
 NATIVE_SIZE_CUTOFF = 2048
-
-#: Without a compiled backend, ``auto`` switches from the numpy tier to
-#: the pure-numpy bucket queue here — deep peels on graphs this big are
-#: where the per-pass O(n) mask rescans start to dominate.
-BUCKETQ_SIZE_CUTOFF = 32768
 
 
 def _is_int_labeled(graph) -> bool:
@@ -84,10 +74,10 @@ def _is_int_labeled(graph) -> bool:
 
 
 def native_backend() -> Optional[str]:
-    """Name of the compiled backend (``"numba"``/``"c"``), or None.
+    """Name of the compiled backend (``"c"``), or None.
 
-    The first call probes (importing numba or compiling the C library);
-    the result is memoized by :mod:`repro.kernels.native`.
+    The first call probes (compiling the C library if needed); the
+    result is memoized by :mod:`repro.kernels.native`.
     """
     if not HAVE_NUMPY:
         return None
@@ -103,8 +93,6 @@ def auto_tier(num_nodes: int) -> str:
         return "python"
     if num_nodes >= NATIVE_SIZE_CUTOFF and native_backend() is not None:
         return "native"
-    if num_nodes >= BUCKETQ_SIZE_CUTOFF:
-        return "bucketq"
     return "numpy"
 
 
@@ -119,12 +107,10 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
     report: Dict[str, object] = {
         "python": True,
         "numpy": HAVE_NUMPY,
-        "bucketq": HAVE_NUMPY,
         "native": backend is not None,
         "native_backend": backend,
         "auto_ladder": {
             "native_cutoff": NATIVE_SIZE_CUTOFF,
-            "bucketq_cutoff": BUCKETQ_SIZE_CUTOFF,
             "numpy_label_cutoff": AUTO_SIZE_CUTOFF,
         },
     }
@@ -134,7 +120,7 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
 
 
 def peel_functions(tier: str):
-    """The kernel module implementing ``tier`` (numpy/bucketq/native).
+    """The kernel module implementing ``tier`` (numpy/native).
 
     The returned module exposes ``peel_undirected`` / ``peel_atleast_k``
     / ``peel_directed`` / ``peel_directed_sweep`` with identical
@@ -143,8 +129,6 @@ def peel_functions(tier: str):
     """
     if tier == "numpy":
         from . import peel as mod
-    elif tier == "bucketq":
-        from . import bucketq as mod
     elif tier == "native":
         from . import native as mod
     else:
@@ -158,59 +142,49 @@ def resolve_engine(engine: str, graph=None) -> str:
     ``"auto"`` picks a vectorized tier when numpy is importable and the
     graph is int-labeled, already a CSR snapshot, or at least
     :data:`AUTO_SIZE_CUTOFF` nodes — then walks the ladder by size
-    (compiled ≥ :data:`NATIVE_SIZE_CUTOFF`, bucket queue ≥
-    :data:`BUCKETQ_SIZE_CUTOFF`, numpy otherwise).  Small exotic-label
-    graphs stay on the Python loops, where the per-pass constant is
-    lower.
+    (native ≥ :data:`NATIVE_SIZE_CUTOFF` when the C backend loads,
+    numpy otherwise).  Small exotic-label graphs stay on the Python
+    loops, where the per-pass constant is lower.
 
-    ``"native"`` / ``"numba"`` degrade gracefully: when the compiled
-    backend (or numba specifically) is unavailable they fall back to
-    the bucket-queue tier with a :class:`RuntimeWarning` instead of
-    raising — the answer is identical, only the speed differs.
+    ``"native"`` degrades gracefully: when the C backend is unavailable
+    it falls back to the numpy tier with a :class:`RuntimeWarning`
+    instead of raising — the answer is identical, only the speed
+    differs.
 
     Raises
     ------
     ParameterError
-        On an unknown engine name, or ``engine="numpy"``/``"bucketq"``
-        without numpy.
+        On an unknown engine name, or ``engine="numpy"`` without numpy.
     """
     if engine not in ENGINES:
         raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "python":
         return "python"
-    if engine in ("numpy", "bucketq"):
+    if engine == "numpy":
         if not HAVE_NUMPY:
             raise ParameterError(
-                f"engine={engine!r} requires numpy, which is not importable; "
+                "engine='numpy' requires numpy, which is not importable; "
                 "use engine='python'"
             )
-        return engine
-    if engine in ("native", "numba"):
+        return "numpy"
+    if engine == "native":
         if not HAVE_NUMPY:
             warnings.warn(
-                f"engine={engine!r} requires numpy, which is not importable; "
+                "engine='native' requires numpy, which is not importable; "
                 "falling back to the python engine",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return "python"
-        backend = native_backend()
-        if backend is None:
+        if native_backend() is None:
             warnings.warn(
-                f"engine={engine!r} requested but no compiled backend is "
-                "available (numba not importable, no C toolchain); falling "
-                "back to the bucketq tier",
+                "engine='native' requested but no compiled backend is "
+                "available (no C toolchain, or REPRO_NATIVE=off); falling "
+                "back to the numpy tier",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return "bucketq"
-        if engine == "numba" and backend != "numba":
-            warnings.warn(
-                "engine='numba' requested but numba is not importable; "
-                "using the compiled C backend instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            return "numpy"
         return "native"
     # engine == "auto"
     if not HAVE_NUMPY:
@@ -226,7 +200,6 @@ def resolve_engine(engine: str, graph=None) -> str:
 
 __all__ = [
     "AUTO_SIZE_CUTOFF",
-    "BUCKETQ_SIZE_CUTOFF",
     "ENGINES",
     "HAVE_NUMPY",
     "NATIVE_SIZE_CUTOFF",

@@ -1,13 +1,12 @@
 """Build-and-load glue for the C peeling kernels.
 
-The compiled tier has two interchangeable backends; this module is the
-one that needs nothing but a system C toolchain.  ``load()`` compiles
-``peel_kernels.c`` with ``$CC``/``cc``/``gcc``/``clang`` into a
-per-user cache directory (keyed by a hash of the source, so edits
+The compiled tier needs nothing but a system C toolchain.  ``load()``
+compiles ``peel_kernels.c`` with ``$CC``/``cc``/``gcc``/``clang`` into
+a per-user cache directory (keyed by a hash of the source, so edits
 invalidate stale builds) and returns a :class:`ctypes.CDLL` with the
 three kernel entry points declared.  Any failure — no compiler, a
 compile error, a load error — raises; :mod:`repro.kernels.native`
-catches it and falls back to the pure-numpy bucket queue.
+catches it and falls back to the numpy kernels.
 
 Environment knobs:
 

@@ -1,33 +1,29 @@
-"""The compiled peeling tier: numba or C under a common wrapper.
+"""The compiled peeling tier: C kernels called through ctypes.
 
 This module exposes the same four entry points as
-:mod:`repro.kernels.bucketq` (``peel_undirected`` / ``peel_atleast_k``
-/ ``peel_directed`` / ``peel_directed_sweep``) backed by whichever
-compiled backend is available:
-
-* **numba** — ``@njit(cache=True)`` kernels in
-  :mod:`repro.kernels._numba_peel` (preferred when importable);
-* **c** — ``peel_kernels.c`` compiled on first use by
-  :mod:`repro.kernels._cext` with the system C toolchain and called
-  through ctypes (which releases the GIL for the whole peel).
-
-Both backends run the identical bucket-list algorithm, so which one
-serves a request never changes the answer.  When neither is available
-the wrappers fall back to :mod:`repro.kernels.bucketq` transparently;
-``available_backend()`` reports what a call would actually use.
+:mod:`repro.kernels.peel` (``peel_undirected`` / ``peel_atleast_k`` /
+``peel_directed`` / ``peel_directed_sweep``), backed by
+``peel_kernels.c``: the incremental bucket-queue peel (DESIGN.md §11),
+compiled on first use by :mod:`repro.kernels._cext` with the system C
+toolchain and called through ctypes (which releases the GIL for the
+whole peel).  Node sets, pass counts and traces match the numpy
+kernels.  When the library cannot be built or loaded — and for empty
+graphs — the wrappers fall back to :mod:`repro.kernels.peel`
+transparently; ``available_backend()`` reports what a call would
+actually use.
 
 Environment knobs:
 
 ``REPRO_NATIVE``
-    ``auto`` (default) — prefer numba, then C; ``numba`` / ``c`` —
-    require that backend only; ``off`` — disable the compiled tier
-    (wrappers become bucketq pass-throughs).
+    ``auto`` (default) — build and load the C library; ``off`` —
+    disable the compiled tier (the wrappers become numpy
+    pass-throughs).  Any other value raises
+    :class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
 from typing import List, Optional, Sequence, Tuple
@@ -36,162 +32,77 @@ import numpy as np
 
 from .._tolerances import THRESHOLD_EPS
 from ..core.trace import DirectedPassRecord, PassRecord
-from . import bucketq
-from .bucketq import NUM_BUCKETS
+from ..errors import ParameterError
+from . import peel
 from .csr import CSRDigraph, CSRGraph
 from .peel import DirectedPeelOutcome, PeelOutcome
 
+#: Bucket count of the degree queue.  More buckets mean tighter drains
+#: (fewer above-cutoff nodes touched in the boundary bucket) at the
+#: cost of a longer per-pass bucket walk; 2048 keeps both negligible.
+NUM_BUCKETS = 2048
 
-class _NumbaBackend:
-    """Adapter over the @njit kernels (array-native call convention)."""
+#: Accepted values of the ``REPRO_NATIVE`` environment variable.
+NATIVE_MODES = ("auto", "off")
 
-    name = "numba"
-
-    def __init__(self) -> None:
-        from . import _numba_peel
-
-        self._mod = _numba_peel
-
-    def peel_undirected(self, *args, ptrs=None):
-        return self._mod.peel_undirected(*args)
-
-    def peel_atleast_k(self, *args, ptrs=None):
-        return self._mod.peel_atleast_k(*args)
-
-    def peel_directed(self, *args, ptrs=None):
-        return self._mod.peel_directed(*args)
+_LIB: Optional[ctypes.CDLL] = None
+_LIB_RESOLVED = False
 
 
-class _CBackend:
-    """Adapter over the ctypes-loaded shared library."""
-
-    name = "c"
-
-    def __init__(self) -> None:
-        from . import _cext
-
-        self._lib = _cext.load()
-
-    def peel_undirected(
-        self, indptr, indices, weights, n, total_weight, factor, eps_slack,
-        max_passes, nb, deg, alive, best_alive, bucket_of, nxt, prv, head,
-        frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (indptr, indices, weights, deg, alive, best_alive,
-                          bucket_of, nxt, prv, head, frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_undirected(
-            ptrs[0], ptrs[1], ptrs[2],
-            n, total_weight, factor, eps_slack, max_passes, nb,
-            ptrs[3], ptrs[4], ptrs[5], ptrs[6], ptrs[7], ptrs[8],
-            ptrs[9], ptrs[10], ptrs[11], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-    def peel_atleast_k(
-        self, indptr, indices, weights, n, total_weight, factor,
-        batch_fraction, eps_slack, k, stop_below_k, nb, deg, alive,
-        best_alive, bucket_of, nxt, prv, head, frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (indptr, indices, weights, deg, alive, best_alive,
-                          bucket_of, nxt, prv, head, frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_atleast_k(
-            ptrs[0], ptrs[1], ptrs[2],
-            n, total_weight, factor, batch_fraction, eps_slack,
-            k, 1 if stop_below_k else 0, nb,
-            ptrs[3], ptrs[4], ptrs[5], ptrs[6], ptrs[7], ptrs[8],
-            ptrs[9], ptrs[10], ptrs[11], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-    def peel_directed(
-        self, out_indptr, out_indices, out_weights, in_indptr, in_indices,
-        in_weights, n, total_weight, ratio, one_plus_eps, eps_slack,
-        use_max_degree_rule, nb, out_to_t, in_from_s, in_s, in_t, best_s,
-        best_t, s_bucket_of, s_nxt, s_prv, s_head, t_bucket_of, t_nxt,
-        t_prv, t_head, frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (out_indptr, out_indices, out_weights, in_indptr,
-                          in_indices, in_weights, out_to_t, in_from_s, in_s,
-                          in_t, best_s, best_t, s_bucket_of, s_nxt, s_prv,
-                          s_head, t_bucket_of, t_nxt, t_prv, t_head,
-                          frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_directed(
-            ptrs[0], ptrs[1], ptrs[2], ptrs[3], ptrs[4], ptrs[5],
-            n, total_weight, ratio, one_plus_eps, eps_slack,
-            1 if use_max_degree_rule else 0, nb,
-            ptrs[6], ptrs[7], ptrs[8], ptrs[9], ptrs[10], ptrs[11],
-            ptrs[12], ptrs[13], ptrs[14], ptrs[15], ptrs[16], ptrs[17],
-            ptrs[18], ptrs[19], ptrs[20], ptrs[21], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-
-_BACKEND: Optional[object] = None
-_BACKEND_RESOLVED = False
-
-
-def _pick_backend() -> Optional[object]:
+def _load_library() -> Optional[ctypes.CDLL]:
     mode = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
+    if mode not in NATIVE_MODES:
+        raise ParameterError(
+            f"REPRO_NATIVE must be one of {NATIVE_MODES}, got {mode!r}"
+        )
     if mode == "off":
         return None
-    if mode in ("auto", "numba"):
-        try:
-            return _NumbaBackend()
-        except Exception:
-            if mode == "numba":
-                return None
-    if mode in ("auto", "c"):
-        try:
-            return _CBackend()
-        except Exception:
-            return None
-    return None
+    from . import _cext
+
+    try:
+        return _cext.load()
+    except Exception:
+        return None
 
 
-def get_backend() -> Optional[object]:
-    """The active compiled backend instance (memoized), or None."""
-    global _BACKEND, _BACKEND_RESOLVED
-    if not _BACKEND_RESOLVED:
-        _BACKEND = _pick_backend()
-        _BACKEND_RESOLVED = True
-    return _BACKEND
+def get_backend() -> Optional[ctypes.CDLL]:
+    """The loaded C kernel library (memoized), or None."""
+    global _LIB, _LIB_RESOLVED
+    if not _LIB_RESOLVED:
+        _LIB = _load_library()
+        _LIB_RESOLVED = True
+    return _LIB
 
 
 def available_backend() -> Optional[str]:
-    """``"numba"``, ``"c"``, or None when the compiled tier is absent."""
-    backend = get_backend()
-    return getattr(backend, "name", None) if backend is not None else None
+    """``"c"``, or None when the compiled tier is absent."""
+    return "c" if get_backend() is not None else None
 
 
 def reset_backend_cache() -> None:
-    """Forget the memoized backend (tests flip REPRO_NATIVE and re-probe)."""
-    global _BACKEND, _BACKEND_RESOLVED
-    _BACKEND = None
-    _BACKEND_RESOLVED = False
+    """Forget the memoized library (tests flip REPRO_NATIVE and re-probe)."""
+    global _LIB, _LIB_RESOLVED
+    _LIB = None
+    _LIB_RESOLVED = False
+
+
+def _run(kernel, *args) -> Tuple[int, float, int, int]:
+    """Call a C kernel with its three out-parameters appended.
+
+    Returns ``(status, best_density, best_pass, passes)``; status 1
+    means the trace buffer overflowed and the call must be retried
+    with a larger one.
+    """
+    best_density = ctypes.c_double()
+    best_pass = ctypes.c_int64()
+    passes = ctypes.c_int64()
+    status = kernel(
+        *args,
+        ctypes.byref(best_density),
+        ctypes.byref(best_pass),
+        ctypes.byref(passes),
+    )
+    return status, best_density.value, best_pass.value, passes.value
 
 
 # Scratch arrays are reused across calls (the trace buffer alone is
@@ -259,41 +170,30 @@ def _directed_scratch(n: int, cap: int):
     return scratch
 
 
-def _graph_args(csr: CSRGraph):
-    """Contiguity-checked CSR arrays + raw pointers, cached on the graph."""
+def _graph_ptrs(csr) -> Tuple[int, ...]:
+    """Raw pointers to the contiguity-checked CSR arrays (out- then
+    in-CSR triple for a digraph), cached on the graph together with the
+    arrays they point into."""
     cached = getattr(csr, "_peel_args", None)
     if cached is None:
-        indptr = np.ascontiguousarray(csr.indptr, dtype=np.int32)
-        indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
-        weights = np.ascontiguousarray(csr.weights, dtype=np.float64)
-        cached = (
-            indptr, indices, weights,
-            (indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data),
+        if isinstance(csr, CSRDigraph):
+            triples = (
+                (csr.out_indptr, csr.out_indices, csr.out_weights),
+                (csr.in_indptr, csr.in_indices, csr.in_weights),
+            )
+        else:
+            triples = ((csr.indptr, csr.indices, csr.weights),)
+        arrays = tuple(
+            np.ascontiguousarray(a, dtype=dtype)
+            for triple in triples
+            for a, dtype in zip(triple, (np.int32, np.int32, np.float64))
         )
+        cached = (arrays, tuple(a.ctypes.data for a in arrays))
         try:
             csr._peel_args = cached
         except AttributeError:
             pass
-    return cached
-
-
-def _digraph_args(csr: CSRDigraph):
-    cached = getattr(csr, "_peel_args", None)
-    if cached is None:
-        arrays = (
-            np.ascontiguousarray(csr.out_indptr, dtype=np.int32),
-            np.ascontiguousarray(csr.out_indices, dtype=np.int32),
-            np.ascontiguousarray(csr.out_weights, dtype=np.float64),
-            np.ascontiguousarray(csr.in_indptr, dtype=np.int32),
-            np.ascontiguousarray(csr.in_indices, dtype=np.int32),
-            np.ascontiguousarray(csr.in_weights, dtype=np.float64),
-        )
-        cached = arrays + (tuple(a.ctypes.data for a in arrays),)
-        try:
-            csr._peel_args = cached
-        except AttributeError:
-            pass
-    return cached
+    return cached[1]
 
 
 def _decode_undirected_trace(trace: np.ndarray, passes: int) -> Tuple[PassRecord, ...]:
@@ -323,28 +223,24 @@ def peel_undirected(
     *,
     max_passes: Optional[int] = None,
 ) -> PeelOutcome:
-    """Algorithm 1 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 1 via the C kernels (numpy fallback)."""
+    lib = get_backend()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_undirected(csr, epsilon, max_passes=max_passes)
+    if lib is None or n == 0:
+        return peel.peel_undirected(csr, epsilon, max_passes=max_passes)
     factor = 2.0 * (1.0 + epsilon)
     mp = -1 if max_passes is None else int(max_passes)
-    indptr, indices, weights, csr_ptrs = _graph_args(csr)
+    csr_ptrs = _graph_ptrs(csr)
     cap = min(n, 4096) + 1
     while True:
-        (
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier,
-            trace, scratch_ptrs,
-        ) = _undirected_scratch(n, cap)
+        deg, alive, best_alive, *_, trace, scratch_ptrs = _undirected_scratch(n, cap)
         np.copyto(deg, csr.degrees)
         alive.fill(1)
         best_alive.fill(1)
-        status, best_density, best_pass, passes = backend.peel_undirected(
-            indptr, indices, weights, n, csr.total_weight, factor,
-            THRESHOLD_EPS, mp, NUM_BUCKETS, deg, alive, best_alive,
-            bucket_of, nxt, prv, head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status, best_density, best_pass, passes = _run(
+            lib.repro_peel_undirected,
+            *csr_ptrs, n, csr.total_weight, factor, THRESHOLD_EPS, mp,
+            NUM_BUCKETS, *scratch_ptrs, trace.shape[0],
         )
         if status == 0:
             break
@@ -365,28 +261,25 @@ def peel_atleast_k(
     *,
     stop_below_k: bool = True,
 ) -> PeelOutcome:
-    """Algorithm 2 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 2 via the C kernels (numpy fallback)."""
+    lib = get_backend()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
+    if lib is None or n == 0:
+        return peel.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
     factor = 2.0 * (1.0 + epsilon)
     batch_fraction = epsilon / (1.0 + epsilon)
-    indptr, indices, weights, csr_ptrs = _graph_args(csr)
+    csr_ptrs = _graph_ptrs(csr)
     cap = min(n, 4096) + 1
     while True:
-        (
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier,
-            trace, scratch_ptrs,
-        ) = _undirected_scratch(n, cap)
+        deg, alive, best_alive, *_, trace, scratch_ptrs = _undirected_scratch(n, cap)
         np.copyto(deg, csr.degrees)
         alive.fill(1)
         best_alive.fill(1)
-        status, best_density, best_pass, passes = backend.peel_atleast_k(
-            indptr, indices, weights, n, csr.total_weight, factor,
-            batch_fraction, THRESHOLD_EPS, int(k), stop_below_k, NUM_BUCKETS,
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status, best_density, best_pass, passes = _run(
+            lib.repro_peel_atleast_k,
+            *csr_ptrs, n, csr.total_weight, factor, batch_fraction,
+            THRESHOLD_EPS, int(k), 1 if stop_below_k else 0, NUM_BUCKETS,
+            *scratch_ptrs, trace.shape[0],
         )
         if status == 0:
             break
@@ -407,23 +300,18 @@ def peel_directed(
     *,
     side_rule: str = "size_ratio",
 ) -> DirectedPeelOutcome:
-    """Algorithm 3 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 3 via the C kernels (numpy fallback)."""
+    lib = get_backend()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_directed(csr, ratio, epsilon, side_rule=side_rule)
-    (
-        out_indptr, out_indices, out_weights,
-        in_indptr, in_indices, in_weights, csr_ptrs,
-    ) = _digraph_args(csr)
+    if lib is None or n == 0:
+        return peel.peel_directed(csr, ratio, epsilon, side_rule=side_rule)
+    csr_ptrs = _graph_ptrs(csr)
     use_max_degree = side_rule != "size_ratio"
     cap = min(2 * n, 8192) + 1
     while True:
         (
             out_to_t, in_from_s, in_s, in_t, best_s, best_t,
-            s_bucket_of, s_nxt, s_prv, s_head,
-            t_bucket_of, t_nxt, t_prv, t_head,
-            frontier, trace, scratch_ptrs,
+            *_, trace, scratch_ptrs,
         ) = _directed_scratch(n, cap)
         np.copyto(out_to_t, csr.out_degrees)
         np.copyto(in_from_s, csr.in_degrees)
@@ -431,13 +319,11 @@ def peel_directed(
         in_t.fill(1)
         best_s.fill(1)
         best_t.fill(1)
-        status, best_density, best_pass, passes = backend.peel_directed(
-            out_indptr, out_indices, out_weights, in_indptr, in_indices,
-            in_weights, n, csr.total_weight, float(ratio), 1.0 + epsilon,
-            THRESHOLD_EPS, use_max_degree, NUM_BUCKETS, out_to_t, in_from_s,
-            in_s, in_t, best_s, best_t, s_bucket_of, s_nxt, s_prv, s_head,
-            t_bucket_of, t_nxt, t_prv, t_head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status, best_density, best_pass, passes = _run(
+            lib.repro_peel_directed,
+            *csr_ptrs, n, csr.total_weight, float(ratio), 1.0 + epsilon,
+            THRESHOLD_EPS, 1 if use_max_degree else 0, NUM_BUCKETS,
+            *scratch_ptrs, trace.shape[0],
         )
         if status == 0:
             break

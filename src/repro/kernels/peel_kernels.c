@@ -2,14 +2,13 @@
  *
  * Compiled at runtime by repro.kernels._cext with the system C
  * toolchain and loaded through ctypes; repro.kernels.native falls back
- * to the pure-numpy bucket queue when no compiler (and no numba) is
- * available.  The algorithms mirror repro/kernels/bucketq.py — one
- * intrusive doubly-linked bucket list per degree structure, frontier
- * computed from pass-start degrees, sequential cascade decrements in
- * ascending node order (the python engine's kill order) — so node
- * sets, pass counts, and integer trace fields are identical to the
- * python/numpy/bucketq tiers and float fields agree to reassociation
- * noise (exactly, for dyadic weights).
+ * to the numpy kernels when no compiler is available.  One intrusive
+ * doubly-linked bucket list per degree structure, frontier computed
+ * from pass-start degrees, sequential cascade decrements in ascending
+ * node order (the python engine's kill order) — so node sets, pass
+ * counts, and integer trace fields are identical to the python/numpy
+ * tiers and float fields agree to reassociation noise (exactly, for
+ * dyadic weights).
  *
  * Every function returns 0 on success or 1 when the caller-provided
  * trace buffer is too small (the caller doubles it and reruns).

@@ -580,23 +580,43 @@ class MapReduceRuntime:
         return self._pool
 
     def _respawn_pool(self) -> None:
-        """Replace a broken/stalled owned pool (lost-worker recovery).
+        """Discard a broken/stalled owned pool (lost-worker recovery);
+        the next stage submission starts a fresh one.
 
-        A borrowed pool is the caller's to manage: the runtime refuses
-        to recycle it and fails the job with a typed error instead.
+        The old pool's worker processes are terminated, not abandoned: a
+        worker stuck past its deadline would otherwise keep running
+        until its task ends, and interpreter exit joins it.  A borrowed
+        pool is the caller's to manage: the runtime refuses to recycle
+        it and fails the job with a typed error instead.
         """
-        if self._pool is not None and not self._owns_pool:
+        pool = self._pool
+        if pool is None:
+            return
+        if not self._owns_pool:
             raise MapReduceError(
                 "externally provided process pool is broken or stalled; "
                 "the runtime cannot respawn a pool it does not own"
             )
-        if self._pool is not None:
+        self._pool = None
+        self._owns_pool = False
+        # ProcessPoolExecutor has no public handle on its workers before
+        # Python 3.14's terminate_workers(); this mirrors that method.
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass
+        for worker in workers:
             try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - best-effort teardown
+                if worker.is_alive():
+                    worker.terminate()
+            except (ValueError, ProcessLookupError):  # already reaped
                 pass
-            self._pool = None
-            self._owns_pool = False
+        for worker in workers:
+            try:
+                worker.join(timeout=5.0)
+            except ValueError:  # pragma: no cover - closed handle
+                pass
 
     def close(self) -> None:
         """Shut down an owned process pool (borrowed pools are left alone)."""
@@ -654,7 +674,9 @@ class MapReduceRuntime:
         resubmits every unfinished task, and charges one attempt to the
         task it was waiting on — with exponential backoff between
         consecutive losses.  A ``task_timeout`` expiry is handled the
-        same way (the stuck worker is abandoned with the old pool).
+        same way (the stuck worker is terminated with the old pool),
+        and an owned pool is recycled before the stage gives up, so
+        ``close()`` never joins a stuck worker.
         Counters: ``workers_lost`` counts pool recycles,
         ``tasks_retried`` counts task resubmissions of either kind.
         """
@@ -720,6 +742,8 @@ class MapReduceRuntime:
                         else f"worker lost ({exc or type(exc).__name__})"
                     )
                     if tries[task] >= attempts:
+                        if self._owns_pool:
+                            self._respawn_pool()
                         raise MapReduceError(
                             f"job {job.name!r} {stage} task {task} failed "
                             f"after {attempts} attempts: {why}"

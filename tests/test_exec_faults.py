@@ -185,6 +185,11 @@ class TestUnhealableFailures:
         flag = os.environ[_SLEEP_ENV]
         open(flag, "w").close()
         try:
+            # The flag stays set until the finally block, so the worker
+            # is still stuck when the runtime gives up: the block exits
+            # promptly only if the stuck worker is terminated rather
+            # than joined by close().
+            start = time.monotonic()
             with MapReduceRuntime(
                 num_mappers=1, num_reducers=1, seed=0,
                 executor="process", workers=1,
@@ -195,6 +200,7 @@ class TestUnhealableFailures:
                 ):
                     runtime.run(SLEEPY_JOB, batch)
                 assert runtime.workers_lost == 1
+            assert time.monotonic() - start < 5.0
         finally:
             if os.path.exists(flag):
                 os.remove(flag)

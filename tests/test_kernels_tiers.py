@@ -1,21 +1,21 @@
-"""Kernel tier ladder: bucket-queue and compiled engines, fallbacks,
-and the threaded shard-scan path.
+"""Kernel tier ladder: the compiled engine, its fallback, and the
+threaded shard-scan path.
 
 Three contracts:
 
-* Every importable tier (numpy / bucketq / native) returns *identical*
-  node sets, pass counts, and integer trace fields — and float trace
-  fields within reassociation noise — for Algorithms 1–3 (the same
-  convention as tests/test_kernels_parity.py).
-* Requesting an unavailable compiled engine degrades with a
-  :class:`RuntimeWarning` instead of raising; the answer is identical.
+* The native tier returns *identical* node sets, pass counts, and
+  integer trace fields — and float trace fields within reassociation
+  noise — to the numpy tier for Algorithms 1–3 (the same convention
+  as tests/test_kernels_parity.py).
+* Requesting the native engine without a loadable C backend degrades
+  to numpy with a :class:`RuntimeWarning` instead of raising; the
+  answer is identical.
 * ``scan_threads > 1`` on the streaming engines is bit-identical to the
   sequential scan, including the stream's edge/byte accounting.
 """
 
 import dataclasses
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from repro.errors import ParameterError
 from repro.graph.directed import DirectedGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.kernels import (
-    BUCKETQ_SIZE_CUTOFF,
+    AUTO_SIZE_CUTOFF,
     ENGINES,
     NATIVE_SIZE_CUTOFF,
     auto_tier,
@@ -37,19 +37,17 @@ from repro.kernels import (
     resolve_engine,
     tier_report,
 )
-from repro.kernels.bucketq import BucketQueue
 
 EPSILONS = [0.0, 0.1, 0.5]
 #: Dyadic weights sum exactly in any order, so cross-tier float trace
 #: fields match to the last bit (the ABS slack covers subtractive
-#: decrease-key updates in the incremental tiers).
+#: decrease-key updates in the incremental native tier).
 WEIGHTS = [1.0, 0.5, 2.25, 3.0, 0.125]
 ABS = 1e-9
 
-#: The vectorized tiers importable in this environment; "native" is
-#: present whenever numba imports or a C toolchain compiled the
-#: kernels (both feed the same engine name).
-TIERS = ["bucketq"] + (["native"] if native_backend() is not None else [])
+#: The compiled tiers loadable in this environment: "native" whenever a
+#: C toolchain compiled the kernels.
+TIERS = ["native"] if native_backend() is not None else []
 
 
 def random_undirected(seed, *, weighted):
@@ -182,32 +180,6 @@ class TestTierParity:
 
 
 # ----------------------------------------------------------------------
-# Bucket queue unit behavior
-# ----------------------------------------------------------------------
-class TestBucketQueue:
-    def test_drain_upto_returns_all_at_or_below(self):
-        vals = np.array([5.0, 1.0, 3.0, 0.0, 9.0, 2.0])
-        q = BucketQueue(vals)
-        drained = set(int(i) for i in q.drain_upto(3.0))
-        assert drained == {1, 2, 3, 5}
-
-    def test_decrease_moves_only_downward(self):
-        vals = np.array([10.0, 20.0, 30.0])
-        q = BucketQueue(vals)
-        q.decrease(np.array([2], dtype=np.int64), np.array([1.0]))
-        drained = q.drain_upto(1.5)
-        assert 2 in set(int(i) for i in drained)
-
-    def test_remove_then_drain_skips_dead(self):
-        vals = np.array([1.0, 1.0, 1.0, 50.0])
-        q = BucketQueue(vals)
-        q.remove(np.array([1], dtype=np.int64))
-        drained = q.drain_upto(2.0)
-        assert 1 not in set(int(i) for i in drained)
-        assert {0, 2} <= set(int(i) for i in drained)
-
-
-# ----------------------------------------------------------------------
 # Graceful degradation when the compiled backend is unavailable
 # ----------------------------------------------------------------------
 class TestCompiledFallback:
@@ -222,12 +194,11 @@ class TestCompiledFallback:
 
         native.reset_backend_cache()
 
-    @pytest.mark.parametrize("engine", ["native", "numba"])
-    def test_no_backend_falls_back_to_bucketq(self, monkeypatch, engine):
+    def test_no_backend_falls_back_to_numpy(self, monkeypatch):
         self._force_off(monkeypatch)
         try:
-            with pytest.warns(RuntimeWarning, match="falling back to the bucketq"):
-                assert resolve_engine(engine) == "bucketq"
+            with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
+                assert resolve_engine("native") == "numpy"
         finally:
             self._restore()
 
@@ -242,32 +213,63 @@ class TestCompiledFallback:
             self._restore()
         assert_result_parity(ref, out)
 
+    def test_native_wrappers_fall_back_to_numpy(self, monkeypatch):
+        from repro.kernels import CSRDigraph, CSRGraph, native, peel
+
+        undirected = CSRGraph.from_undirected(random_undirected(5, weighted=True))
+        directed = CSRDigraph.from_directed(random_directed(5, weighted=True))
+
+        def run_all(mod):
+            return (
+                mod.peel_undirected(undirected, 0.1),
+                mod.peel_atleast_k(undirected, 3, 0.1),
+                mod.peel_directed(directed, 0.5, 0.1),
+            )
+
+        refs = run_all(peel)
+        self._force_off(monkeypatch)
+        try:
+            outs = run_all(native)
+        finally:
+            self._restore()
+        for ref, out in zip(refs, outs):
+            for field in ("best_indices", "best_s", "best_t"):
+                if hasattr(ref, field):
+                    assert np.array_equal(getattr(out, field), getattr(ref, field))
+            assert out.best_density == ref.best_density
+            assert out.passes == ref.passes
+            assert out.trace == ref.trace
+
     def test_auto_skips_native_without_backend(self, monkeypatch):
         self._force_off(monkeypatch)
         try:
             assert auto_tier(NATIVE_SIZE_CUTOFF) == "numpy"
-            assert auto_tier(BUCKETQ_SIZE_CUTOFF) == "bucketq"
+            assert auto_tier(1 << 24) == "numpy"
         finally:
             self._restore()
-
-    @pytest.mark.skipif(
-        native_backend() != "c", reason="numba importable: no degradation to test"
-    )
-    def test_numba_request_degrades_to_c_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="compiled C backend"):
-            assert resolve_engine("numba") == "native"
-
-    @pytest.mark.skipif(
-        native_backend() != "numba", reason="needs an importable numba"
-    )
-    def test_numba_request_resolves_silently_when_importable(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_engine("numba") == "native"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ParameterError, match="engine must be one of"):
             resolve_engine("cython")
+
+    @pytest.mark.parametrize("engine", ["bucketq", "numba"])
+    def test_removed_engine_rejected(self, engine):
+        with pytest.raises(ParameterError, match="engine must be one of"):
+            resolve_engine(engine)
+        with pytest.raises(ParameterError, match="engine must be one of"):
+            densest_subgraph(random_undirected(1, weighted=False), 0.5, engine=engine)
+
+    @pytest.mark.parametrize("mode", ["on", "c"])
+    def test_unknown_native_mode_rejected(self, monkeypatch, mode):
+        from repro.kernels import native
+
+        monkeypatch.setenv("REPRO_NATIVE", mode)
+        native.reset_backend_cache()
+        try:
+            with pytest.raises(ParameterError, match=r"\('auto', 'off'\)"):
+                native_backend()
+        finally:
+            self._restore()
 
 
 # ----------------------------------------------------------------------
@@ -276,31 +278,35 @@ class TestCompiledFallback:
 class TestTierReport:
     def test_report_shape(self):
         report = tier_report()
+        assert set(report) == {
+            "python", "numpy", "native", "native_backend", "auto_ladder"
+        }
         assert report["python"] is True
         assert report["numpy"] is True
-        assert report["bucketq"] is True
         assert report["native"] == (native_backend() is not None)
-        assert report["native_backend"] in (None, "numba", "c")
-        ladder = report["auto_ladder"]
-        assert ladder["native_cutoff"] == NATIVE_SIZE_CUTOFF
-        assert ladder["bucketq_cutoff"] == BUCKETQ_SIZE_CUTOFF
+        assert report["native_backend"] in (None, "c")
+        assert report["auto_ladder"] == {
+            "native_cutoff": NATIVE_SIZE_CUTOFF,
+            "numpy_label_cutoff": AUTO_SIZE_CUTOFF,
+        }
 
     def test_report_auto_pick(self):
         small = tier_report(num_nodes=10)
         assert small["auto_pick"] == "numpy"
-        big = tier_report(num_nodes=BUCKETQ_SIZE_CUTOFF)
-        assert big["auto_pick"] == auto_tier(BUCKETQ_SIZE_CUTOFF)
+        big = tier_report(num_nodes=NATIVE_SIZE_CUTOFF)
+        assert big["auto_pick"] == auto_tier(NATIVE_SIZE_CUTOFF)
 
     def test_auto_ladder_by_size(self):
         assert auto_tier(10) == "numpy"
-        expected_big = "native" if native_backend() is not None else "bucketq"
-        assert auto_tier(BUCKETQ_SIZE_CUTOFF) == expected_big
+        assert auto_tier(NATIVE_SIZE_CUTOFF - 1) == "numpy"
+        expected_big = "native" if native_backend() is not None else "numpy"
+        assert auto_tier(NATIVE_SIZE_CUTOFF) == expected_big
 
     def test_engines_tuple_is_public_contract(self):
-        assert ENGINES == ("auto", "python", "numpy", "bucketq", "native", "numba")
+        assert ENGINES == ("auto", "python", "numpy", "native")
 
     def test_peel_functions_exposes_uniform_surface(self):
-        for tier in ["numpy"] + TIERS:
+        for tier in ("numpy", "native"):
             mod = peel_functions(tier)
             for fn in (
                 "peel_undirected",
@@ -316,7 +322,9 @@ class TestTierReport:
         assert main(["backends", "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "kernel tiers" in out
-        assert "bucketq" in out
+        section = out.split("kernel tiers")[1].split("engine=auto ladder")[0]
+        listed = [line.split()[0] for line in section.splitlines()[1:] if line]
+        assert listed == ["python", "numpy", "native"]
 
     def test_stats_reports_kernel_tiers(self, tmp_path):
         from repro.serve.app import DensestService
@@ -328,7 +336,8 @@ class TestTierReport:
         finally:
             service.close()
         tiers = payload["kernel_tiers"]
-        assert tiers is not None and tiers["bucketq"] is True
+        assert tiers is not None and tiers["numpy"] is True
+        assert tiers["native"] == (native_backend() is not None)
 
 
 # ----------------------------------------------------------------------
