@@ -1,18 +1,13 @@
 """Performance microbenchmarks of the columnar MapReduce runtime.
 
-Times the §5.2 peeling drivers on both runtime paths (record-at-a-time
-Python tuples vs columnar NumPy batches) on the Figure 6.7 fixtures,
-so pytest-benchmark tables show the engines side by side;
-``scripts/bench_report.py --suite mapreduce`` writes the
-machine-readable comparison with the ≥5x gate.
-
-The record-path cases run one pedantic round — per-record execution is
-exactly the overhead this layer exists to avoid, and timing it longer
-adds nothing.
+Times the §5.2 peeling drivers on the Figure 6.7 fixtures, from
+resident CSR snapshots; ``scripts/bench_report.py --suite mapreduce``
+writes the machine-readable report.
 """
 
 import pytest
 
+from repro.core.undirected import densest_subgraph
 from repro.datasets import load
 from repro.kernels import CSRDigraph, CSRGraph
 from repro.mapreduce.densest import (
@@ -33,13 +28,8 @@ def im_csr(im_small):
 
 
 @pytest.fixture(scope="module")
-def tw_small():
-    return load("twitter_sim", scale=0.15)
-
-
-@pytest.fixture(scope="module")
-def tw_csr(tw_small):
-    return CSRDigraph.from_directed(tw_small)
+def tw_csr():
+    return CSRDigraph.from_directed(load("twitter_sim", scale=0.15))
 
 
 def _runtime():
@@ -47,57 +37,34 @@ def _runtime():
 
 
 def test_perf_mr_peel_columnar(benchmark, im_csr):
-    report = benchmark(
-        lambda: mr_densest_subgraph(im_csr, 1.0, runtime=_runtime(), engine="numpy")
-    )
+    report = benchmark(lambda: mr_densest_subgraph(im_csr, 1.0, runtime=_runtime()))
     assert report.result.density > 0
 
 
 def test_perf_mr_peel_eps0_columnar(benchmark, im_csr):
-    report = benchmark(
-        lambda: mr_densest_subgraph(im_csr, 0.0, runtime=_runtime(), engine="numpy")
-    )
-    assert report.result.density > 0
-
-
-def test_perf_mr_peel_record(benchmark, im_small):
-    report = benchmark.pedantic(
-        lambda: mr_densest_subgraph(
-            im_small, 1.0, runtime=_runtime(), engine="python"
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    report = benchmark(lambda: mr_densest_subgraph(im_csr, 0.0, runtime=_runtime()))
     assert report.result.density > 0
 
 
 def test_perf_mr_directed_columnar(benchmark, tw_csr):
     report = benchmark(
         lambda: mr_densest_subgraph_directed(
-            tw_csr, ratio=1.0, epsilon=1.0, runtime=_runtime(), engine="numpy"
+            tw_csr, ratio=1.0, epsilon=1.0, runtime=_runtime()
         )
     )
     assert report.result.density > 0
 
 
-def test_perf_mr_directed_record(benchmark, tw_small):
-    report = benchmark.pedantic(
-        lambda: mr_densest_subgraph_directed(
-            tw_small, ratio=1.0, epsilon=1.0, runtime=_runtime(), engine="python"
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert report.result.density > 0
-
-
 def test_columnar_engine_matches_record_on_fixture(im_small, im_csr):
-    """Cheap guard: the two runtime paths agree on the benchmark fixture."""
-    record = mr_densest_subgraph(
-        im_small, 1.0, runtime=_runtime(), engine="python"
-    ).result
-    columnar = mr_densest_subgraph(
-        im_csr, 1.0, runtime=_runtime(), engine="numpy"
-    ).result
-    assert record.nodes == columnar.nodes
-    assert record.density == pytest.approx(columnar.density)
+    """Cheap guard: the MapReduce driver agrees with the interpreted
+    (record-loop) core reference peel on the benchmark fixture."""
+    reference = densest_subgraph(im_small, 1.0, engine="python")
+    result = mr_densest_subgraph(im_csr, 1.0, runtime=_runtime()).result
+    assert result.nodes == reference.nodes
+    assert result.density == pytest.approx(reference.density)
+    assert result.passes == reference.passes
+    assert len(result.trace) == len(reference.trace)
+    for ours, theirs in zip(result.trace, reference.trace):
+        assert ours.removed == theirs.removed
+        assert ours.nodes_after == theirs.nodes_after
+        assert ours.density_after == pytest.approx(theirs.density_after)

@@ -2,14 +2,8 @@
 """Algorithm 1 as a MapReduce job chain (§5.2), with per-pass timing.
 
 Runs the paper's degree + two-round-removal pipeline on the im stand-in
-through the metered MapReduce simulator — once on the record-at-a-time
-runtime path and once on the columnar (NumPy batch) path — then prices
-each pass with the cluster cost model: the Figure 6.7 experiment end to
-end, plus the real wall-clock of the two engines side by side.
-
-The two engines run the same jobs, produce the same result, and meter
-the same record counts per round; the columnar path just moves arrays
-where the record path moves Python tuples.
+through the metered MapReduce simulator, then prices each pass with the
+cluster cost model: the Figure 6.7 experiment end to end.
 
 Run:  python examples/mapreduce_at_scale.py
 """
@@ -23,48 +17,19 @@ from repro.mapreduce.cost import CostModel
 from repro.mapreduce.runtime import MapReduceRuntime
 
 
-def run_engine(graph, engine: str):
-    """One metered run on the chosen runtime path, with wall-clock."""
-    runtime = MapReduceRuntime(num_mappers=8, num_reducers=8, seed=1)
-    start = time.perf_counter()
-    solution = solve(
-        DensestSubgraph(graph, epsilon=1.0),
-        backend="mapreduce",
-        runtime=runtime,
-        engine=engine,
-    )
-    elapsed = time.perf_counter() - start
-    return solution, elapsed
-
-
 def main() -> None:
     graph = load("im_sim", scale=0.2)
     print(f"im stand-in: |V|={graph.num_nodes}, |E|={graph.num_edges}")
-    print("running Algorithm 1 as MapReduce rounds (eps=1) on both engines ...")
-    print()
-
-    record_solution, record_seconds = run_engine(graph, "python")
-    columnar_solution, columnar_seconds = run_engine(graph, "numpy")
-    assert record_solution.nodes == columnar_solution.nodes
-
-    print(
-        render_table(
-            ["engine", "runtime path", "wall-clock", "speedup"],
-            [
-                ["python", "record-at-a-time tuples", f"{record_seconds * 1e3:.1f} ms", ""],
-                [
-                    "numpy",
-                    "columnar array batches",
-                    f"{columnar_seconds * 1e3:.1f} ms",
-                    f"x{record_seconds / columnar_seconds:.1f}",
-                ],
-            ],
-            title="simulator wall-clock per engine (same jobs, same counters)",
-        )
+    print("running Algorithm 1 as MapReduce rounds (eps=1) ...")
+    runtime = MapReduceRuntime(num_mappers=8, num_reducers=8, seed=1)
+    start = time.perf_counter()
+    solution = solve(
+        DensestSubgraph(graph, epsilon=1.0), backend="mapreduce", runtime=runtime
     )
+    print(f"simulator wall-clock: {(time.perf_counter() - start) * 1e3:.1f} ms")
     print()
 
-    report = columnar_solution.details  # the backend's native MapReduceRunReport
+    report = solution.details  # the backend's native MapReduceRunReport
     result = report.result
 
     # Price the run as if on the paper's 2000-mapper Hadoop cluster.

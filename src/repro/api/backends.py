@@ -12,8 +12,8 @@ core-csr  the vectorized CSR kernels (core pinned to engine="numpy")
 streaming semi-streaming engines with O(n) between-pass state
 sketch    Algorithm 1 with Count-Sketch degree counters (§5.1);
           engine="python"|"numpy"|"auto" selects the edge-scan path
-mapreduce the §5.2 MapReduce drivers on the simulated runtime;
-          engine="python"|"numpy"|"auto" selects record vs columnar jobs
+mapreduce the §5.2 MapReduce drivers on the simulated columnar
+          runtime (pinned to engine="numpy", like core-csr)
 exact-lp  Charikar's LP (undirected and directed, scipy/HiGHS)
 exact-flow Goldberg's max-flow exact solver
 greedy    one-node-per-step greedy baselines (Charikar-style)
@@ -658,12 +658,13 @@ class SketchSolver:
 class MapReduceSolver:
     """Algorithms 1–3 as metered MapReduce job chains.
 
-    Accepts an ``engine="auto"|"python"|"numpy"`` option selecting the
-    runtime path: record-at-a-time jobs or the columnar batch jobs
-    (``"auto"`` goes columnar for int-labeled graphs).  CSR snapshots
-    are accepted directly — the columnar engine reads their edge
-    arrays without materializing a dict graph — and shard stores are
-    loaded through the per-shard CSR builders.  An
+    The runtime has one (columnar, numpy) engine, so like ``core-csr``
+    the backend advertises ``engines=("numpy",)`` and accepts only
+    ``engine="numpy"``/``"auto"``.  Graphs with any node labels are
+    accepted (non-int labels are relabelled to dense ids inside the
+    drivers).  CSR snapshots are accepted directly — the drivers read
+    their edge arrays without materializing a dict graph — and shard
+    stores are loaded through the per-shard CSR builders.  An
     :class:`~repro.api.context.ExecutionContext` with ``workers > 1``
     (and no explicit ``runtime=``) runs the columnar rounds on a
     spawned process pool; the pool lives for this solve and is shut
@@ -683,7 +684,7 @@ class MapReduceSolver:
             exact=False,
             memory_class=MEM_EDGES,
             semantics="batch-peel",
-            engines=("python", "numpy") if CSRGraph is not None else ("python",),
+            engines=("numpy",),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
@@ -692,7 +693,13 @@ class MapReduceSolver:
 
     def solve(self, problem: Problem, **options) -> Solution:
         context = _pop_context(options)
-        _reject_options(self.name, options, ("runtime", "engine", "fused"))
+        engine = options.pop("engine", "numpy")
+        if engine not in ("numpy", "auto"):
+            raise SolverError(
+                f"backend 'mapreduce' is pinned to the numpy engine; "
+                f"got engine={engine!r}"
+            )
+        _reject_options(self.name, options, ("runtime", "fused"))
         runtime = options.get("runtime")
         fused = bool(options.get("fused", False))
         owned_runtime = None
@@ -706,16 +713,12 @@ class MapReduceSolver:
                 shuffle_dir=context.shuffle_dir,
             )
         try:
-            return self._solve(
-                problem, runtime, options.get("engine", "auto"), fused
-            )
+            return self._solve(problem, runtime, fused)
         finally:
             if owned_runtime is not None:
                 owned_runtime.close()
 
-    def _solve(
-        self, problem: Problem, runtime, engine: str, fused: bool = False
-    ) -> Solution:
+    def _solve(self, problem: Problem, runtime, fused: bool = False) -> Solution:
         from ..mapreduce.densest import (
             mr_densest_subgraph,
             mr_densest_subgraph_atleast_k,
@@ -725,7 +728,7 @@ class MapReduceSolver:
         graph = _require_graph(problem, self.name, allow_csr=True, allow_shards=True)
         if isinstance(problem, DensestSubgraph):
             report = mr_densest_subgraph(
-                graph, problem.epsilon, runtime=runtime, engine=engine, fused=fused
+                graph, problem.epsilon, runtime=runtime, fused=fused
             )
             return _undirected_solution(
                 report.result,
@@ -743,7 +746,6 @@ class MapReduceSolver:
                 problem.k,
                 problem.epsilon,
                 runtime=runtime,
-                engine=engine,
                 fused=fused,
             )
             return _undirected_solution(
@@ -758,14 +760,10 @@ class MapReduceSolver:
             )
         if isinstance(problem, DirectedDensest):
             if problem.is_sweep:
-                # Resolve the engine once for the whole sweep, and give
-                # the columnar drivers a resident CSR snapshot so the
+                # Give the drivers a resident CSR snapshot so the
                 # per-ratio calls read edge arrays instead of repeating
                 # the O(m) weighted_edges() pass and the label scan.
-                from ..mapreduce.densest import resolve_mr_engine
-
-                engine = resolve_mr_engine(engine, graph)
-                if engine == "numpy" and isinstance(graph, DirectedGraph):
+                if isinstance(graph, DirectedGraph):
                     graph = CSRDigraph.from_directed(graph)
                 reports = [
                     mr_densest_subgraph_directed(
@@ -773,7 +771,6 @@ class MapReduceSolver:
                         ratio,
                         problem.epsilon,
                         runtime=runtime,
-                        engine=engine,
                         fused=fused,
                     )
                     for ratio in _directed_grid(problem)
@@ -800,7 +797,6 @@ class MapReduceSolver:
                 problem.ratio,
                 problem.epsilon,
                 runtime=runtime,
-                engine=engine,
                 fused=fused,
             )
             return _directed_solution(

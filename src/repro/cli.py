@@ -133,11 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "python", "numpy", "native"],
         default="auto",
-        help="execution engine for the core/mapreduce/sketch backends: "
-        "'python' (interpreted record loops), 'numpy' (vectorized kernels / "
-        "columnar MapReduce batches), 'native' (bucket-queue peel in C, "
-        "degrading to numpy when no C toolchain is available), or 'auto' "
-        "(pick per graph; see `repro-densest backends --verbose`)",
+        help="execution engine for the core/sketch backends: "
+        "'python' (interpreted record loops), 'numpy' (vectorized kernels), "
+        "'native' (bucket-queue peel in C, degrading to numpy when no C "
+        "toolchain is available), or 'auto' (pick per graph; see "
+        "`repro-densest backends --verbose`); core-csr and mapreduce are "
+        "pinned to 'numpy'",
     )
     p_solve.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument(
@@ -591,9 +592,11 @@ def _cmd_densest(args) -> int:
                 f"--engine applies to the core/core-csr/mapreduce/sketch "
                 f"backends, not {backend!r}"
             )
-        if backend == "core-csr":
+        if backend in ("core-csr", "mapreduce"):
             if args.engine != "numpy":
-                raise ReproError("backend 'core-csr' is pinned to the numpy engine")
+                raise ReproError(
+                    f"backend {backend!r} is pinned to the numpy engine"
+                )
         else:
             options["engine"] = args.engine
     if args.compaction != "auto" or args.compaction_threshold is not None:

@@ -6,20 +6,22 @@ combiners, partitioned shuffle, sorted reduce — and meter every round
 (records in/out, shuffle bytes) so a calibrated cost model can
 translate counters into simulated wall-clock (Figure 6.7).
 
-* :mod:`~repro.mapreduce.job` — job specifications (mapper, combiner,
-  reducer, plus optional vectorized batch twins) and typed counters.
+* :mod:`~repro.mapreduce.job` — job specifications (batch mapper,
+  combiner, reducer) and typed counters.
 * :mod:`~repro.mapreduce.runtime` — the execution engine: input splits,
-  map tasks, combiner, hash-partitioned shuffle, sorted reduce tasks —
-  record-at-a-time or columnar, per job/input.
+  map tasks, combiner, hash-partitioned shuffle, sorted reduce tasks,
+  serially or on a process pool.
 * :mod:`~repro.mapreduce.columnar` — the array-native batch
-  representation behind the columnar path (int64 keys + value columns,
+  representation every stage moves (int64 keys + value columns,
   vectorized split/shuffle/group-by).
 * :mod:`~repro.mapreduce.cost` — the wall-clock cost model.
 * :mod:`~repro.mapreduce.densest` — the paper's §5.2 realization of the
   peeling algorithms as MapReduce job chains (degree job + two-round
-  node-removal job per pass), on either engine.
+  node-removal job per pass, or one fused round), for graphs with any
+  node labels.
 """
 
+from .columnar import ColumnarKV, GroupedKV
 from .job import JobCounters, MapReduceJob
 from .runtime import MapReduceRuntime, register_job
 from .cost import CostModel
@@ -27,7 +29,6 @@ from .densest import (
     mr_densest_subgraph,
     mr_densest_subgraph_atleast_k,
     mr_densest_subgraph_directed,
-    resolve_mr_engine,
     MapReduceRunReport,
 )
 from .runtime import TransientTaskError
@@ -42,13 +43,7 @@ __all__ = [
     "mr_densest_subgraph",
     "mr_densest_subgraph_atleast_k",
     "mr_densest_subgraph_directed",
-    "resolve_mr_engine",
     "MapReduceRunReport",
+    "ColumnarKV",
+    "GroupedKV",
 ]
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    from .columnar import ColumnarKV, GroupedKV
-except ImportError:  # pragma: no cover
-    pass  # the batch types need numpy; importing them raises ImportError
-else:
-    __all__ += ["ColumnarKV", "GroupedKV"]

@@ -1,24 +1,23 @@
-"""Array-native key-value batches for the columnar MapReduce path.
+"""Array-native key-value batches, the MapReduce runtime's record format.
 
-The record-at-a-time runtime moves one Python tuple per record through
-split, map, shuffle, and reduce; at the scales the paper targets the
-interpreter overhead dwarfs the useful work.  This module holds the
-columnar alternative: a batch of records is one int64 key array plus
-named value columns (:class:`ColumnarKV`), and every runtime stage is
-a handful of vector operations —
+Moving one Python tuple per record through split, map, shuffle, and
+reduce would make interpreter overhead dwarf the useful work at the
+scales the paper targets.  Instead a batch of records is one int64 key
+array plus named value columns (:class:`ColumnarKV`), and every
+runtime stage is a handful of vector operations —
 
-* **split** — round-robin via strided slicing (``arr[i::k]``), the
-  exact record-to-task assignment of the record path;
-* **shuffle** — :func:`stable_hash_int64`, a vectorized twin of the
-  runtime's ``_stable_hash`` for int keys (bit-identical partition
-  assignment), then boolean-mask partitioning;
+* **split** — round-robin via strided slicing (``arr[i::k]``): record
+  i lands in split ``i % k``;
+* **shuffle** — :func:`stable_hash_int64`, a deterministic
+  multiplicative hash of the keys, then stable partitioning;
 * **group-by** — one stable ``np.argsort`` plus boundary detection
   (:meth:`ColumnarKV.group`), giving reducers contiguous per-key
   segments to aggregate with ``np.add.reduceat``-style kernels.
 
-Batches require int64-able keys; jobs with string or tuple keys stay
-on the record path.  Value columns may be any fixed-width dtype
-(int64 endpoints, float64 weights, bool markers).
+Keys must be integers that fit int64; callers with other labels map
+them to int ids first (the §5.2 drivers relabel at the boundary).
+Value columns may be any fixed-width dtype (int64 endpoints, float64
+weights, bool markers).
 """
 
 from __future__ import annotations
@@ -29,23 +28,39 @@ import numpy as np
 
 from ..errors import MapReduceError
 
-#: Multiplier of the runtime's Knuth-style int hash (see
-#: ``runtime._stable_hash``); kept here so the vectorized twin cannot
-#: drift from the scalar original.
+#: Multiplier and mask of the Knuth-style multiplicative key hash.
 _HASH_MULTIPLIER = np.uint64(2654435761)
 _HASH_MASK = np.uint64(0xFFFFFFFF)
 
 
 def stable_hash_int64(keys: np.ndarray) -> np.ndarray:
-    """Vectorized ``_stable_hash`` for int keys; same values, any sign.
+    """Deterministic hash of int keys: ``k * 2654435761 % 2**32``.
 
-    ``(k * 2654435761) mod 2**32`` computed in uint64 (wraparound is
-    mod 2**64, and reducing mod 2**32 afterwards gives the same
-    residue Python's arbitrary-precision ``%`` produces, including for
-    negative keys via their two's-complement image).
+    Computed in uint64 (wraparound is mod 2**64, and reducing mod 2**32
+    afterwards gives the same residue Python's arbitrary-precision
+    ``%`` produces, including for negative keys via their
+    two's-complement image), so it never depends on PYTHONHASHSEED.
     """
     mixed = np.asarray(keys).astype(np.uint64, copy=False) * _HASH_MULTIPLIER
     return (mixed & _HASH_MASK).astype(np.int64)
+
+
+def _int64_keys(keys: np.ndarray) -> np.ndarray:
+    """``keys`` as a 1-D int64 array, rejecting keys a cast would corrupt."""
+    if keys.ndim != 1:
+        raise MapReduceError(
+            f"batch keys must be a 1-D array, got shape {keys.shape}"
+        )
+    if keys.dtype == np.int64:
+        return keys
+    kind = keys.dtype.kind
+    if keys.size == 0 or kind == "i":
+        return keys.astype(np.int64)
+    if kind == "u" and int(keys.max()) < 2**63:
+        return keys.astype(np.int64)
+    raise MapReduceError(
+        f"batch keys must be integers in the int64 range, got dtype {keys.dtype}"
+    )
 
 
 class ColumnarKV:
@@ -58,18 +73,18 @@ class ColumnarKV:
     columns:
         Ordered ``{name: array}`` of parallel value columns.  A record's
         value is the tuple of its column entries (a scalar when there is
-        exactly one column), so ``to_pairs`` round-trips with the record
-        runtime's ``(key, value)`` representation.
+        exactly one column), as :meth:`to_pairs` spells it out.
+
+    Keys must be integers representable in int64: float, bool, str, and
+    object keys, and unsigned keys ``>= 2**63``, raise
+    :class:`~repro.errors.MapReduceError` instead of being silently
+    cast.  An empty key array of any dtype is accepted.
     """
 
     __slots__ = ("keys", "columns")
 
     def __init__(self, keys, columns: Dict[str, np.ndarray]) -> None:
-        self.keys = np.asarray(keys, dtype=np.int64)
-        if self.keys.ndim != 1:
-            raise MapReduceError(
-                f"batch keys must be a 1-D array, got shape {self.keys.shape}"
-            )
+        self.keys = _int64_keys(np.asarray(keys))
         self.columns = {}
         for name, column in columns.items():
             column = np.asarray(column)
@@ -89,7 +104,7 @@ class ColumnarKV:
     def from_pairs(
         cls, pairs: Iterable[Tuple[int, object]], names: Sequence[str] = ()
     ) -> "ColumnarKV":
-        """Build a batch from record-form ``(key, value)`` pairs.
+        """Build a batch from ``(key, value)`` pairs.
 
         Tuple values become one column per element; scalar values one
         column.  Mainly for tests and small conversions — production
@@ -113,7 +128,7 @@ class ColumnarKV:
         return cls(keys, cols)
 
     def to_pairs(self) -> List[Tuple[int, object]]:
-        """The batch as record-form ``(key, value)`` pairs."""
+        """The batch as ``(key, value)`` pairs (for tests and display)."""
         keys = self.keys.tolist()
         cols = [c.tolist() for c in self.columns.values()]
         if len(cols) == 1:
@@ -159,8 +174,7 @@ class ColumnarKV:
         )
 
     def split(self, num_splits: int) -> List["ColumnarKV"]:
-        """Round-robin input splits — record i lands in split i % k,
-        mirroring the record runtime's assignment exactly."""
+        """Round-robin input splits — record i lands in split i % k."""
         return [self.take(slice(i, None, num_splits)) for i in range(num_splits)]
 
     @classmethod
@@ -187,14 +201,13 @@ class ColumnarKV:
         )
 
     def partition(self, num_partitions: int) -> List["ColumnarKV"]:
-        """Hash-partition by key (the shuffle), preserving row order
-        within each partition; assignment matches ``_stable_hash``.
+        """Hash-partition by key (the shuffle): record i goes to
+        partition ``stable_hash_int64(key_i) % num_partitions``.
 
         One stable argsort over the partition ids, then boundary
         slicing — O(n log n) total rather than one full mask scan per
         reducer, which matters at cluster-scale ``num_reducers``.  The
-        stable sort keeps the record path's within-partition arrival
-        order.
+        stable sort keeps arrival order within each partition.
         """
         part_ids = stable_hash_int64(self.keys) % num_partitions
         by_partition = self.take(np.argsort(part_ids, kind="stable"))
@@ -263,8 +276,8 @@ class GroupedKV:
         return self.rows.columns[name]
 
     def segment_sum(self, name: str) -> np.ndarray:
-        """Per-group sum of a column (sequential within each group, so
-        the totals match the record reducer's left-to-right ``sum``)."""
+        """Per-group sum of a column (sequential, left to right, within
+        each group)."""
         if self.num_groups == 0:
             return np.zeros(0, dtype=np.float64)
         return np.add.reduceat(self.rows.columns[name], self.starts[:-1])

@@ -1,44 +1,41 @@
 """The paper's §5.2 MapReduce realization of the peeling algorithms.
 
-Edge records are key-value pairs ``(u, (v, w))`` — an edge from u to v
-of weight w, keyed by its first endpoint.  Each peeling pass is the
-exact job pipeline the paper describes:
+Edges are columnar batches keyed by their first endpoint — one int64
+key per edge plus a ``v`` (other endpoint) and ``w`` (weight) column.
+Each peeling pass is the exact job pipeline the paper describes:
 
 1. **Degree job** (1 round): map each edge to ``⟨u; w⟩`` and ``⟨v; w⟩``
-   (for directed graphs, ``⟨('out', u); w⟩`` and ``⟨('in', v); w⟩``),
+   (for directed graphs, an out-contribution for u and an
+   in-contribution for v, the side packed into the key's low bit),
    combine/reduce by summing.  The driver derives the surviving edge
    weight and density from the degree output — the "trivial counting"
    the paper mentions.
 
 2. **Node-removal job** (2 rounds undirected, 1 round directed): the
-   driver injects a marker record ``⟨r; '$'⟩`` for every node r slated
+   driver appends a marker row ``⟨r; m=True⟩`` for every node r slated
    for removal; the reducer for a key that saw a marker emits nothing,
    otherwise it copies its edges through, re-keyed on the other
    endpoint so the second round (or the next pass) can filter on it.
    Only edges with both endpoints unmarked survive — exactly the
    paper's two-phase filter.
 
-Every job carries both record-form and batch-form callables, so the
-same pipeline runs on either runtime path.  ``engine="numpy"`` (or
-``engine="auto"`` on an int-labeled graph) drives the jobs columnar:
-edges live as int64/float64 arrays keyed by node label, markers are a
-boolean column instead of the ``'$'`` string, degrees come back as one
-``np.bincount``-style segment sum, and removal is a boolean mask over
-the grouped edge rows.  The columnar drivers meter the same record
-counts per round as the record drivers and make the same threshold
-decisions up to float-reassociation noise (combiner-local and
-pass-total sums associate differently, so degrees and thresholds can
-differ in the last ULPs; bit-identical for dyadic weights, e.g.
-unweighted graphs — the same caveat as the core engines).  The parity
-suite in
-``tests/test_mapreduce_columnar.py`` asserts outputs, traces, and
-counters agree.
+**Keys.**  The shuffle keys on int64 node ids.  A graph whose labels
+are all ints in ``[-2**62, 2**62)`` keys on the labels themselves (the
+bound leaves one bit of headroom for the directed side tag); any other
+graph — str, tuple, or huge-int labels — is relabelled once, at the
+boundary, to each node's position in ``graph.nodes()`` order (a CSR
+snapshot's index), exactly as the CSR layer factorizes labels.  Either
+way the driver maps results back through ``labels[i]``, so callers see
+their own labels.
 
-The driver keeps O(n) state (alive flags, best set) and makes the same
+The driver keeps O(n) state as dense arrays (alive bitmap, degrees
+scattered from the degree job's output batch) and makes the same
 threshold decisions as :func:`repro.core.densest_subgraph` /
 :func:`repro.core.densest_subgraph_directed`; tests assert the outputs
-are identical.  All rounds are metered, and
-:class:`MapReduceRunReport` groups counters by peeling pass so a
+are identical (bit-identical for dyadic weights, e.g. unweighted
+graphs; otherwise up to float-reassociation noise, since combiner-local
+and pass-total sums associate differently).  All rounds are metered,
+and :class:`MapReduceRunReport` groups counters by peeling pass so a
 :class:`~repro.mapreduce.cost.CostModel` can regenerate Figure 6.7.
 
 ``fused=True`` replaces the degree + removal pipeline with a single
@@ -47,8 +44,8 @@ the driver broadcasts the cumulative kill set as a per-round parameter
 (``takes_params`` jobs), so the fused mapper filters dead-endpoint
 edges and emits degree contributions in one pass — one round instead
 of three (undirected) or two (directed), and no edge records travel
-back to the driver.  Under a file-backed shuffle the fused columnar
-drivers additionally spill the edge input once up front
+back to the driver.  Under a file-backed shuffle the fused drivers
+additionally spill the edge input once up front
 (``runtime.spill_splits``) so every subsequent pass ships only the
 kill set to the workers.  See DESIGN.md §13.
 """
@@ -57,50 +54,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import List, Optional, Union
+
+import numpy as np
 
 from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_float
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
-from ..errors import MapReduceError, ParameterError
+from ..errors import MapReduceError
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
+from .columnar import ColumnarKV
 from .cost import CostModel
 from .job import JobCounters, MapReduceJob
 from .runtime import MapReduceRuntime, register_job
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
-
-    from .columnar import ColumnarKV
-except ImportError:  # pragma: no cover
-    np = None
-    ColumnarKV = None
-
-Node = Hashable
-_MARKER = "$"
-
-#: Engine names accepted by the drivers' ``engine=`` parameter.
-ENGINES = ("auto", "python", "numpy")
 
 
 # ----------------------------------------------------------------------
 # Job definitions
 # ----------------------------------------------------------------------
-def _degree_mapper(u, edge):
-    """Edge (u, (v, w)) -> one weight contribution per endpoint."""
-    v, w = edge
-    return [(u, w), (v, w)]
-
-
-def _sum_reducer(key, values):
-    """Classic sum reducer (doubles as the combiner)."""
-    return [(key, sum(values))]
-
-
-def _degree_mapper_batch(batch):
-    """Batch twin of :func:`_degree_mapper`: 2 records per edge row."""
+def _degree_mapper(batch):
+    """Edge rows -> one weight contribution per endpoint (2 per edge)."""
     w = batch.columns["w"]
     return ColumnarKV(
         np.concatenate([batch.keys, batch.columns["v"]]),
@@ -108,8 +83,8 @@ def _degree_mapper_batch(batch):
     )
 
 
-def _sum_reducer_batch(grouped):
-    """Batch twin of :func:`_sum_reducer`: one segment sum per key."""
+def _sum_reducer(grouped):
+    """Sum reducer (doubles as the combiner): one segment sum per key."""
     return ColumnarKV(grouped.keys, {"w": grouped.segment_sum("w")})
 
 
@@ -118,26 +93,15 @@ DEGREE_JOB = register_job(MapReduceJob(
     mapper=_degree_mapper,
     reducer=_sum_reducer,
     combiner=_sum_reducer,
-    mapper_batch=_degree_mapper_batch,
-    reducer_batch=_sum_reducer_batch,
-    combiner_batch=_sum_reducer_batch,
 ))
 
 
-def _directed_degree_mapper(u, edge):
-    """Edge (u, (v, w)) -> out-contribution for u, in-contribution for v."""
-    v, w = edge
-    return [(("out", u), w), (("in", v), w)]
+def _directed_degree_mapper(batch):
+    """Edge u -> v -> an out-contribution for u, an in-contribution for v.
 
-
-def _directed_degree_mapper_batch(batch):
-    """Batch twin of :func:`_directed_degree_mapper`.
-
-    Int keys cannot carry the ``('out', u)`` tuple tag, so the side is
-    packed into the key's low bit instead: ``2u`` for out, ``2v + 1``
-    for in (the driver decodes with a shift).  The encoding is a
-    bijection, so per-task key multiplicities — and hence all record
-    counters — match the record form exactly.
+    The side is packed into the key's low bit: ``2u`` for out,
+    ``2v + 1`` for in (the driver decodes with a shift).  The encoding
+    is a bijection, so each (side, node) pair is its own reduce group.
     """
     w = batch.columns["w"]
     return ColumnarKV(
@@ -151,36 +115,16 @@ DIRECTED_DEGREE_JOB = register_job(MapReduceJob(
     mapper=_directed_degree_mapper,
     reducer=_sum_reducer,
     combiner=_sum_reducer,
-    mapper_batch=_directed_degree_mapper_batch,
-    reducer_batch=_sum_reducer_batch,
-    combiner_batch=_sum_reducer_batch,
 ))
 
 
-def _identity_mapper(key, value):
-    """Pass records through unchanged."""
-    return [(key, value)]
-
-
-def _identity_mapper_batch(batch):
+def _identity_mapper(batch):
     """Pass a batch through unchanged."""
     return batch
 
 
-def _filter_and_pivot_reducer(key, values):
+def _filter_and_pivot_reducer(grouped):
     """Drop all edges of a marked node; re-key survivors on the other endpoint.
-
-    Values are either the marker string or ``(other, w)`` tuples; if any
-    marker is present the whole group (all edges incident on ``key``
-    from this side) is dropped.
-    """
-    if any(v == _MARKER for v in values):
-        return []
-    return [(other, (key, w)) for other, w in values]
-
-
-def _filter_and_pivot_reducer_batch(grouped):
-    """Batch twin of :func:`_filter_and_pivot_reducer`.
 
     Markers are a boolean ``m`` column; a marker row marks its whole
     group (it shares the group's key), so one segment-OR plus a repeat
@@ -204,20 +148,11 @@ REMOVAL_JOB = register_job(MapReduceJob(
     name="remove-marked",
     mapper=_identity_mapper,
     reducer=_filter_and_pivot_reducer,
-    mapper_batch=_identity_mapper_batch,
-    reducer_batch=_filter_and_pivot_reducer_batch,
 ))
 
 
-def _filter_keep_key_reducer(key, values):
+def _filter_keep_key_reducer(grouped):
     """Drop all edges of a marked node; keep survivors keyed as-is."""
-    if any(v == _MARKER for v in values):
-        return []
-    return [(key, value) for value in values]
-
-
-def _filter_keep_key_reducer_batch(grouped):
-    """Batch twin of :func:`_filter_keep_key_reducer`."""
     keep = ~grouped.expand(grouped.segment_any("m"))
     return grouped.rows.take(keep)
 
@@ -226,26 +161,13 @@ REMOVAL_JOB_KEEP_KEY = register_job(MapReduceJob(
     name="remove-marked-keep-key",
     mapper=_identity_mapper,
     reducer=_filter_keep_key_reducer,
-    mapper_batch=_identity_mapper_batch,
-    reducer_batch=_filter_keep_key_reducer_batch,
 ))
 
 
-def _pivot_mapper(key, value):
-    """Re-key an edge (u, (v, w)) on its second endpoint -> (v, (u, w)).
-
-    Marker records ``(r, '$')`` pass through unchanged so the reducer can
-    filter on the pivoted key.
-    """
-    if value == _MARKER:
-        return [(key, value)]
-    v, w = value
-    return [(v, (key, w))]
-
-
-def _pivot_mapper_batch(batch):
-    """Batch twin of :func:`_pivot_mapper`: swap key and ``v`` on edge
-    rows, pass marker rows through unchanged."""
+def _pivot_mapper(batch):
+    """Re-key edge rows on their second endpoint (swap key and ``v``);
+    marker rows pass through unchanged so the reducer can filter on the
+    pivoted key."""
     m = batch.columns["m"]
     return ColumnarKV(
         np.where(m, batch.keys, batch.columns["v"]),
@@ -261,8 +183,6 @@ REMOVAL_JOB_PIVOT_SECOND = register_job(MapReduceJob(
     name="remove-marked-second",
     mapper=_pivot_mapper,
     reducer=_filter_and_pivot_reducer,
-    mapper_batch=_pivot_mapper_batch,
-    reducer_batch=_filter_and_pivot_reducer_batch,
 ))
 
 
@@ -281,7 +201,7 @@ REMOVAL_JOB_PIVOT_SECOND = register_job(MapReduceJob(
 # pivot rounds, and the per-pass edge rewrite disappear — per-pass
 # shuffle drops to the (combiner-compacted) degree records alone.
 # ----------------------------------------------------------------------
-def _in_sorted(values: "np.ndarray", table: "np.ndarray") -> "np.ndarray":
+def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``values`` in a sorted int64 ``table``
     (``table`` must be nonempty)."""
     pos = np.searchsorted(table, values)
@@ -289,18 +209,9 @@ def _in_sorted(values: "np.ndarray", table: "np.ndarray") -> "np.ndarray":
     return table[pos] == values
 
 
-def _fused_degree_mapper(u, edge, dead):
-    """Edge (u, (v, w)) -> degree contributions, unless an endpoint is
-    in the broadcast kill set."""
-    v, w = edge
-    if u in dead or v in dead:
-        return []
-    return [(u, w), (v, w)]
-
-
-def _fused_degree_mapper_batch(batch, dead):
-    """Batch twin of :func:`_fused_degree_mapper`; ``dead`` is a sorted
-    int64 label array (same membership the record twin's set tests)."""
+def _fused_degree_mapper(batch, dead):
+    """Edge rows -> degree contributions, unless an endpoint is in the
+    broadcast kill set ``dead`` (a sorted int64 key array)."""
     keys = batch.keys
     v = batch.columns["v"]
     w = batch.columns["w"]
@@ -318,26 +229,15 @@ FUSED_DEGREE_JOB = register_job(MapReduceJob(
     mapper=_fused_degree_mapper,
     reducer=_sum_reducer,
     combiner=_sum_reducer,
-    mapper_batch=_fused_degree_mapper_batch,
-    reducer_batch=_sum_reducer_batch,
-    combiner_batch=_sum_reducer_batch,
     takes_params=True,
 ))
 
 
-def _fused_directed_degree_mapper(u, edge, dead):
-    """Directed fused twin: ``dead`` is a ``(dead_s, dead_t)`` pair;
-    an edge survives while its source is in S and its target in T."""
-    dead_s, dead_t = dead
-    v, w = edge
-    if u in dead_s or v in dead_t:
-        return []
-    return [(("out", u), w), (("in", v), w)]
-
-
-def _fused_directed_degree_mapper_batch(batch, dead):
-    """Batch twin of :func:`_fused_directed_degree_mapper` with the
-    same bit-packed side keys as the classic directed degree job."""
+def _fused_directed_degree_mapper(batch, dead):
+    """Directed fused mapper: ``dead`` is a ``(dead_s, dead_t)`` pair of
+    sorted key arrays; an edge survives while its source is in S and
+    its target in T.  Emits the bit-packed side keys of
+    :func:`_directed_degree_mapper`."""
     dead_s, dead_t = dead
     keys = batch.keys
     v = batch.columns["v"]
@@ -361,25 +261,22 @@ FUSED_DIRECTED_DEGREE_JOB = register_job(MapReduceJob(
     mapper=_fused_directed_degree_mapper,
     reducer=_sum_reducer,
     combiner=_sum_reducer,
-    mapper_batch=_fused_directed_degree_mapper_batch,
-    reducer_batch=_sum_reducer_batch,
-    combiner_batch=_sum_reducer_batch,
     takes_params=True,
 ))
 
 
 # ----------------------------------------------------------------------
-# Engine resolution and columnar input construction
+# Boundary relabelling and columnar input construction
 # ----------------------------------------------------------------------
-#: Columnar-eligible labels must leave one bit of int64 headroom so the
-#: directed degree job can bit-pack the side tag (``2u`` / ``2v + 1``)
-#: without overflow.
+#: Labels used as shuffle keys must leave one bit of int64 headroom so
+#: the directed degree job can bit-pack the side tag (``2u`` /
+#: ``2v + 1``) without overflow.
 _LABEL_BOUND = 2**62
 
 
-def _int_labeled(graph) -> bool:
-    """True when every node label fits the columnar int64 key space
-    (with the bit-packing headroom).  CSR snapshots with an integer
+def _int_labeled(graph, labels) -> bool:
+    """True when every node label can serve as its own shuffle key:
+    an int in ``[-2**62, 2**62)``.  CSR snapshots with an integer
     label array are decided by one vectorized min/max instead of a
     per-element scan."""
     from ..kernels import CSRDigraph, CSRGraph
@@ -390,9 +287,6 @@ def _int_labeled(graph) -> bool:
             if arr.size == 0:
                 return True
             return -_LABEL_BOUND <= int(arr.min()) and int(arr.max()) < _LABEL_BOUND
-        labels = graph.labels
-    else:
-        labels = graph.nodes()
     return all(
         isinstance(node, int)
         and not isinstance(node, bool)
@@ -401,65 +295,33 @@ def _int_labeled(graph) -> bool:
     )
 
 
-def resolve_mr_engine(engine: str, graph) -> str:
-    """Resolve an ``engine=`` argument to ``"python"`` or ``"numpy"``.
-
-    The columnar path keys shuffles on int64 node labels, so unlike the
-    core peels (which factorize any labels into dense indices up
-    front), ``"auto"`` requires the graph to be int-labeled; exotic
-    labels stay on the record path.  ``engine="numpy"`` on an
-    ineligible graph raises instead of silently degrading.
-    """
-    if engine not in ENGINES:
-        raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "python":
-        return "python"
-    if np is None:
-        if engine == "numpy":
-            raise ParameterError(
-                "engine='numpy' requires numpy, which is not importable; "
-                "use engine='python'"
-            )
-        return "python"
-    eligible = _int_labeled(graph)
-    if engine == "numpy":
-        if not eligible:
-            raise MapReduceError(
-                "engine='numpy' needs int node labels with |label| < 2**62 "
-                "(columnar batches key the shuffle on int64 labels, and the "
-                "directed degree job bit-packs a side tag); relabel or use "
-                "engine='python'"
-            )
-        return "numpy"
-    return "numpy" if eligible else "python"
-
-
-def _edge_batch(graph) -> "ColumnarKV":
+def _edge_batch(graph, keys: np.ndarray, relabelled: bool) -> ColumnarKV:
     """The graph's edges as a columnar batch keyed on the first endpoint.
 
-    Columns: ``v`` (other endpoint label), ``w`` (weight), ``m``
-    (marker flag, all False).  CSR snapshots are translated with two
-    vectorized label gathers; dict graphs take one counted
-    ``np.fromiter`` pass over ``weighted_edges()``, preserving the
-    iteration order the record drivers see so the two engines assign
-    identical records to identical tasks.
+    Columns: ``v`` (other endpoint key), ``w`` (weight), ``m`` (marker
+    flag, all False).  ``keys[i]`` is the shuffle key of the i-th node
+    of ``graph.nodes()``.  CSR snapshots are translated with two
+    vectorized key gathers; dict graphs take one counted
+    ``np.fromiter`` pass over ``weighted_edges()``, through a
+    label -> position map when the graph is ``relabelled``.
     """
     from ..kernels import CSRDigraph, CSRGraph
 
     if isinstance(graph, (CSRGraph, CSRDigraph)):
         ui, vi, w = graph.edge_arrays()
-        labels_arr = np.asarray(graph.labels, dtype=np.int64)
-        keys = labels_arr[ui]
-        v = labels_arr[vi]
+        u, v = keys[ui], keys[vi]
     else:
-        m = graph.num_edges
+        edges = graph.weighted_edges()
+        if relabelled:
+            position = {label: i for i, label in enumerate(graph.nodes())}
+            edges = ((position[a], position[b], w) for a, b, w in edges)
         dtype = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-        arr = np.fromiter(graph.weighted_edges(), dtype=dtype, count=m)
-        keys, v, w = arr["u"], arr["v"], arr["w"].copy()
-    return ColumnarKV(keys, {"v": v, "w": w, "m": np.zeros(keys.size, dtype=bool)})
+        arr = np.fromiter(edges, dtype=dtype, count=graph.num_edges)
+        u, v, w = arr["u"], arr["v"], arr["w"].copy()
+    return ColumnarKV(u, {"v": v, "w": w, "m": np.zeros(u.size, dtype=bool)})
 
 
-def _fused_edge_batch(edges: "ColumnarKV") -> "ColumnarKV":
+def _fused_edge_batch(edges: ColumnarKV) -> ColumnarKV:
     """The fused jobs' static input: edge rows without the marker
     column (fused passes never inject markers, so the bool column
     would be dead weight in every split shipped or spilled)."""
@@ -468,7 +330,7 @@ def _fused_edge_batch(edges: "ColumnarKV") -> "ColumnarKV":
     )
 
 
-def _fused_columnar_input(edges: "ColumnarKV", runtime: MapReduceRuntime):
+def _fused_input(edges: ColumnarKV, runtime: MapReduceRuntime):
     """The fused drivers' job input and (optional) spill handle.
 
     Under the file-backed shuffle the static edge batch is spilled to
@@ -483,11 +345,11 @@ def _fused_columnar_input(edges: "ColumnarKV", runtime: MapReduceRuntime):
     return fused_edges, None
 
 
-def _marker_batch(marked_labels: "np.ndarray") -> "ColumnarKV":
+def _marker_batch(marked_keys: np.ndarray) -> ColumnarKV:
     """Marker rows ``⟨r; m=True⟩`` for the nodes slated for removal."""
-    count = marked_labels.size
+    count = marked_keys.size
     return ColumnarKV(
-        marked_labels,
+        marked_keys,
         {
             "v": np.full(count, -1, dtype=np.int64),
             "w": np.zeros(count, dtype=np.float64),
@@ -496,39 +358,44 @@ def _marker_batch(marked_labels: "np.ndarray") -> "ColumnarKV":
     )
 
 
-def _with_markers(edges: "ColumnarKV", marked_labels: "np.ndarray") -> "ColumnarKV":
-    """Edges plus trailing marker rows (the record path's ``edges + markers``)."""
-    if marked_labels.size == 0:
+def _with_markers(edges: ColumnarKV, marked_keys: np.ndarray) -> ColumnarKV:
+    """Edges plus trailing marker rows."""
+    if marked_keys.size == 0:
         return edges
-    return ColumnarKV.concat([edges, _marker_batch(marked_labels)])
+    return ColumnarKV.concat([edges, _marker_batch(marked_keys)])
 
 
 def _columnar_state(graph):
-    """Shared prologue of the columnar drivers.
+    """Shared prologue of the drivers.
 
-    Returns ``(labels, labels_arr, order, sorted_labels, edges)`` — the
-    label universe, its int64 array and searchsorted index (for
-    scattering job outputs back onto dense driver state), and the
-    initial edge batch.
+    Returns ``(labels, keys, order, sorted_keys, edges)`` — the label
+    universe in ``graph.nodes()`` order, each label's int64 shuffle key
+    (the label itself when :func:`_int_labeled`, else its position),
+    the searchsorted index over the keys (for scattering job outputs
+    back onto dense driver state), and the initial edge batch.
     """
     from ..kernels.csr import build_label_index
 
     labels = list(graph.nodes())
     if not labels:
         raise MapReduceError("graph has no nodes")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    order, sorted_labels = build_label_index(labels_arr)
-    return labels, labels_arr, order, sorted_labels, _edge_batch(graph)
+    relabelled = not _int_labeled(graph, labels)
+    if relabelled:
+        keys = np.arange(len(labels), dtype=np.int64)
+    else:
+        keys = np.asarray(labels, dtype=np.int64)
+    order, sorted_keys = build_label_index(keys)
+    return labels, keys, order, sorted_keys, _edge_batch(graph, keys, relabelled)
 
 
-def _scatter_by_label(order, sorted_labels, n, keys, values) -> "np.ndarray":
+def _scatter_by_key(order, sorted_keys, n, keys, values) -> np.ndarray:
     """Dense length-``n`` float array holding ``values`` at the driver
-    indices of the ``keys`` labels (zeros elsewhere)."""
+    indices of the shuffle ``keys`` (zeros elsewhere)."""
     from ..kernels.csr import lookup_indices
 
     out = np.zeros(n, dtype=np.float64)
     if keys.size:
-        out[lookup_indices(order, sorted_labels, keys)] = values
+        out[lookup_indices(order, sorted_keys, keys)] = values
     return out
 
 
@@ -573,17 +440,15 @@ def mr_densest_subgraph(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    engine: str = "auto",
     fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 1 as a chain of MapReduce rounds (§5.2).
 
     Per pass: one degree round, then the two-round removal filter.
     Returns the same node set, density, and per-pass trace as
-    :func:`repro.core.densest_subgraph`.  ``engine`` selects the
-    runtime path: ``"python"`` (record-at-a-time), ``"numpy"``
-    (columnar batches), or ``"auto"`` (columnar when the graph is
-    int-labeled and numpy is importable).
+    :func:`repro.core.densest_subgraph`.  ``graph`` may be a dict graph
+    or a :class:`~repro.kernels.CSRGraph` snapshot with any hashable
+    labels (see the module docstring on keys).
 
     ``fused=True`` collapses each pass to ONE round: the edge input
     stays static, the driver broadcasts the cumulative kill set as job
@@ -591,123 +456,14 @@ def mr_densest_subgraph(
     (combiner-compacted) — same node set, density, threshold
     decisions, and pass count as the classic three-round pipeline
     (bit-identical for dyadic weights, the usual float-reassociation
-    caveat otherwise) at a fraction of the shuffled bytes.
+    caveat otherwise) at a fraction of the shuffled bytes.  Under a
+    file-backed shuffle the static edge input is pre-spilled once, so
+    every pass ships only the sorted kill-set broadcast.
     """
     epsilon = check_epsilon(epsilon)
     if runtime is None:
         runtime = MapReduceRuntime()
-    if resolve_mr_engine(engine, graph) == "numpy":
-        return _mr_densest_subgraph_columnar(graph, epsilon, runtime, fused=fused)
-    labels = list(graph.nodes())
-    if not labels:
-        raise MapReduceError("graph has no nodes")
-    alive: Dict[Node, bool] = {u: True for u in labels}
-    remaining = len(labels)
-    edges: List[Tuple[Node, Tuple[Node, float]]] = [
-        (u, (v, w)) for u, v, w in graph.weighted_edges()
-    ]
-    dead: set = set()
-
-    best_set = list(labels)
-    best_density: Optional[float] = None
-    best_pass = 0
-    factor = 2.0 * (1.0 + epsilon)
-    pending: Optional[dict] = None
-    trace: List[PassRecord] = []
-    rounds_per_pass: List[List[JobCounters]] = []
-    pass_index = 0
-
-    while remaining > 0:
-        pass_index += 1
-        pass_rounds: List[JobCounters] = []
-
-        # Round 1: degrees (and, via their sum, the surviving weight).
-        # Fused mode filters the static edge set against the broadcast
-        # kill set inside the same round.
-        if fused:
-            degree_pairs, counters = runtime.run(
-                FUSED_DEGREE_JOB, edges, params=frozenset(dead)
-            )
-        else:
-            degree_pairs, counters = runtime.run(DEGREE_JOB, edges)
-        pass_rounds.append(counters)
-        degrees: Dict[Node, float] = dict(degree_pairs)
-        weight = sum(degrees.values()) / 2.0
-        density = weight / remaining
-
-        if pending is not None:
-            trace.append(
-                PassRecord(edges_after=weight, density_after=density, **pending)
-            )
-            if density > best_density:  # type: ignore[operator]
-                best_density = density
-                best_set = [u for u in labels if alive[u]]
-                best_pass = pending["pass_index"]
-        if best_density is None:
-            best_density = density
-
-        threshold = factor * density
-        to_remove = [
-            u
-            for u in labels
-            if alive[u] and degrees.get(u, 0.0) <= threshold + THRESHOLD_EPS
-        ]
-
-        pending = {
-            "pass_index": pass_index,
-            "nodes_before": remaining,
-            "edges_before": weight,
-            "density_before": density,
-            "threshold": threshold,
-            "removed": len(to_remove),
-            "nodes_after": remaining - len(to_remove),
-        }
-        for u in to_remove:
-            alive[u] = False
-        remaining -= len(to_remove)
-
-        if fused:
-            # No removal rounds: next pass's mapper filter sees the
-            # grown kill set instead of a rewritten edge list.
-            dead.update(to_remove)
-        else:
-            # Rounds 2-3: drop edges incident to removed nodes.  Markers
-            # are injected into the job input; the first round filters on
-            # the first endpoint and re-keys on the second, the second
-            # round filters on the (new) first key and re-keys back.
-            markers = [(u, _MARKER) for u in to_remove]
-            half_filtered, counters = runtime.run(REMOVAL_JOB, edges + markers)
-            pass_rounds.append(counters)
-            edges, counters = runtime.run(REMOVAL_JOB, half_filtered + markers)
-            pass_rounds.append(counters)
-        rounds_per_pass.append(pass_rounds)
-
-    if pending is not None:
-        trace.append(PassRecord(edges_after=0.0, density_after=0.0, **pending))
-
-    result = DensestSubgraphResult(
-        nodes=frozenset(best_set),
-        density=best_density if best_density is not None else 0.0,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
-    )
-    return MapReduceRunReport(result=result, rounds_per_pass=rounds_per_pass)
-
-
-def _mr_densest_subgraph_columnar(
-    graph, epsilon: float, runtime: MapReduceRuntime, fused: bool = False
-) -> MapReduceRunReport:
-    """Columnar twin of :func:`mr_densest_subgraph`.
-
-    Identical round structure and threshold decisions; the driver-side
-    state is an alive bitmap plus a dense degree array scattered from
-    the degree job's output batch.  Fused mode additionally pre-spills
-    the static edge input once under a file-backed shuffle, so every
-    pass ships only the sorted kill-set broadcast.
-    """
-    labels, labels_arr, order, sorted_labels, edges = _columnar_state(graph)
+    labels, keys, order, sorted_keys, edges = _columnar_state(graph)
     n = len(labels)
     alive = np.ones(n, dtype=bool)
     remaining = n
@@ -724,13 +480,16 @@ def _mr_densest_subgraph_columnar(
     job_input = spilled = None
     dead_sorted = np.empty(0, dtype=np.int64)
     if fused:
-        job_input, spilled = _fused_columnar_input(edges, runtime)
+        job_input, spilled = _fused_input(edges, runtime)
 
     try:
         while remaining > 0:
             pass_index += 1
             pass_rounds: List[JobCounters] = []
 
+            # Round 1: degrees (and, via their sum, the surviving
+            # weight).  Fused mode filters the static edge set against
+            # the broadcast kill set inside the same round.
             if fused:
                 degree_out, counters = runtime.run(
                     FUSED_DEGREE_JOB, job_input, params=dead_sorted
@@ -738,8 +497,8 @@ def _mr_densest_subgraph_columnar(
             else:
                 degree_out, counters = runtime.run(DEGREE_JOB, edges)
             pass_rounds.append(counters)
-            degrees = _scatter_by_label(
-                order, sorted_labels, n, degree_out.keys, degree_out.columns["w"]
+            degrees = _scatter_by_key(
+                order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
             )
             weight = float(degrees.sum()) / 2.0
             density = weight / remaining
@@ -772,9 +531,15 @@ def _mr_densest_subgraph_columnar(
             remaining -= removed
 
             if fused:
-                dead_sorted = np.sort(labels_arr[~alive])
+                # No removal rounds: next pass's mapper filter sees the
+                # grown kill set instead of a rewritten edge batch.
+                dead_sorted = np.sort(keys[~alive])
             else:
-                marked = labels_arr[remove_mask]
+                # Rounds 2-3: drop edges incident to removed nodes.  The
+                # first round filters on the first endpoint and re-keys
+                # on the second, the second round filters on the (new)
+                # first key and re-keys back.
+                marked = keys[remove_mask]
                 half_filtered, counters = runtime.run(
                     REMOVAL_JOB, _with_markers(edges, marked)
                 )
@@ -811,7 +576,6 @@ def mr_densest_subgraph_atleast_k(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    engine: str = "auto",
     fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 2 as a chain of MapReduce rounds.
@@ -819,11 +583,10 @@ def mr_densest_subgraph_atleast_k(
     Identical round structure to :func:`mr_densest_subgraph` (degree
     round + two removal rounds per pass); the driver restricts the
     removal batch to the ε/(1+ε)·|S| lowest-degree members of the
-    threshold set and stops once |S| < k, matching
-    :func:`repro.core.densest_subgraph_atleast_k`.  ``engine`` and
-    ``fused`` select the runtime path as in
-    :func:`mr_densest_subgraph` (fused: one kill-set-broadcast round
-    per pass, including the final valuation round).
+    threshold set (ties broken by ``graph.nodes()`` order) and stops
+    once |S| < k, matching :func:`repro.core.densest_subgraph_atleast_k`.
+    ``fused`` selects one kill-set-broadcast round per pass, including
+    the final valuation round, as in :func:`mr_densest_subgraph`.
     """
     from .._validation import check_positive_int
 
@@ -831,132 +594,7 @@ def mr_densest_subgraph_atleast_k(
     check_positive_int(k, "k")
     if runtime is None:
         runtime = MapReduceRuntime()
-    if resolve_mr_engine(engine, graph) == "numpy":
-        return _mr_densest_subgraph_atleast_k_columnar(
-            graph, k, epsilon, runtime, fused=fused
-        )
-    labels = list(graph.nodes())
-    if not labels:
-        raise MapReduceError("graph has no nodes")
-    if k > len(labels):
-        raise MapReduceError(f"k={k} exceeds the graph's {len(labels)} nodes")
-    alive: Dict[Node, bool] = {u: True for u in labels}
-    remaining = len(labels)
-    edges: List[Tuple[Node, Tuple[Node, float]]] = [
-        (u, (v, w)) for u, v, w in graph.weighted_edges()
-    ]
-    dead: set = set()
-
-    best_set = list(labels)
-    best_density: Optional[float] = None
-    best_pass = 0
-    factor = 2.0 * (1.0 + epsilon)
-    batch_fraction = epsilon / (1.0 + epsilon)
-    pending: Optional[dict] = None
-    trace: List[PassRecord] = []
-    rounds_per_pass: List[List[JobCounters]] = []
-    pass_index = 0
-
-    while remaining >= k and remaining > 0:
-        pass_index += 1
-        pass_rounds: List[JobCounters] = []
-        if fused:
-            degree_pairs, counters = runtime.run(
-                FUSED_DEGREE_JOB, edges, params=frozenset(dead)
-            )
-        else:
-            degree_pairs, counters = runtime.run(DEGREE_JOB, edges)
-        pass_rounds.append(counters)
-        degrees: Dict[Node, float] = dict(degree_pairs)
-        weight = sum(degrees.values()) / 2.0
-        density = weight / remaining
-
-        if pending is not None:
-            trace.append(
-                PassRecord(edges_after=weight, density_after=density, **pending)
-            )
-            if density > best_density:  # type: ignore[operator]
-                best_density = density
-                best_set = [u for u in labels if alive[u]]
-                best_pass = pending["pass_index"]
-        if best_density is None:
-            best_density = density
-
-        threshold = factor * density
-        candidates = [
-            u
-            for u in labels
-            if alive[u] and degrees.get(u, 0.0) <= threshold + THRESHOLD_EPS
-        ]
-        batch_size = min(
-            len(candidates), max(1, math.floor(batch_fraction * remaining))
-        )
-        candidates.sort(key=lambda u: degrees.get(u, 0.0))
-        to_remove = candidates[:batch_size]
-
-        pending = {
-            "pass_index": pass_index,
-            "nodes_before": remaining,
-            "edges_before": weight,
-            "density_before": density,
-            "threshold": threshold,
-            "removed": len(to_remove),
-            "nodes_after": remaining - len(to_remove),
-        }
-        for u in to_remove:
-            alive[u] = False
-        remaining -= len(to_remove)
-
-        if fused:
-            dead.update(to_remove)
-        else:
-            markers = [(u, _MARKER) for u in to_remove]
-            half_filtered, counters = runtime.run(REMOVAL_JOB, edges + markers)
-            pass_rounds.append(counters)
-            edges, counters = runtime.run(REMOVAL_JOB, half_filtered + markers)
-            pass_rounds.append(counters)
-        rounds_per_pass.append(pass_rounds)
-
-    if pending is not None:
-        if remaining == 0:
-            edges_after, density_after = 0.0, 0.0
-        else:
-            # |S| fell below k; value the final state with one more
-            # degree round so the trace is complete (cannot win).
-            if fused:
-                degree_pairs, counters = runtime.run(
-                    FUSED_DEGREE_JOB, edges, params=frozenset(dead)
-                )
-            else:
-                degree_pairs, counters = runtime.run(DEGREE_JOB, edges)
-            if rounds_per_pass:
-                rounds_per_pass[-1].append(counters)
-            edges_after = sum(dict(degree_pairs).values()) / 2.0
-            density_after = edges_after / remaining
-            if remaining >= k and density_after > (best_density or 0.0):
-                best_density = density_after
-                best_set = [u for u in labels if alive[u]]
-                best_pass = pending["pass_index"]
-        trace.append(
-            PassRecord(edges_after=edges_after, density_after=density_after, **pending)
-        )
-
-    result = DensestSubgraphResult(
-        nodes=frozenset(best_set),
-        density=best_density if best_density is not None else 0.0,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
-    )
-    return MapReduceRunReport(result=result, rounds_per_pass=rounds_per_pass)
-
-
-def _mr_densest_subgraph_atleast_k_columnar(
-    graph, k: int, epsilon: float, runtime: MapReduceRuntime, fused: bool = False
-) -> MapReduceRunReport:
-    """Columnar twin of :func:`mr_densest_subgraph_atleast_k`."""
-    labels, labels_arr, order, sorted_labels, edges = _columnar_state(graph)
+    labels, keys, order, sorted_keys, edges = _columnar_state(graph)
     n = len(labels)
     if k > n:
         raise MapReduceError(f"k={k} exceeds the graph's {n} nodes")
@@ -976,11 +614,11 @@ def _mr_densest_subgraph_atleast_k_columnar(
     job_input = spilled = None
     dead_sorted = np.empty(0, dtype=np.int64)
     if fused:
-        job_input, spilled = _fused_columnar_input(edges, runtime)
+        job_input, spilled = _fused_input(edges, runtime)
 
-    def _scatter_degrees(degree_out) -> "np.ndarray":
-        return _scatter_by_label(
-            order, sorted_labels, n, degree_out.keys, degree_out.columns["w"]
+    def _scatter_degrees(degree_out) -> np.ndarray:
+        return _scatter_by_key(
+            order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
         )
 
     def _degree_round():
@@ -1016,8 +654,8 @@ def _mr_densest_subgraph_atleast_k_columnar(
             batch_size = min(
                 candidate_idx.size, max(1, math.floor(batch_fraction * remaining))
             )
-            # Stable sort by degree keeps the record driver's label-order
-            # tie-break, so both engines remove the identical batch.
+            # Stable sort by degree breaks ties in graph.nodes() order,
+            # the core peel's tie-break.
             by_degree = np.argsort(degrees[candidate_idx], kind="stable")
             remove_idx = candidate_idx[by_degree[:batch_size]]
 
@@ -1034,9 +672,9 @@ def _mr_densest_subgraph_atleast_k_columnar(
             remaining -= int(remove_idx.size)
 
             if fused:
-                dead_sorted = np.sort(labels_arr[~alive])
+                dead_sorted = np.sort(keys[~alive])
             else:
-                marked = labels_arr[remove_idx]
+                marked = keys[remove_idx]
                 half_filtered, counters = runtime.run(
                     REMOVAL_JOB, _with_markers(edges, marked)
                 )
@@ -1051,6 +689,8 @@ def _mr_densest_subgraph_atleast_k_columnar(
             if remaining == 0:
                 edges_after, density_after = 0.0, 0.0
             else:
+                # |S| fell below k; value the final state with one more
+                # degree round so the trace is complete (cannot win).
                 degree_out, counters = _degree_round()
                 if rounds_per_pass:
                     rounds_per_pass[-1].append(counters)
@@ -1089,7 +729,6 @@ def mr_densest_subgraph_directed(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    engine: str = "auto",
     fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 3 as a chain of MapReduce rounds.
@@ -1097,169 +736,17 @@ def mr_densest_subgraph_directed(
     Per pass: one directed-degree round plus one removal round on the
     peeled side (S-peels filter on the first endpoint, T-peels pivot
     and filter on the second).  Returns the same pair and trace as
-    :func:`repro.core.densest_subgraph_directed`.  ``engine`` selects
-    the runtime path as in :func:`mr_densest_subgraph`; ``fused``
-    collapses each pass to a single degree round that broadcasts the
-    per-side kill sets instead of rewriting the edge list.
+    :func:`repro.core.densest_subgraph_directed`.  The degree job's
+    side-tagged keys come back bit-packed (``2u`` / ``2v + 1``); one
+    shift and parity test splits them into the two counter arrays.
+    ``fused`` collapses each pass to a single degree round that
+    broadcasts the per-side kill sets instead of rewriting the edges.
     """
     epsilon = check_epsilon(epsilon)
     check_positive_float(ratio, "ratio")
     if runtime is None:
         runtime = MapReduceRuntime()
-    if resolve_mr_engine(engine, graph) == "numpy":
-        return _mr_densest_subgraph_directed_columnar(
-            graph, ratio, epsilon, runtime, fused=fused
-        )
-    labels = list(graph.nodes())
-    if not labels:
-        raise MapReduceError("graph has no nodes")
-    in_s: Dict[Node, bool] = {u: True for u in labels}
-    in_t: Dict[Node, bool] = {u: True for u in labels}
-    s_size = t_size = len(labels)
-    edges: List[Tuple[Node, Tuple[Node, float]]] = [
-        (u, (v, w)) for u, v, w in graph.weighted_edges()
-    ]
-    dead_s: set = set()
-    dead_t: set = set()
-
-    best_s = list(labels)
-    best_t = list(labels)
-    best_density: Optional[float] = None
-    best_pass = 0
-    one_plus_eps = 1.0 + epsilon
-    pending: Optional[dict] = None
-    trace: List[DirectedPassRecord] = []
-    rounds_per_pass: List[List[JobCounters]] = []
-    pass_index = 0
-
-    while s_size > 0 and t_size > 0:
-        pass_index += 1
-        pass_rounds: List[JobCounters] = []
-
-        if fused:
-            degree_pairs, counters = runtime.run(
-                FUSED_DIRECTED_DEGREE_JOB,
-                edges,
-                params=(frozenset(dead_s), frozenset(dead_t)),
-            )
-        else:
-            degree_pairs, counters = runtime.run(DIRECTED_DEGREE_JOB, edges)
-        pass_rounds.append(counters)
-        out_to_t: Dict[Node, float] = {}
-        in_from_s: Dict[Node, float] = {}
-        weight = 0.0
-        for (kind, node), value in degree_pairs:
-            if kind == "out":
-                out_to_t[node] = value
-                weight += value
-            else:
-                in_from_s[node] = value
-        density = weight / math.sqrt(s_size * t_size)
-
-        if pending is not None:
-            trace.append(
-                DirectedPassRecord(
-                    edges_after=weight, density_after=density, **pending
-                )
-            )
-            if density > best_density:  # type: ignore[operator]
-                best_density = density
-                best_s = [u for u in labels if in_s[u]]
-                best_t = [u for u in labels if in_t[u]]
-                best_pass = pending["pass_index"]
-        if best_density is None:
-            best_density = density
-
-        peel_s = s_size / t_size >= ratio
-        if peel_s:
-            threshold = one_plus_eps * weight / s_size
-            to_remove = [
-                u
-                for u in labels
-                if in_s[u] and out_to_t.get(u, 0.0) <= threshold + THRESHOLD_EPS
-            ]
-            side = "S"
-        else:
-            threshold = one_plus_eps * weight / t_size
-            to_remove = [
-                u
-                for u in labels
-                if in_t[u] and in_from_s.get(u, 0.0) <= threshold + THRESHOLD_EPS
-            ]
-            side = "T"
-
-        pending = {
-            "pass_index": pass_index,
-            "side": side,
-            "s_before": s_size,
-            "t_before": t_size,
-            "edges_before": weight,
-            "density_before": density,
-            "threshold": threshold,
-            "removed": len(to_remove),
-            "s_after": s_size - len(to_remove) if side == "S" else s_size,
-            "t_after": t_size - len(to_remove) if side == "T" else t_size,
-        }
-        if side == "S":
-            for u in to_remove:
-                in_s[u] = False
-            s_size -= len(to_remove)
-            if fused:
-                dead_s.update(to_remove)
-            else:
-                # Edges are keyed on the first endpoint already: one
-                # round filters the marked sources, keeping the key
-                # orientation.
-                markers = [(u, _MARKER) for u in to_remove]
-                edges, counters = runtime.run(
-                    REMOVAL_JOB_KEEP_KEY, edges + markers
-                )
-                pass_rounds.append(counters)
-        else:
-            for u in to_remove:
-                in_t[u] = False
-            t_size -= len(to_remove)
-            if fused:
-                dead_t.update(to_remove)
-            else:
-                # Pivot onto the second endpoint in the mapper, filter
-                # the marked targets, and the reducer re-keys survivors
-                # back on the first endpoint — one round.
-                markers = [(u, _MARKER) for u in to_remove]
-                edges, counters = runtime.run(
-                    REMOVAL_JOB_PIVOT_SECOND, edges + markers
-                )
-                pass_rounds.append(counters)
-        rounds_per_pass.append(pass_rounds)
-
-    if pending is not None:
-        trace.append(
-            DirectedPassRecord(edges_after=0.0, density_after=0.0, **pending)
-        )
-
-    result = DirectedDensestSubgraphResult(
-        s_nodes=frozenset(best_s),
-        t_nodes=frozenset(best_t),
-        density=best_density if best_density is not None else 0.0,
-        ratio=ratio,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
-    )
-    return MapReduceRunReport(result=result, rounds_per_pass=rounds_per_pass)
-
-
-def _mr_densest_subgraph_directed_columnar(
-    graph, ratio: float, epsilon: float, runtime: MapReduceRuntime, fused: bool = False
-) -> MapReduceRunReport:
-    """Columnar twin of :func:`mr_densest_subgraph_directed`.
-
-    The degree job's side-tagged keys come back bit-packed (``2u`` /
-    ``2v + 1``); one shift and parity test splits them into the two
-    counter arrays.
-    """
-    labels, labels_arr, order, sorted_labels, edges = _columnar_state(graph)
+    labels, keys, order, sorted_keys, edges = _columnar_state(graph)
     n = len(labels)
     in_s = np.ones(n, dtype=bool)
     in_t = np.ones(n, dtype=bool)
@@ -1279,7 +766,7 @@ def _mr_densest_subgraph_directed_columnar(
     dead_s_sorted = np.empty(0, dtype=np.int64)
     dead_t_sorted = np.empty(0, dtype=np.int64)
     if fused:
-        job_input, spilled = _fused_columnar_input(edges, runtime)
+        job_input, spilled = _fused_input(edges, runtime)
 
     try:
         while s_size > 0 and t_size > 0:
@@ -1295,16 +782,16 @@ def _mr_densest_subgraph_directed_columnar(
             else:
                 degree_out, counters = runtime.run(DIRECTED_DEGREE_JOB, edges)
             pass_rounds.append(counters)
-            keys = degree_out.keys
+            packed = degree_out.keys
             values = degree_out.columns["w"]
-            is_in = (keys & 1).astype(bool)
-            node_labels = keys >> 1
+            is_in = (packed & 1).astype(bool)
+            node_keys = packed >> 1
             out_sel = ~is_in
-            out_to_t = _scatter_by_label(
-                order, sorted_labels, n, node_labels[out_sel], values[out_sel]
+            out_to_t = _scatter_by_key(
+                order, sorted_keys, n, node_keys[out_sel], values[out_sel]
             )
-            in_from_s = _scatter_by_label(
-                order, sorted_labels, n, node_labels[is_in], values[is_in]
+            in_from_s = _scatter_by_key(
+                order, sorted_keys, n, node_keys[is_in], values[is_in]
             )
             weight = float(values[out_sel].sum())
             density = weight / math.sqrt(s_size * t_size)
@@ -1350,22 +837,28 @@ def _mr_densest_subgraph_directed_columnar(
                 in_s &= ~remove_mask
                 s_size -= removed
                 if fused:
-                    dead_s_sorted = np.sort(labels_arr[~in_s])
+                    dead_s_sorted = np.sort(keys[~in_s])
                 else:
+                    # Edges are keyed on the first endpoint already: one
+                    # round filters the marked sources, keeping the key
+                    # orientation.
                     edges, counters = runtime.run(
                         REMOVAL_JOB_KEEP_KEY,
-                        _with_markers(edges, labels_arr[remove_mask]),
+                        _with_markers(edges, keys[remove_mask]),
                     )
                     pass_rounds.append(counters)
             else:
                 in_t &= ~remove_mask
                 t_size -= removed
                 if fused:
-                    dead_t_sorted = np.sort(labels_arr[~in_t])
+                    dead_t_sorted = np.sort(keys[~in_t])
                 else:
+                    # Pivot onto the second endpoint in the mapper,
+                    # filter the marked targets, and the reducer re-keys
+                    # survivors back on the first endpoint — one round.
                     edges, counters = runtime.run(
                         REMOVAL_JOB_PIVOT_SECOND,
-                        _with_markers(edges, labels_arr[remove_mask]),
+                        _with_markers(edges, keys[remove_mask]),
                     )
                     pass_rounds.append(counters)
             rounds_per_pass.append(pass_rounds)

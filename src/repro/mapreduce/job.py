@@ -1,25 +1,16 @@
 """MapReduce job specifications and counters.
 
-A job is three pure functions in the classic Dean–Ghemawat signatures:
+A job is three pure functions over columnar batches — the
+Dean–Ghemawat mapper/combiner/reducer contract, vectorized:
 
-* ``mapper(key, value) -> iterable of (key2, value2)``
-* ``combiner(key2, values) -> iterable of (key2, value2)`` (optional,
-  run per map task on its local output, must be reducer-compatible)
-* ``reducer(key2, values) -> iterable of (key3, value3)``
+* ``mapper(batch: ColumnarKV) -> ColumnarKV``
+* ``combiner(grouped: GroupedKV) -> ColumnarKV`` (optional, run per map
+  task on its local output grouped by key, must be reducer-compatible)
+* ``reducer(grouped: GroupedKV) -> ColumnarKV``
 
-A job may additionally declare *batch* forms of the same functions,
-which the runtime uses when the input arrives as a
-:class:`~repro.mapreduce.columnar.ColumnarKV` (int64 keys + value
-columns) instead of a list of pairs:
-
-* ``mapper_batch(batch: ColumnarKV) -> ColumnarKV``
-* ``combiner_batch(grouped: GroupedKV) -> ColumnarKV`` (optional)
-* ``reducer_batch(grouped: GroupedKV) -> ColumnarKV``
-
-The batch functions must be semantically equivalent to their record
-twins — same output records, same record counts per stage — so a job
-returns identical results and counters on either execution path (the
-columnar parity suite enforces this for the §5.2 jobs).
+(:class:`~repro.mapreduce.columnar.ColumnarKV`: int64 keys + named
+value columns; :class:`~repro.mapreduce.columnar.GroupedKV`: the same
+rows sorted into contiguous per-key segments.)
 
 Jobs must not close over mutable state that they modify — the runtime
 may run tasks in any order (it shuffles task order deliberately to
@@ -29,16 +20,13 @@ shake out order dependence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional
 
-KV = Tuple[Any, Any]
-Mapper = Callable[[Any, Any], Iterable[KV]]
-Reducer = Callable[[Any, list], Iterable[KV]]
-Combiner = Callable[[Any, list], Iterable[KV]]
-#: Batch-form callables (ColumnarKV/GroupedKV in, ColumnarKV out).
-BatchMapper = Callable[[Any], Any]
-BatchReducer = Callable[[Any], Any]
-BatchCombiner = Callable[[Any], Any]
+#: Batch callables: ColumnarKV (mapper) or GroupedKV (combiner,
+#: reducer) in, ColumnarKV out.
+Mapper = Callable[..., Any]
+Reducer = Callable[[Any], Any]
+Combiner = Callable[[Any], Any]
 
 
 @dataclass(frozen=True)
@@ -50,20 +38,14 @@ class MapReduceJob:
     name:
         Human-readable job name (appears in reports).
     mapper / reducer / combiner:
-        The record-at-a-time user functions; ``combiner`` may be None.
-    mapper_batch / reducer_batch / combiner_batch:
-        Optional vectorized twins operating on whole
-        :class:`~repro.mapreduce.columnar.ColumnarKV` batches; a job
-        declaring both mapper_batch and reducer_batch can run on the
-        columnar runtime path.
+        The batch functions; ``combiner`` may be None.
     takes_params:
-        When True the mappers take a third argument — a small,
+        When True the mapper takes a second argument — a small,
         picklable, per-round broadcast value the driver passes to
-        ``runtime.run(job, input, params=...)`` (record form
-        ``mapper(key, value, params)``, batch form
-        ``mapper_batch(batch, params)``).  This is the Hadoop
-        "job configuration / distributed cache" idiom: fused peel
-        rounds broadcast the cumulative kill set this way instead of
+        ``runtime.run(job, input, params=...)``, i.e.
+        ``mapper(batch, params)``.  This is the Hadoop "job
+        configuration / distributed cache" idiom: fused peel rounds
+        broadcast the cumulative kill set this way instead of
         rewriting the edge input every pass.
     """
 
@@ -71,26 +53,16 @@ class MapReduceJob:
     mapper: Mapper
     reducer: Reducer
     combiner: Optional[Combiner] = None
-    mapper_batch: Optional[BatchMapper] = None
-    reducer_batch: Optional[BatchReducer] = None
-    combiner_batch: Optional[BatchCombiner] = None
     takes_params: bool = False
-
-    @property
-    def supports_batches(self) -> bool:
-        """Whether the job can run on the columnar path."""
-        return self.mapper_batch is not None and self.reducer_batch is not None
 
 
 @dataclass
 class JobCounters:
     """Per-round metering, in records and (approximate) bytes.
 
-    ``shuffle_bytes`` charges a deterministic per-type size per
-    shuffled record — 8 bytes for ints and floats, ``len + 1`` for
-    strings, the element sum for tuples (see ``runtime._pair_bytes``).
-    The columnar path charges the equivalent per-dtype sizes (8-byte
-    int64/float64 cells, 1-byte bools) straight from the array dtypes.
+    ``shuffle_bytes`` charges each shuffled record its dtype sizes:
+    8 bytes for the int64 key plus each value column's itemsize (8 for
+    int64/float64, 1 for bool) — see ``ColumnarKV.byte_size``.
     """
 
     job_name: str = ""

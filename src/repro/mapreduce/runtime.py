@@ -1,42 +1,34 @@
 """The MapReduce execution engine.
 
-Simulates the full model on one process:
+Simulates the full model on one process, over columnar batches
+(:class:`~repro.mapreduce.columnar.ColumnarKV`: int64 keys plus named
+value columns), with every stage a handful of array operations:
 
-1. the input key-value list is split round-robin into ``num_mappers``
-   input splits;
+1. the input batch is split round-robin into ``num_mappers`` input
+   splits (strided slicing: record i lands in split ``i % num_mappers``);
 2. each map task applies the mapper to its split, then (optionally) the
    combiner to its local output grouped by key — exactly the Hadoop
    combiner contract;
 3. map outputs are hash-partitioned by key into ``num_reducers``
-   partitions (the shuffle; records and bytes are metered here);
-4. each reduce task groups its partition by key, sorts groups by key
-   (deterministic output order), and applies the reducer.
+   partitions with one vectorized hash over the whole key array (the
+   shuffle; records and bytes are metered here);
+4. each reduce task groups its partition by key with a sort-based
+   group-by (groups in ascending key order, so output order is
+   deterministic) and applies the reducer.
 
 Tasks are executed in a deliberately shuffled order (seeded) so jobs
 that accidentally depend on task execution order fail loudly in tests.
 
-The runtime has two execution paths sharing this structure:
-
-* the **record path** moves one Python tuple per record (any
-  int/str/tuple keys, arbitrary values) — the reference semantics;
-* the **columnar path** engages when the input is a
-  :class:`~repro.mapreduce.columnar.ColumnarKV` and the job declares
-  ``mapper_batch``/``reducer_batch``; every stage is then vectorized —
-  strided-slice splits, one hash over the whole key array, sort-based
-  group-by — while producing the same records, the same record
-  counters, and the same retry semantics as the record path.
-
-The columnar path additionally supports a real process-pool executor
+The runtime additionally supports a real process-pool executor
 (``executor="process"``): map and reduce tasks ship their
 :class:`ColumnarKV` batches to ``workers`` spawned worker processes.
-Jobs must be *spawn-safe* — batch callables defined at module level and
-the job registered with :func:`register_job` at import time of its
+Jobs must be *spawn-safe* — callables defined at module level and the
+job registered with :func:`register_job` at import time of its
 defining module — because workers resolve the job by name after
 re-importing that module.  Task results are merged in task-index
 order and counters are order-independent sums, so output batches,
 record counters, and driver traces are bit-identical to
-``executor="serial"``.  The record path always executes serially (its
-per-record Python objects cost more to ship than to process).
+``executor="serial"``.
 
 With a ``shuffle_dir``, the process executor switches to a
 **file-backed distributed shuffle**: each map task hash-partitions its
@@ -59,22 +51,15 @@ from __future__ import annotations
 
 import importlib
 import random
-from collections import defaultdict
-from typing import Any, Dict, List, NamedTuple, Tuple
-
-from typing import Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .._validation import check_positive_int
 from ..errors import MapReduceError, ParameterError
-from .job import JobCounters, KV, MapReduceJob
+from .columnar import ColumnarKV
+from .job import JobCounters, MapReduceJob
 
 #: Executor kinds accepted by :class:`MapReduceRuntime`.
 EXECUTORS = ("serial", "process")
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    from .columnar import ColumnarKV
-except ImportError:  # pragma: no cover
-    ColumnarKV = None
 
 
 class TransientTaskError(Exception):
@@ -98,7 +83,7 @@ _JOB_REGISTRY: Dict[str, MapReduceJob] = {}
 def register_job(job: MapReduceJob) -> MapReduceJob:
     """Register a job for process-pool execution (idempotent per object).
 
-    Call at module import time, next to the job definition; the batch
+    Call at module import time, next to the job definition; the job's
     callables must be module-level functions of that same module so the
     spawned workers can re-import them.  Returns the job, so it can be
     used as ``JOB = register_job(MapReduceJob(...))``.
@@ -114,7 +99,7 @@ def register_job(job: MapReduceJob) -> MapReduceJob:
 
 def _job_module(job: MapReduceJob) -> str:
     """The module whose import registers ``job`` (for worker resolution)."""
-    return job.mapper_batch.__module__
+    return job.mapper.__module__
 
 
 def _resolve_job(name: str, module: str) -> MapReduceJob:
@@ -131,25 +116,25 @@ def _resolve_job(name: str, module: str) -> MapReduceJob:
 
 
 def _map_task_body(job: MapReduceJob, split, params=None) -> tuple:
-    """One columnar map task (+ per-task combiner); both executors run
-    exactly this, so the serial and process paths cannot drift."""
+    """One map task (+ per-task combiner); both executors run exactly
+    this, so the serial and process paths cannot drift."""
     if job.takes_params:
-        local = job.mapper_batch(split, params)
+        local = job.mapper(split, params)
     else:
-        local = job.mapper_batch(split)
-    _check_batch(local, job.name, "mapper_batch")
+        local = job.mapper(split)
+    _check_batch(local, job.name, "mapper")
     raw_count = local.num_records
-    if job.combiner_batch is not None:
-        local = job.combiner_batch(local.group())
-        _check_batch(local, job.name, "combiner_batch")
+    if job.combiner is not None:
+        local = job.combiner(local.group())
+        _check_batch(local, job.name, "combiner")
     return raw_count, local
 
 
 def _reduce_task_body(job: MapReduceJob, partition) -> tuple:
-    """One columnar reduce task (group-by + reducer), executor-shared."""
+    """One reduce task (group-by + reducer), executor-shared."""
     grouped = partition.group()
-    out = job.reducer_batch(grouped)
-    _check_batch(out, job.name, "reducer_batch")
+    out = job.reducer(grouped)
+    _check_batch(out, job.name, "reducer")
     return grouped.num_groups, out
 
 
@@ -329,97 +314,17 @@ def _process_reduce_runs_task(
     return _reduce_task_body(job, partition)
 
 
-def _default_partitioner(key: Any, num_reducers: int) -> int:
-    """Hash partitioner with a stable hash for common key types."""
-    return _stable_hash(key) % num_reducers
-
-
-def _stable_hash(key: Any) -> int:
-    """Deterministic hash across runs (no PYTHONHASHSEED dependence)."""
-    if isinstance(key, int):
-        return key * 2654435761 % (1 << 32)
-    if isinstance(key, str):
-        h = 2166136261
-        for ch in key:
-            h = (h ^ ord(ch)) * 16777619 % (1 << 32)
-        return h
-    if isinstance(key, tuple):
-        h = 1099511628211
-        for part in key:
-            h = (h * 31 + _stable_hash(part)) % (1 << 61)
-        return h
-    raise MapReduceError(
-        f"keys must be int, str, or tuples thereof; got {type(key).__name__}"
-    )
-
-
-def _group_sort_key(key: Any):
-    """Total order over the admissible key types (int, str, tuple).
-
-    Ints sort numerically — which keeps the record path's reduce output
-    order identical to the columnar path's ascending-int64 group order,
-    so a job chain produces bit-identical record streams on either
-    engine — strings lexically, tuples elementwise, with a type rank
-    separating the kinds in mixed-key jobs.
-    """
-    if isinstance(key, tuple):
-        return (2, tuple(_group_sort_key(part) for part in key))
-    if isinstance(key, str):
-        return (1, key)
-    return (0, key)
-
-
-# ----------------------------------------------------------------------
-# Shuffle byte metering: a deterministic per-type size model.  The old
-# ``len(repr(key)) + len(repr(value))`` metering formatted every float
-# on every shuffled record and dominated large record-path jobs; sizes
-# are now derived from types (dict lookups, O(1) per scalar).  The
-# admissible key types and every in-repo job value hit the fast table;
-# only exotic value types fall through to the per-record repr probe,
-# which keeps the counters a pure function of the records.
-# ----------------------------------------------------------------------
-_SCALAR_BYTES: Dict[type, int] = {int: 8, float: 8, bool: 1, type(None): 0}
-
-
-def _value_bytes(obj: Any) -> int:
-    """Deterministic serialized-size proxy of one key or value."""
-    kind = type(obj)
-    size = _SCALAR_BYTES.get(kind)
-    if size is not None:
-        return size
-    if kind is str:
-        return 1 + len(obj)
-    if kind is tuple:
-        total = 0
-        for part in obj:
-            total += _value_bytes(part)
-        return total
-    return len(repr(obj))
-
-
-def _pair_bytes(key: Any, value: Any) -> int:
-    """Shuffle bytes charged for one record."""
-    return _value_bytes(key) + _value_bytes(value)
-
-
-def shuffle_size(partition) -> Tuple[int, int]:
+def shuffle_size(partition: ColumnarKV) -> Tuple[int, int]:
     """``(records, bytes)`` one shuffled partition is metered at.
 
-    The single metering authority for every shuffle flavor: a record
-    partition (list of pairs) is charged :func:`_pair_bytes` per
-    record, a columnar partition its :meth:`ColumnarKV.byte_size` —
-    the same per-type size model, so an int-keyed job meters
-    identically on either path.  File-shuffle manifests report a run's
-    payload size, which equals ``byte_size()`` by construction (8-byte
-    key field + the column dtypes per record), so serial, in-memory
-    process, and file-shuffle process runs all count the same bytes.
+    The single metering authority for every shuffle flavor: a partition
+    is charged its :meth:`ColumnarKV.byte_size`.  File-shuffle manifests
+    report a run's payload size, which equals ``byte_size()`` by
+    construction (8-byte key field + the column dtypes per record), so
+    serial, in-memory process, and file-shuffle process runs all count
+    the same bytes.
     """
-    if ColumnarKV is not None and isinstance(partition, ColumnarKV):
-        return partition.num_records, partition.byte_size()
-    total = 0
-    for key, value in partition:
-        total += _value_bytes(key) + _value_bytes(value)
-    return len(partition), total
+    return partition.num_records, partition.byte_size()
 
 
 class MapReduceRuntime:
@@ -438,12 +343,12 @@ class MapReduceRuntime:
         failures are injected by raising :class:`TransientTaskError`
         from a mapper/combiner/reducer (tests use this to verify the
         retry path); exhausting the retries raises
-        :class:`~repro.errors.MapReduceError`.  Batch tasks on the
-        columnar path retry identically — including across processes,
-        where a failed task is resubmitted to the pool.
+        :class:`~repro.errors.MapReduceError`.  Tasks retry whole-batch
+        — including across processes, where a failed task is
+        resubmitted to the pool.
     executor:
         ``"serial"`` (default) runs every task in this process;
-        ``"process"`` ships columnar map/reduce tasks to a pool of
+        ``"process"`` ships map/reduce tasks to a pool of
         ``workers`` spawned processes (jobs must be registered, see
         :func:`register_job`).  Output batches, counters, and traces
         are bit-identical between the two.
@@ -489,15 +394,25 @@ class MapReduceRuntime:
 
     Examples
     --------
+    Count int "words" (keyed by position; the mapper re-keys each
+    record on its word with a count of 1):
+
+    >>> import numpy as np
+    >>> from repro.mapreduce.columnar import ColumnarKV
     >>> runtime = MapReduceRuntime(num_mappers=4, num_reducers=2)
     >>> job = MapReduceJob(
     ...     name="wordcount",
-    ...     mapper=lambda _, word: [(word, 1)],
-    ...     reducer=lambda word, ones: [(word, sum(ones))],
+    ...     mapper=lambda batch: ColumnarKV(
+    ...         batch.columns["word"], {"n": np.ones(batch.num_records)}
+    ...     ),
+    ...     reducer=lambda grouped: ColumnarKV(
+    ...         grouped.keys, {"n": grouped.segment_sum("n")}
+    ...     ),
     ... )
-    >>> output, counters = runtime.run(job, [(None, w) for w in ["a", "b", "a"]])
-    >>> sorted(output)
-    [('a', 2), ('b', 1)]
+    >>> words = np.array([7, 3, 7])
+    >>> output, counters = runtime.run(job, ColumnarKV(np.arange(3), {"word": words}))
+    >>> sorted(output.to_pairs())
+    [(3, 1.0), (7, 2.0)]
     """
 
     def __init__(
@@ -627,7 +542,7 @@ class MapReduceRuntime:
 
     @property
     def uses_file_shuffle(self) -> bool:
-        """Whether columnar rounds will run the file-backed shuffle."""
+        """Whether rounds will run the file-backed shuffle."""
         return self.executor == "process" and self.shuffle_dir is not None
 
     def __enter__(self) -> "MapReduceRuntime":
@@ -660,7 +575,7 @@ class MapReduceRuntime:
         params=None,
         shuffle_faults: bool = False,
     ) -> List[tuple]:
-        """Run one columnar stage's tasks on the process pool.
+        """Run one stage's tasks on the process pool.
 
         All tasks are submitted up front (that is the parallelism);
         a task raising :class:`TransientTaskError` is resubmitted with
@@ -761,20 +676,30 @@ class MapReduceRuntime:
         return results
 
     # ------------------------------------------------------------------
-    def run(self, job: MapReduceJob, input_pairs, params=None) -> Tuple[Any, JobCounters]:
-        """Execute one job; returns (output, counters).
+    def run(
+        self, job: MapReduceJob, batch, params=None
+    ) -> Tuple[ColumnarKV, JobCounters]:
+        """Execute one job; returns (output batch, counters).
 
-        ``input_pairs`` may be a list of ``(key, value)`` pairs (record
-        path; output is a pair list), a
-        :class:`~repro.mapreduce.columnar.ColumnarKV` batch (columnar
-        path; the job must declare batch callables and the output is a
-        batch), or a :class:`SpilledSplits` handle from
-        :meth:`spill_splits` (columnar path over pre-spilled splits).
-
-        ``params`` is a small picklable per-round broadcast passed to
-        the mappers of a ``takes_params`` job (see
+        ``batch`` is a :class:`~repro.mapreduce.columnar.ColumnarKV` or
+        a :class:`SpilledSplits` handle from :meth:`spill_splits` (an
+        input pre-spilled as per-task run files).  ``params`` is a small
+        picklable per-round broadcast passed to the mappers of a
+        ``takes_params`` job (see
         :class:`~repro.mapreduce.job.MapReduceJob`).
+
+        With ``shuffle_dir`` set under the process executor, the
+        shuffle is file-backed: map workers partition and spill their
+        local output as run files, reduce workers memmap only their
+        own partition's runs, and this driver only aggregates the run
+        manifests — identical outputs and counters, O(1) driver memory
+        in the shuffle volume.
         """
+        if not isinstance(batch, (ColumnarKV, SpilledSplits)):
+            raise MapReduceError(
+                f"job {job.name!r}: run() takes a ColumnarKV batch or "
+                f"SpilledSplits, got {type(batch).__name__}"
+            )
         if job.takes_params and params is None:
             raise MapReduceError(
                 f"job {job.name!r} declares takes_params; call "
@@ -784,134 +709,6 @@ class MapReduceRuntime:
             raise MapReduceError(
                 f"job {job.name!r} does not declare takes_params but got params"
             )
-        if isinstance(input_pairs, SpilledSplits) or (
-            ColumnarKV is not None and isinstance(input_pairs, ColumnarKV)
-        ):
-            if not job.supports_batches:
-                raise MapReduceError(
-                    f"job {job.name!r} got a columnar batch but declares no "
-                    f"mapper_batch/reducer_batch"
-                )
-            return self._run_columnar(job, input_pairs, params)
-        return self._run_records(job, input_pairs, params)
-
-    # ------------------------------------------------------------------
-    # Record path (the reference semantics)
-    # ------------------------------------------------------------------
-    def _run_records(
-        self, job: MapReduceJob, input_pairs: List[KV], params=None
-    ) -> Tuple[List[KV], JobCounters]:
-        counters = JobCounters(job_name=job.name)
-        counters.map_input_records = len(input_pairs)
-        if job.takes_params:
-            map_record = lambda key, value: job.mapper(key, value, params)  # noqa: E731
-        else:
-            map_record = job.mapper
-
-        # 1. Input splits (round-robin keeps splits balanced).
-        splits: List[List[KV]] = [[] for _ in range(self.num_mappers)]
-        for i, pair in enumerate(input_pairs):
-            splits[i % self.num_mappers].append(pair)
-
-        # 2. Map tasks (+ per-task combiner), in shuffled order, each
-        #    with Hadoop-style retry-on-transient-failure semantics.
-        task_order = list(range(self.num_mappers))
-        self._rng.shuffle(task_order)
-        map_outputs: List[List[KV]] = [[] for _ in range(self.num_mappers)]
-        for task in task_order:
-
-            def map_task(task=task) -> tuple:
-                local: List[KV] = []
-                for key, value in splits[task]:
-                    for out in map_record(key, value):
-                        _check_pair(out, job.name, "mapper")
-                        local.append(out)
-                raw_count = len(local)
-                if job.combiner is not None:
-                    grouped: Dict[Any, list] = defaultdict(list)
-                    for k, v in local:
-                        grouped[k].append(v)
-                    combined: List[KV] = []
-                    for k in grouped:
-                        for out in job.combiner(k, grouped[k]):
-                            _check_pair(out, job.name, "combiner")
-                            combined.append(out)
-                    local = combined
-                return raw_count, local
-
-            raw_count, local = self._run_task_with_retries(
-                f"job {job.name!r} map task {task}", map_task
-            )
-            counters.map_output_records += raw_count
-            counters.combine_output_records += len(local)
-            map_outputs[task] = local
-
-        # 3. Shuffle: partition by key; metered per partition by the
-        #    shared size model (see :func:`shuffle_size`).
-        partitions: List[List[KV]] = [[] for _ in range(self.num_reducers)]
-        for local in map_outputs:
-            for key, value in local:
-                partitions[_default_partitioner(key, self.num_reducers)].append(
-                    (key, value)
-                )
-        for part in partitions:
-            records, nbytes = shuffle_size(part)
-            counters.shuffle_records += records
-            counters.shuffle_bytes += nbytes
-
-        # 4. Reduce tasks, in shuffled order; output concatenated in
-        #    deterministic (partition, key-sorted) order.
-        reduce_order = list(range(self.num_reducers))
-        self._rng.shuffle(reduce_order)
-        outputs_by_partition: List[List[KV]] = [[] for _ in range(self.num_reducers)]
-        for task in reduce_order:
-            grouped = defaultdict(list)
-            for k, v in partitions[task]:
-                grouped[k].append(v)
-            counters.reduce_groups += len(grouped)
-
-            def reduce_task(grouped=grouped) -> List[KV]:
-                out_local: List[KV] = []
-                for k in sorted(grouped, key=_group_sort_key):
-                    for out in job.reducer(k, grouped[k]):
-                        _check_pair(out, job.name, "reducer")
-                        out_local.append(out)
-                return out_local
-
-            out_local = self._run_task_with_retries(
-                f"job {job.name!r} reduce task {task}", reduce_task
-            )
-            counters.reduce_output_records += len(out_local)
-            outputs_by_partition[task] = out_local
-
-        output: List[KV] = []
-        for part in outputs_by_partition:
-            output.extend(part)
-        self.history.append(counters)
-        return output, counters
-
-    # ------------------------------------------------------------------
-    # Columnar path (array-native batches)
-    # ------------------------------------------------------------------
-    def _run_columnar(
-        self, job: MapReduceJob, batch, params=None
-    ) -> Tuple["ColumnarKV", JobCounters]:
-        """The vectorized twin of :meth:`_run_records`.
-
-        Stage for stage the same structure — round-robin splits, map
-        tasks with per-task combiner, hash shuffle, key-sorted reduce —
-        with every per-record loop replaced by an array operation.  The
-        record counters are metered identically (same counts a record
-        run of an equivalent job would produce); ``shuffle_bytes`` uses
-        the per-dtype size model of :meth:`shuffle_size`.
-
-        With ``shuffle_dir`` set under the process executor, the
-        shuffle is file-backed: map workers partition and spill their
-        local output as run files, reduce workers memmap only their
-        own partition's runs, and this driver only aggregates the run
-        manifests — identical outputs and counters, O(1) driver memory
-        in the shuffle volume.
-        """
         counters = JobCounters(job_name=job.name)
         counters.map_input_records = batch.num_records
 
@@ -924,15 +721,14 @@ class MapReduceRuntime:
                 f"runtime runs {self.num_mappers} map tasks"
             )
 
-        # 1. Round-robin splits via strided slicing (same record-to-task
-        #    assignment as the record path's `i % num_mappers`), unless
-        #    the input arrived pre-spilled.
+        # 1. Round-robin splits via strided slicing (record i goes to
+        #    task `i % num_mappers`), unless the input arrived pre-spilled.
         splits = None
         if not file_shuffle:
             splits = batch.load_splits() if presplit else batch.split(self.num_mappers)
 
         # 2. Map tasks (+ per-task combiner on the grouped local
-        #    output), shuffled order, with the same retry semantics.
+        #    output), shuffled order, with retry-on-transient-failure.
         #    The shuffle is drawn under both executors so a seeded
         #    runtime consumes its rng stream identically either way.
         task_order = list(range(self.num_mappers))
@@ -965,8 +761,8 @@ class MapReduceRuntime:
                     map_outputs[task] = local
 
             # 3. Shuffle: one vectorized hash over the concatenated map
-            #    output, then mask-partitioning (row order within each
-            #    partition matches the record path's task-order append).
+            #    output, then partitioning (row order within each
+            #    partition follows map-task order).
             #    The file-backed flavor already partitioned inside the
             #    map workers and metered from the run manifests.
             if not file_shuffle:
@@ -978,8 +774,7 @@ class MapReduceRuntime:
                     counters.shuffle_bytes += nbytes
 
             # 4. Reduce tasks: sort-based group-by per partition, groups
-            #    in ascending key order (the record path's numeric-sorted
-            #    output order for int keys).  Under the process executor
+            #    in ascending key order.  Under the process executor
             #    the group-by runs inside the worker too — same grouped
             #    rows (the sort is deterministic), so same output and
             #    counters, but the O(p log p) argsort leaves the driver.
@@ -1087,7 +882,7 @@ class MapReduceRuntime:
         """
         if self.shuffle_dir is None:
             raise MapReduceError("spill_splits requires a runtime shuffle_dir")
-        if ColumnarKV is None or not isinstance(batch, ColumnarKV):
+        if not isinstance(batch, ColumnarKV):
             raise MapReduceError("spill_splits takes a ColumnarKV batch")
         from pathlib import Path
 
@@ -1106,32 +901,23 @@ class MapReduceRuntime:
         return SpilledSplits(runs, batch.schema(), batch.num_records, str(directory))
 
     def run_chain(
-        self, jobs: List[MapReduceJob], input_pairs
-    ) -> Tuple[Any, List[JobCounters]]:
+        self, jobs: List[MapReduceJob], batch
+    ) -> Tuple[ColumnarKV, List[JobCounters]]:
         """Run jobs sequentially, feeding each job's output to the next."""
         counters: List[JobCounters] = []
-        pairs = input_pairs
         for job in jobs:
-            pairs, c = self.run(job, pairs)
+            batch, c = self.run(job, batch)
             counters.append(c)
-        return pairs, counters
+        return batch, counters
 
     def reset_history(self) -> None:
         """Clear the per-job counter history."""
         self.history = []
 
 
-def _check_pair(out: Any, job: str, stage: str) -> None:
-    """Validate that a user function emitted a (key, value) pair."""
-    if not isinstance(out, tuple) or len(out) != 2:
-        raise MapReduceError(
-            f"job {job!r}: {stage} must emit (key, value) pairs, got {out!r}"
-        )
-
-
 def _check_batch(out: Any, job: str, stage: str) -> None:
-    """Validate that a batch function emitted a ColumnarKV."""
-    if ColumnarKV is None or not isinstance(out, ColumnarKV):
+    """Validate that a job function emitted a ColumnarKV."""
+    if not isinstance(out, ColumnarKV):
         raise MapReduceError(
             f"job {job!r}: {stage} must emit a ColumnarKV batch, "
             f"got {type(out).__name__}"

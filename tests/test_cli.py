@@ -202,6 +202,25 @@ class TestEdgeListFastPath:
         out = capsys.readouterr().out
         assert "backend : core-csr" in out and "density : 2.5000" in out
 
+    @pytest.mark.parametrize("engine", ["python", "native"])
+    def test_mapreduce_engine_is_pinned(self, tmp_path, capsys, engine):
+        g = disjoint_union([clique(6), star(10, offset=50)])
+        path = tmp_path / "g.txt"
+        write_undirected(g, path)
+        code = main(
+            ["densest", "--edge-list", str(path), "--backend", "mapreduce",
+             "--engine", engine]
+        )
+        assert code == 2
+        assert "pinned to the numpy engine" in capsys.readouterr().err
+        code = main(
+            ["densest", "--edge-list", str(path), "--backend", "mapreduce",
+             "--engine", "numpy", "--epsilon", "0.1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "backend : mapreduce" in out and "density : 2.5000" in out
+
 
 class TestShardCommand:
     def _edge_list(self, tmp_path):

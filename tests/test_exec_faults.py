@@ -34,14 +34,6 @@ if _SLEEP_ENV not in os.environ:
     )
 
 
-def _identity_mapper(key, value):
-    return [(key, value)]
-
-
-def _identity_reducer(key, values):
-    return [(key, value) for value in values]
-
-
 def _sleepy_mapper_batch(batch):
     # Stall only while the flag file exists so a test that expects a
     # deadline can unstick the worker afterwards (pool teardown joins
@@ -60,10 +52,8 @@ def _sleepy_reducer_batch(grouped):
 SLEEPY_JOB = register_job(
     MapReduceJob(
         name="test-sleepy-batch",
-        mapper=_identity_mapper,
-        reducer=_identity_reducer,
-        mapper_batch=_sleepy_mapper_batch,
-        reducer_batch=_sleepy_reducer_batch,
+        mapper=_sleepy_mapper_batch,
+        reducer=_sleepy_reducer_batch,
     )
 )
 
@@ -87,7 +77,7 @@ def _counters(report):
 
 def _serial_reference(graph, eps=0.1):
     runtime = MapReduceRuntime(num_mappers=4, num_reducers=4, seed=11)
-    return mr_densest_subgraph(graph, eps, runtime=runtime, engine="numpy")
+    return mr_densest_subgraph(graph, eps, runtime=runtime)
 
 
 class TestWorkerLossRecovery:
@@ -100,7 +90,7 @@ class TestWorkerLossRecovery:
             executor="process", workers=2,
             fault_plan=plan, retry_backoff=0.0,
         ) as runtime:
-            got = mr_densest_subgraph(graph, 0.1, runtime=runtime, engine="numpy")
+            got = mr_densest_subgraph(graph, 0.1, runtime=runtime)
             assert got.result.nodes == ref.result.nodes
             assert got.result.density == ref.result.density
             assert got.result.trace == ref.result.trace
@@ -119,7 +109,7 @@ class TestWorkerLossRecovery:
             executor="process", workers=2,
             fault_plan=plan, retry_backoff=0.0,
         ) as runtime:
-            got = mr_densest_subgraph(graph, 0.1, runtime=runtime, engine="numpy")
+            got = mr_densest_subgraph(graph, 0.1, runtime=runtime)
             assert got.result.nodes == ref.result.nodes
             assert got.result.trace == ref.result.trace
             assert runtime.task_retries == 1
@@ -134,7 +124,7 @@ class TestWorkerLossRecovery:
             executor="process", workers=2,
             fault_plan=plan, retry_backoff=0.0,
         ) as runtime:
-            mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+            mr_densest_subgraph(graph, 0.5, runtime=runtime)
         log = tmp_path / "plan.json"
         plan.save_log(log)
         import json
@@ -156,7 +146,7 @@ class TestUnhealableFailures:
             with pytest.raises(
                 MapReduceError, match=r"failed after 1 attempts.*worker lost"
             ):
-                mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+                mr_densest_subgraph(graph, 0.5, runtime=runtime)
 
     def test_borrowed_broken_pool_is_refused(self):
         graph = _graph(n=60, m=300)
@@ -172,7 +162,7 @@ class TestUnhealableFailures:
             )
             with pytest.raises(MapReduceError, match="cannot respawn"):
                 mr_densest_subgraph(
-                    graph, 0.5, runtime=runtime, engine="numpy"
+                    graph, 0.5, runtime=runtime
                 )
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

@@ -37,10 +37,6 @@ if _FLAKY_ENV not in os.environ:
     )
 
 
-def _flaky_mapper(key, value):
-    return [(key, value)]
-
-
 def _flaky_mapper_batch(batch):
     flag = os.environ[_FLAKY_ENV]
     if os.path.exists(flag):
@@ -52,10 +48,6 @@ def _flaky_mapper_batch(batch):
     return batch
 
 
-def _flaky_reducer(key, values):
-    return [(key, value) for value in values]
-
-
 def _flaky_reducer_batch(grouped):
     return grouped.rows
 
@@ -63,19 +55,15 @@ def _flaky_reducer_batch(grouped):
 FLAKY_JOB = register_job(
     MapReduceJob(
         name="test-flaky-batch",
-        mapper=_flaky_mapper,
-        reducer=_flaky_reducer,
-        mapper_batch=_flaky_mapper_batch,
-        reducer_batch=_flaky_reducer_batch,
+        mapper=_flaky_mapper_batch,
+        reducer=_flaky_reducer_batch,
     )
 )
 
 UNREGISTERED_JOB = MapReduceJob(
     name="test-unregistered-batch",
-    mapper=_flaky_mapper,
-    reducer=_flaky_reducer,
-    mapper_batch=_flaky_mapper_batch,
-    reducer_batch=_flaky_reducer_batch,
+    mapper=_flaky_mapper_batch,
+    reducer=_flaky_reducer_batch,
 )
 
 
@@ -141,10 +129,10 @@ class TestSerialProcessParity:
     def test_undirected(self, pool, weighted, eps):
         graph = _undirected_csr(weighted)
         serial = mr_densest_subgraph(
-            graph, eps, runtime=_runtime(), engine="numpy"
+            graph, eps, runtime=_runtime()
         )
         proc = mr_densest_subgraph(
-            graph, eps, runtime=_runtime(pool), engine="numpy"
+            graph, eps, runtime=_runtime(pool)
         )
         assert serial.result.nodes == proc.result.nodes
         assert serial.result.trace == proc.result.trace
@@ -155,10 +143,10 @@ class TestSerialProcessParity:
     def test_directed(self, pool, weighted, eps):
         graph = _directed_csr(weighted)
         serial = mr_densest_subgraph_directed(
-            graph, 1.0, eps, runtime=_runtime(), engine="numpy"
+            graph, 1.0, eps, runtime=_runtime()
         )
         proc = mr_densest_subgraph_directed(
-            graph, 1.0, eps, runtime=_runtime(pool), engine="numpy"
+            graph, 1.0, eps, runtime=_runtime(pool)
         )
         assert serial.result.s_nodes == proc.result.s_nodes
         assert serial.result.t_nodes == proc.result.t_nodes
@@ -168,10 +156,10 @@ class TestSerialProcessParity:
     def test_atleast_k(self, pool):
         graph = _undirected_csr(True)
         serial = mr_densest_subgraph_atleast_k(
-            graph, 30, 0.5, runtime=_runtime(), engine="numpy"
+            graph, 30, 0.5, runtime=_runtime()
         )
         proc = mr_densest_subgraph_atleast_k(
-            graph, 30, 0.5, runtime=_runtime(pool), engine="numpy"
+            graph, 30, 0.5, runtime=_runtime(pool)
         )
         assert serial.result.nodes == proc.result.nodes
         assert serial.result.trace == proc.result.trace
@@ -228,27 +216,10 @@ class TestProcessExecutorContract:
             register_job(
                 MapReduceJob(
                     name="test-flaky-batch",
-                    mapper=_flaky_mapper,
-                    reducer=_flaky_reducer,
-                    mapper_batch=_flaky_mapper_batch,
-                    reducer_batch=_flaky_reducer_batch,
+                    mapper=_flaky_mapper_batch,
+                    reducer=_flaky_reducer_batch,
                 )
             )
-
-    def test_record_path_stays_serial(self, pool):
-        """executor='process' must not change record-path results."""
-        runtime = _runtime(pool)
-        pairs = [(i % 5, 1) for i in range(30)]
-        out, counters = runtime.run(
-            MapReduceJob(
-                name="wordcount-local",
-                mapper=lambda k, v: [(k, v)],
-                reducer=lambda k, vs: [(k, sum(vs))],
-            ),
-            pairs,
-        )
-        assert sorted(out) == [(0, 6), (1, 6), (2, 6), (3, 6), (4, 6)]
-        assert counters.map_input_records == 30
 
     def test_owned_pool_lifecycle(self):
         runtime = MapReduceRuntime(executor="process", workers=1)
@@ -267,11 +238,10 @@ class TestSolveWithContext:
     def test_mapreduce_workers_parity(self):
         graph = _undirected_csr(True)
         problem = DensestSubgraph(graph, epsilon=0.1)
-        serial = solve(problem, backend="mapreduce", engine="numpy")
+        serial = solve(problem, backend="mapreduce")
         parallel = solve(
             problem,
             backend="mapreduce",
-            engine="numpy",
             context=ExecutionContext(workers=2),
         )
         assert serial.nodes == parallel.nodes

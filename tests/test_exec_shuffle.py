@@ -166,20 +166,20 @@ class TestShuffleMetering:
     def test_record_and_columnar_partitions_meter_identically(self):
         batch = _batch()
         pairs = batch.to_pairs()
-        rec_records, rec_bytes = shuffle_size(pairs)
         col_records, col_bytes = shuffle_size(batch)
-        assert rec_records == col_records == batch.num_records
-        # int64 key (8) + int64 v (8) + float64 w (8) per record on
-        # both paths — one metering authority, two representations.
-        assert rec_bytes == col_bytes == batch.byte_size()
+        assert col_records == len(pairs) == batch.num_records
+        # The record view's per-type size — 8 bytes per int/float
+        # scalar: int64 key + int64 v + float64 w — is what the
+        # columnar partition is metered at.
+        rec_bytes = sum(8 + 8 * len(value) for _, value in pairs)
+        assert col_bytes == rec_bytes == batch.byte_size()
 
     def test_serial_and_process_counters_identical(self, pool, tmp_path):
         graph = _undirected_csr(True)
-        serial = mr_densest_subgraph(graph, 0.1, runtime=_runtime(), engine="numpy")
+        serial = mr_densest_subgraph(graph, 0.1, runtime=_runtime())
         shuffled = mr_densest_subgraph(
             graph, 0.1,
             runtime=_runtime(pool, shuffle_dir=str(tmp_path)),
-            engine="numpy",
         )
         assert _counters(serial) == _counters(shuffled)
 
@@ -191,10 +191,10 @@ class TestFileShuffleParity:
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_undirected(self, pool, tmp_path, weighted):
         graph = _undirected_csr(weighted)
-        serial = mr_densest_subgraph(graph, 0.5, runtime=_runtime(), engine="numpy")
+        serial = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
         runtime = _runtime(pool, shuffle_dir=str(tmp_path))
         assert runtime.uses_file_shuffle
-        got = mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+        got = mr_densest_subgraph(graph, 0.5, runtime=runtime)
         assert got.result.nodes == serial.result.nodes
         assert got.result.trace == serial.result.trace
         assert _counters(got) == _counters(serial)
@@ -203,12 +203,11 @@ class TestFileShuffleParity:
     def test_directed(self, pool, tmp_path):
         graph = _directed_csr(True)
         serial = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine="numpy"
+            graph, 1.0, 0.5, runtime=_runtime()
         )
         got = mr_densest_subgraph_directed(
             graph, 1.0, 0.5,
             runtime=_runtime(pool, shuffle_dir=str(tmp_path)),
-            engine="numpy",
         )
         assert got.result.s_nodes == serial.result.s_nodes
         assert got.result.t_nodes == serial.result.t_nodes
@@ -219,19 +218,18 @@ class TestFileShuffleParity:
         runtime = _runtime(shuffle_dir=str(tmp_path))
         assert not runtime.uses_file_shuffle
         graph = _undirected_csr(False)
-        ref = mr_densest_subgraph(graph, 0.5, runtime=_runtime(), engine="numpy")
-        got = mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+        ref = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
+        got = mr_densest_subgraph(graph, 0.5, runtime=runtime)
         assert got.result == ref.result
         assert _tree(tmp_path) == []
 
     def test_solve_context_shuffle_dir(self, tmp_path):
         graph = _undirected_csr(True)
         problem = DensestSubgraph(graph, epsilon=0.1)
-        serial = solve(problem, backend="mapreduce", engine="numpy")
+        serial = solve(problem, backend="mapreduce")
         shuffled = solve(
             problem,
             backend="mapreduce",
-            engine="numpy",
             context=ExecutionContext(workers=2, shuffle_dir=str(tmp_path)),
         )
         assert serial.nodes == shuffled.nodes
@@ -300,17 +298,17 @@ class TestShuffleLifecycle:
     def test_clean_after_success(self, pool, tmp_path):
         graph = _undirected_csr(False)
         runtime = _runtime(pool, shuffle_dir=str(tmp_path))
-        mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+        mr_densest_subgraph(graph, 0.5, runtime=runtime)
         assert _tree(tmp_path) == []
 
     def test_transient_spill_failure_retries_bit_identical(self, pool, tmp_path):
         graph = _undirected_csr(True)
-        ref = mr_densest_subgraph(graph, 0.1, runtime=_runtime(), engine="numpy")
+        ref = mr_densest_subgraph(graph, 0.1, runtime=_runtime())
         plan = FaultPlan([FaultPoint("mapreduce.shuffle", 1, "raise")])
         runtime = _runtime(
             pool, shuffle_dir=str(tmp_path), fault_plan=plan, retry_backoff=0.0
         )
-        got = mr_densest_subgraph(graph, 0.1, runtime=runtime, engine="numpy")
+        got = mr_densest_subgraph(graph, 0.1, runtime=runtime)
         assert got.result.nodes == ref.result.nodes
         assert got.result.trace == ref.result.trace
         assert _counters(got) == _counters(ref)
@@ -320,14 +318,14 @@ class TestShuffleLifecycle:
 
     def test_killed_worker_mid_spill_recovers(self, tmp_path):
         graph = _undirected_csr(False, n=60, m=400, seed=5)
-        ref = mr_densest_subgraph(graph, 0.5, runtime=_runtime(), engine="numpy")
+        ref = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
         plan = FaultPlan([FaultPoint("mapreduce.shuffle", 1, "kill_worker")])
         with MapReduceRuntime(
             num_mappers=4, num_reducers=4, seed=11,
             executor="process", workers=2,
             shuffle_dir=str(tmp_path), fault_plan=plan, retry_backoff=0.0,
         ) as runtime:
-            got = mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+            got = mr_densest_subgraph(graph, 0.5, runtime=runtime)
             assert got.result.nodes == ref.result.nodes
             assert got.result.trace == ref.result.trace
             assert _counters(got) == _counters(ref)
@@ -343,7 +341,7 @@ class TestShuffleLifecycle:
             pool, shuffle_dir=str(tmp_path), fault_plan=plan, retry_backoff=0.0
         )
         with pytest.raises(StoreCorruptionError, match="checksum"):
-            mr_densest_subgraph(graph, 0.1, runtime=runtime, engine="numpy")
+            mr_densest_subgraph(graph, 0.1, runtime=runtime)
         # The job aborts (no silent wrong answer), the round directory
         # is still torn down, and nothing half-written lingers.
         assert _tree(tmp_path) == []
@@ -356,6 +354,6 @@ class TestShuffleLifecycle:
         orphan.write_bytes(b"garbage")
         graph = _undirected_csr(False, n=60, m=400, seed=5)
         runtime = _runtime(pool, shuffle_dir=str(tmp_path))
-        mr_densest_subgraph(graph, 0.5, runtime=runtime, engine="numpy")
+        mr_densest_subgraph(graph, 0.5, runtime=runtime)
         assert not orphan.exists()
         assert _tree(tmp_path) == []

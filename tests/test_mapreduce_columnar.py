@@ -1,21 +1,28 @@
-"""Cross-engine parity suite for the columnar MapReduce runtime.
+"""The columnar MapReduce engine: batch primitives, drivers vs the core
+reference, boundary relabelling, closed-form counters, batch retries.
 
-The columnar path must be observationally equivalent to the record
-path: identical node sets, identical pass traces, and identical
-record-level counters for every round of every driver — plus the same
-Hadoop-style retry semantics for batch tasks.  Weights in the weighted
-fixtures are dyadic rationals so floating-point sums are exact in any
-association order and the two engines make bit-identical threshold
+The §5.2 drivers must be observationally equivalent to the in-memory
+reference peels of :mod:`repro.core` run on the interpreted
+(``engine="python"``) engine: identical node sets, densities, pass
+counts, and per-pass traces, for int labels and for labels the drivers
+relabel to dense ids (str, tuple, ints beyond ±2**62).  Weights in the
+weighted fixtures are dyadic rationals so floating-point sums are exact
+in any association order and both sides make bit-identical threshold
 decisions.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from repro.errors import MapReduceError, ParameterError
-from repro.graph.generators import chung_lu, directed_power_law
-from repro.graph.undirected import UndirectedGraph
+from repro.core.atleast_k import densest_subgraph_atleast_k
+from repro.core.directed import densest_subgraph_directed
+from repro.core.undirected import densest_subgraph
+from repro.errors import MapReduceError
 from repro.graph.directed import DirectedGraph
+from repro.graph.generators import chung_lu, directed_power_law, gnm_random
+from repro.graph.undirected import UndirectedGraph
 from repro.kernels import CSRDigraph, CSRGraph
 from repro.mapreduce.columnar import ColumnarKV, stable_hash_int64
 from repro.mapreduce.densest import (
@@ -23,26 +30,14 @@ from repro.mapreduce.densest import (
     mr_densest_subgraph,
     mr_densest_subgraph_atleast_k,
     mr_densest_subgraph_directed,
-    resolve_mr_engine,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import (
-    MapReduceRuntime,
-    TransientTaskError,
-    _stable_hash,
-)
+from repro.mapreduce.runtime import MapReduceRuntime, TransientTaskError
 
-#: JobCounters fields that must agree exactly between the engines
-#: (shuffle_bytes uses per-dtype sizing on the columnar path and is
-#: checked for determinism, not cross-engine equality).
-COUNT_FIELDS = (
-    "map_input_records",
-    "map_output_records",
-    "combine_output_records",
-    "shuffle_records",
-    "reduce_groups",
-    "reduce_output_records",
-)
+
+def _scalar_hash(key: int) -> int:
+    """The partition hash, written out as a scalar formula."""
+    return key * 2654435761 % 2**32
 
 
 def _dyadic_weight(u, v) -> float:
@@ -77,36 +72,24 @@ def directed_weighted(directed_social):
     return graph
 
 
-def _assert_reports_match(record_report, columnar_report):
-    a, b = record_report.result, columnar_report.result
-    if hasattr(a, "s_nodes"):
-        assert a.s_nodes == b.s_nodes
-        assert a.t_nodes == b.t_nodes
+def _assert_matches_reference(result, reference):
+    """MR driver result == core reference result, trace included."""
+    if hasattr(reference, "s_nodes"):
+        assert result.s_nodes == reference.s_nodes
+        assert result.t_nodes == reference.t_nodes
     else:
-        assert a.nodes == b.nodes
-    assert a.density == pytest.approx(b.density)
-    assert a.passes == b.passes
-    assert a.best_pass == b.best_pass
-    assert len(a.trace) == len(b.trace)
-    for ra, rb in zip(a.trace, b.trace):
-        for field in ra.__dataclass_fields__:
-            va, vb = getattr(ra, field), getattr(rb, field)
-            if isinstance(va, float):
+        assert result.nodes == reference.nodes
+    assert result.density == pytest.approx(reference.density)
+    assert result.passes == reference.passes
+    assert result.best_pass == reference.best_pass
+    assert len(result.trace) == len(reference.trace)
+    for ours, theirs in zip(result.trace, reference.trace):
+        for field in theirs.__dataclass_fields__:
+            va, vb = getattr(ours, field), getattr(theirs, field)
+            if isinstance(vb, float):
                 assert va == pytest.approx(vb), field
             else:
                 assert va == vb, field
-    assert len(record_report.rounds_per_pass) == len(columnar_report.rounds_per_pass)
-    for rounds_a, rounds_b in zip(
-        record_report.rounds_per_pass, columnar_report.rounds_per_pass
-    ):
-        assert [c.job_name for c in rounds_a] == [c.job_name for c in rounds_b]
-        for ca, cb in zip(rounds_a, rounds_b):
-            for field in COUNT_FIELDS:
-                assert getattr(ca, field) == getattr(cb, field), (
-                    ca.job_name,
-                    field,
-                )
-            assert cb.shuffle_bytes > 0 or cb.shuffle_records == 0
 
 
 class TestColumnarKV:
@@ -138,7 +121,7 @@ class TestColumnarKV:
         parts = batch.partition(4)
         for p, part in enumerate(parts):
             for key, _ in part.to_pairs():
-                assert _stable_hash(int(key)) % 4 == p
+                assert _scalar_hash(int(key)) % 4 == p
         assert sum(p.num_records for p in parts) == batch.num_records
 
     def test_vectorized_hash_matches_scalar_everywhere(self):
@@ -147,7 +130,7 @@ class TestColumnarKV:
         )
         hashed = stable_hash_int64(keys)
         for key, h in zip(keys.tolist(), hashed.tolist()):
-            assert _stable_hash(key) == h
+            assert _scalar_hash(key) == h
 
     def test_group_boundaries_and_segments(self):
         grouped = self._batch().group()
@@ -185,35 +168,70 @@ class TestColumnarKV:
         with pytest.raises(MapReduceError):
             ColumnarKV.concat([a, b])
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([1.5, 2.7, -0.5]),
+            np.array([1.0, 2.0]),
+            np.array([True, False]),
+            np.array(["a", "b"]),
+            np.array([("t", 1), 2], dtype=object),
+            np.array([2**63 + 5, 1], dtype=np.uint64),
+        ],
+        ids=["float", "integral-float", "bool", "str", "object", "uint-2**63"],
+    )
+    def test_non_int64_keys_rejected(self, keys):
+        with pytest.raises(MapReduceError, match="int64"):
+            ColumnarKV(keys, {"w": np.ones(keys.size)})
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([3, -1], dtype=np.int32),
+            np.array([3, 2**63 - 1], dtype=np.uint64),
+            [4, 5],
+        ],
+        ids=["int32", "uint-below-2**63", "list"],
+    )
+    def test_integer_keys_accepted(self, keys):
+        batch = ColumnarKV(keys, {"w": np.ones(2)})
+        assert batch.keys.dtype == np.int64
+        assert batch.keys.tolist() == [int(k) for k in keys]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_, object])
+    def test_empty_keys_of_any_dtype_accepted(self, dtype):
+        batch = ColumnarKV(np.empty(0, dtype=dtype), {"w": np.empty(0)})
+        assert batch.keys.dtype == np.int64
+        assert batch.num_records == 0
+
 
 class TestRuntimeDispatch:
     def test_batch_input_needs_batch_callables(self):
+        """A job written record-style (emitting a list of pairs) fails
+        with a typed error naming the offending stage."""
         job = MapReduceJob(
-            name="record-only",
-            mapper=lambda k, v: [(k, v)],
-            reducer=lambda k, vs: [(k, sum(vs))],
+            name="record-style",
+            mapper=lambda batch: batch.to_pairs(),
+            reducer=lambda grouped: grouped.rows,
         )
         batch = ColumnarKV(np.array([1, 2]), {"w": np.array([1.0, 2.0])})
-        with pytest.raises(MapReduceError, match="mapper_batch"):
+        with pytest.raises(MapReduceError, match="mapper must emit a ColumnarKV"):
             MapReduceRuntime(2, 2).run(job, batch)
 
-    def test_degree_job_output_matches_record_path(self):
-        edges = [(u, (v, 1.0 + (u % 2) / 2)) for u, v in
-                 [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]]
-        record_out, record_counters = MapReduceRuntime(3, 2, seed=5).run(
-            DEGREE_JOB, edges
-        )
-        batch = ColumnarKV.from_pairs(edges, names=("v", "w"))
-        batch = ColumnarKV(
-            batch.keys,
-            {**batch.columns, "m": np.zeros(batch.num_records, dtype=bool)},
-        )
-        batch_out, batch_counters = MapReduceRuntime(3, 2, seed=5).run(
-            DEGREE_JOB, batch
-        )
-        assert sorted(record_out) == sorted(batch_out.to_pairs())
-        for field in COUNT_FIELDS:
-            assert getattr(record_counters, field) == getattr(batch_counters, field)
+    def test_degree_job_output_matches_bincount(self):
+        u = np.array([0, 1, 2, 0, 1, 5], dtype=np.int64)
+        v = np.array([1, 2, 3, 3, 3, 6], dtype=np.int64)
+        w = 1.0 + (u % 2) / 2
+        batch = ColumnarKV(u, {"v": v, "w": w, "m": np.zeros(u.size, dtype=bool)})
+        out, counters = MapReduceRuntime(3, 2, seed=5).run(DEGREE_JOB, batch)
+        expected = np.bincount(u, w, minlength=7) + np.bincount(v, w, minlength=7)
+        degrees = np.zeros(7)
+        degrees[out.keys] = out.columns["w"]
+        assert degrees.tolist() == expected.tolist()
+        assert sorted(out.keys.tolist()) == np.flatnonzero(expected).tolist()
+        assert counters.map_input_records == u.size
+        assert counters.map_output_records == 2 * u.size
+        assert counters.reduce_groups == counters.reduce_output_records == 6
 
     def test_columnar_shuffle_bytes_deterministic(self):
         edges = [(u, (u + 1, 1.0)) for u in range(50)]
@@ -230,134 +248,222 @@ class TestRuntimeDispatch:
 
 
 class TestDriverParity:
+    """Every driver agrees with the interpreted core reference peel."""
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_undirected(self, social, social_weighted, epsilon, weighted):
         graph = social_weighted if weighted else social
-        record = mr_densest_subgraph(
-            graph, epsilon, runtime=MapReduceRuntime(5, 3, seed=1), engine="python"
+        reference = densest_subgraph(graph, epsilon, engine="python")
+        report = mr_densest_subgraph(
+            graph, epsilon, runtime=MapReduceRuntime(5, 3, seed=1)
         )
-        columnar = mr_densest_subgraph(
-            graph, epsilon, runtime=MapReduceRuntime(5, 3, seed=1), engine="numpy"
-        )
-        _assert_reports_match(record, columnar)
+        _assert_matches_reference(report.result, reference)
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.5])
     def test_atleast_k(self, social_weighted, epsilon):
-        record = mr_densest_subgraph_atleast_k(
-            social_weighted,
-            25,
-            epsilon,
-            runtime=MapReduceRuntime(4, 4, seed=2),
-            engine="python",
+        reference = densest_subgraph_atleast_k(
+            social_weighted, 25, epsilon, engine="python"
         )
-        columnar = mr_densest_subgraph_atleast_k(
-            social_weighted,
-            25,
-            epsilon,
-            runtime=MapReduceRuntime(4, 4, seed=2),
-            engine="numpy",
+        report = mr_densest_subgraph_atleast_k(
+            social_weighted, 25, epsilon, runtime=MapReduceRuntime(4, 4, seed=2)
         )
-        _assert_reports_match(record, columnar)
+        _assert_matches_reference(report.result, reference)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_directed(self, directed_social, directed_weighted, epsilon, weighted):
         graph = directed_weighted if weighted else directed_social
-        record = mr_densest_subgraph_directed(
-            graph, 1.0, epsilon, runtime=MapReduceRuntime(4, 4, seed=3),
-            engine="python",
+        reference = densest_subgraph_directed(graph, 1.0, epsilon, engine="python")
+        report = mr_densest_subgraph_directed(
+            graph, 1.0, epsilon, runtime=MapReduceRuntime(4, 4, seed=3)
         )
-        columnar = mr_densest_subgraph_directed(
-            graph, 1.0, epsilon, runtime=MapReduceRuntime(4, 4, seed=3),
-            engine="numpy",
-        )
-        _assert_reports_match(record, columnar)
+        _assert_matches_reference(report.result, reference)
 
     def test_csr_snapshot_input(self, social):
         csr = CSRGraph.from_undirected(social)
-        record = mr_densest_subgraph(
-            csr, 0.5, runtime=MapReduceRuntime(4, 4, seed=4), engine="python"
+        from_csr = mr_densest_subgraph(
+            csr, 0.5, runtime=MapReduceRuntime(4, 4, seed=4)
         )
-        columnar = mr_densest_subgraph(
-            csr, 0.5, runtime=MapReduceRuntime(4, 4, seed=4), engine="numpy"
+        from_dict = mr_densest_subgraph(
+            social, 0.5, runtime=MapReduceRuntime(4, 4, seed=4)
         )
-        _assert_reports_match(record, columnar)
-        reference = mr_densest_subgraph(
-            social, 0.5, runtime=MapReduceRuntime(4, 4, seed=4), engine="python"
+        _assert_matches_reference(
+            from_csr.result, densest_subgraph(social, 0.5, engine="python")
         )
-        assert columnar.result.nodes == reference.result.nodes
+        assert from_csr.result.nodes == from_dict.result.nodes
+        assert from_csr.rounds_per_pass == from_dict.rounds_per_pass
 
     def test_csr_digraph_input(self, directed_social):
         csr = CSRDigraph.from_directed(directed_social)
-        record = mr_densest_subgraph_directed(
-            csr, 1.0, 0.5, runtime=MapReduceRuntime(4, 4, seed=4), engine="python"
+        report = mr_densest_subgraph_directed(
+            csr, 1.0, 0.5, runtime=MapReduceRuntime(4, 4, seed=4)
         )
-        columnar = mr_densest_subgraph_directed(
-            csr, 1.0, 0.5, runtime=MapReduceRuntime(4, 4, seed=4), engine="numpy"
+        _assert_matches_reference(
+            report.result,
+            densest_subgraph_directed(directed_social, 1.0, 0.5, engine="python"),
         )
-        _assert_reports_match(record, columnar)
 
     def test_task_parallelism_does_not_change_columnar_answer(self, social):
-        a = mr_densest_subgraph(
-            social, 1.0, runtime=MapReduceRuntime(1, 1), engine="numpy"
-        ).result
-        b = mr_densest_subgraph(
-            social, 1.0, runtime=MapReduceRuntime(16, 16), engine="numpy"
-        ).result
+        a = mr_densest_subgraph(social, 1.0, runtime=MapReduceRuntime(1, 1)).result
+        b = mr_densest_subgraph(social, 1.0, runtime=MapReduceRuntime(16, 16)).result
         assert a.nodes == b.nodes
         assert a.density == pytest.approx(b.density)
 
 
+# ----------------------------------------------------------------------
+# Boundary relabelling: labels that cannot be shuffle keys themselves
+# ----------------------------------------------------------------------
+#: Label maps for graphs the drivers must relabel to dense ids: str,
+#: tuple, and ints outside [-2**62, 2**62) (the directed degree job
+#: bit-packs a side tag into the key, so those would overflow int64).
+RELABELS = {
+    "str": lambda u: f"n{u}",
+    "tuple": lambda u: ("node", u),
+    "huge-int": lambda u: 2**62 + u,
+    "negative-huge-int": lambda u: -(2**62) - 1 - u,
+}
+
+
+def _relabel(graph, name, order_seed=None):
+    """``graph`` with labels mapped through ``RELABELS[name]`` and
+    (optionally) nodes inserted in a shuffled order."""
+    fn = RELABELS[name]
+    out = DirectedGraph() if isinstance(graph, DirectedGraph) else UndirectedGraph()
+    nodes = list(graph.nodes())
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(nodes)
+    out.add_nodes_from(fn(u) for u in nodes)
+    for u, v, w in graph.weighted_edges():
+        out.add_edge(fn(u), fn(v), w)
+    return out
+
+
+class TestBoundaryRelabelling:
+    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
+    @pytest.mark.parametrize("labels", sorted(RELABELS))
+    def test_undirected(self, social_weighted, labels, fused):
+        graph = _relabel(social_weighted, labels)
+        report = mr_densest_subgraph(
+            graph, 0.1, runtime=MapReduceRuntime(4, 3, seed=1), fused=fused
+        )
+        _assert_matches_reference(
+            report.result, densest_subgraph(graph, 0.1, engine="python")
+        )
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
+    @pytest.mark.parametrize("labels", sorted(RELABELS))
+    def test_atleast_k(self, social_weighted, labels, fused):
+        graph = _relabel(social_weighted, labels)
+        report = mr_densest_subgraph_atleast_k(
+            graph, 25, 0.5, runtime=MapReduceRuntime(4, 3, seed=2), fused=fused
+        )
+        _assert_matches_reference(
+            report.result,
+            densest_subgraph_atleast_k(graph, 25, 0.5, engine="python"),
+        )
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
+    @pytest.mark.parametrize("labels", sorted(RELABELS))
+    def test_directed(self, directed_weighted, labels, fused):
+        graph = _relabel(directed_weighted, labels)
+        for ratio in (0.5, 2.0):
+            report = mr_densest_subgraph_directed(
+                graph, ratio, 0.5, runtime=MapReduceRuntime(3, 4, seed=3),
+                fused=fused,
+            )
+            _assert_matches_reference(
+                report.result,
+                densest_subgraph_directed(graph, ratio, 0.5, engine="python"),
+            )
+
+    @pytest.mark.parametrize("labels", ["str", "tuple"])
+    def test_csr_snapshot_with_relabelled_labels(self, social, directed_social, labels):
+        graph = _relabel(social, labels)
+        report = mr_densest_subgraph(
+            CSRGraph.from_undirected(graph), 0.5, runtime=MapReduceRuntime(4, 4)
+        )
+        _assert_matches_reference(
+            report.result, densest_subgraph(graph, 0.5, engine="python")
+        )
+        digraph = _relabel(directed_social, labels)
+        report = mr_densest_subgraph_directed(
+            CSRDigraph.from_directed(digraph), 1.0, 0.5,
+            runtime=MapReduceRuntime(4, 4),
+        )
+        _assert_matches_reference(
+            report.result,
+            densest_subgraph_directed(digraph, 1.0, 0.5, engine="python"),
+        )
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
+    @pytest.mark.parametrize("labels", ["str", "tuple"])
+    def test_atleast_k_tie_break_follows_node_order(self, labels, fused):
+        """On an unweighted graph full of degree ties, which candidates
+        Algorithm 2 removes depends on ``graph.nodes()`` order; the
+        relabelled drivers must break ties exactly as the core peel."""
+        base = gnm_random(12, 22, seed=125)
+        answers = set()
+        for order_seed in range(6):
+            graph = _relabel(base, labels, order_seed=order_seed)
+            reference = densest_subgraph_atleast_k(graph, 5, 1.0, engine="python")
+            report = mr_densest_subgraph_atleast_k(
+                graph, 5, 1.0, runtime=MapReduceRuntime(3, 2), fused=fused
+            )
+            _assert_matches_reference(report.result, reference)
+            answers.add(reference.nodes)
+        # The fixture is sensitive to the tie-break: orders disagree.
+        assert len(answers) > 1
+
+    def test_mixed_int_and_str_labels(self):
+        graph = UndirectedGraph()
+        for u, v in [(0, "a"), ("a", 1), (1, 0), (0, "b"), ("b", "a"), (1, "b")]:
+            graph.add_edge(u, v, 1.0)
+        graph.add_edge(2, "c", 1.0)
+        report = mr_densest_subgraph(graph, 0.1)
+        _assert_matches_reference(
+            report.result, densest_subgraph(graph, 0.1, engine="python")
+        )
+        assert report.result.nodes == frozenset({0, 1, "a", "b"})
+
+    def test_int_labels_are_their_own_keys(self):
+        """Ints within ±2**62 key the shuffle unchanged (so int-labeled
+        runs meter exactly as before); one label outside the bound
+        relabels the whole graph to positions in nodes() order."""
+        from repro.mapreduce.densest import _columnar_state
+
+        graph = UndirectedGraph()
+        graph.add_edge(7, -3, 1.0)
+        graph.add_edge(-3, 2**62 - 1, 1.0)
+        _, keys, _, _, edges = _columnar_state(graph)
+        assert keys.tolist() == [7, -3, 2**62 - 1]
+        endpoints = edges.keys.tolist() + edges.columns["v"].tolist()
+        assert sorted(endpoints) == sorted([7, -3, -3, 2**62 - 1])
+        graph.add_edge(2**62, 7, 1.0)
+        _, keys, _, _, edges = _columnar_state(graph)
+        assert keys.tolist() == [0, 1, 2, 3]
+        endpoints = edges.keys.tolist() + edges.columns["v"].tolist()
+        assert sorted(endpoints) == [0, 0, 1, 1, 2, 3]
+
+
 class TestEngineResolution:
     def test_unknown_engine_rejected(self, social):
-        with pytest.raises(ParameterError):
-            mr_densest_subgraph(social, 0.5, engine="fortran")
+        """The drivers have no engine knob, and the backend rejects
+        engine names it does not run."""
+        from repro.api import DensestSubgraph, solve
+        from repro.errors import SolverError
 
-    def test_numpy_engine_requires_int_labels(self):
-        graph = UndirectedGraph()
-        graph.add_edge("a", "b", 1.0)
-        graph.add_edge("b", "c", 1.0)
-        with pytest.raises(MapReduceError, match="int node labels"):
-            mr_densest_subgraph(graph, 0.5, engine="numpy")
-
-    def test_auto_falls_back_to_python_on_string_labels(self):
-        graph = UndirectedGraph()
-        graph.add_edge("a", "b", 1.0)
-        graph.add_edge("b", "c", 1.0)
-        assert resolve_mr_engine("auto", graph) == "python"
-        report = mr_densest_subgraph(graph, 0.5)  # engine="auto"
-        assert report.result.density > 0
-
-    def test_auto_picks_numpy_on_int_labels(self, social):
-        assert resolve_mr_engine("auto", social) == "numpy"
-
-    def test_huge_labels_stay_on_record_path(self):
-        # The directed degree job bit-packs a side tag into the key
-        # (2u / 2v+1), so labels at or beyond 2**62 would overflow
-        # int64; they must fall back to (or insist on) the record path
-        # rather than silently corrupting the shuffle.
-        graph = DirectedGraph()
-        graph.add_edge(2**62, 1, 1.0)
-        graph.add_edge(1, 2, 1.0)
-        graph.add_edge(2, 1, 1.0)
-        assert resolve_mr_engine("auto", graph) == "python"
-        with pytest.raises(MapReduceError, match="2\\*\\*62"):
-            mr_densest_subgraph_directed(graph, 1.0, 0.5, engine="numpy")
-        record = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=MapReduceRuntime(2, 2, seed=0)
-        )
-        assert record.result.density > 0
-
-    def test_huge_label_csr_snapshot_ineligible(self):
-        csr = CSRDigraph.from_edge_arrays(
-            np.array([2**62, 1, 2]), np.array([1, 2, 1])
-        )
-        assert resolve_mr_engine("auto", csr) == "python"
+        with pytest.raises(TypeError):
+            mr_densest_subgraph(social, 0.5, engine="numpy")
+        with pytest.raises(SolverError):
+            solve(
+                DensestSubgraph(social, epsilon=0.5), backend="mapreduce",
+                engine="fortran",
+            )
 
 
 class TestBatchTaskRetries:
-    """TransientTaskError semantics on the columnar path."""
+    """TransientTaskError semantics for batch tasks."""
 
     def _flaky(self, fn, failures):
         state = {"remaining": failures}
@@ -371,19 +477,12 @@ class TestBatchTaskRetries:
         return wrapped
 
     def _job(self, flaky_map_failures=0, flaky_reduce_failures=0):
-        from repro.mapreduce.densest import (
-            _degree_mapper,
-            _degree_mapper_batch,
-            _sum_reducer,
-            _sum_reducer_batch,
-        )
+        from repro.mapreduce.densest import _degree_mapper, _sum_reducer
 
         return MapReduceJob(
             name="flaky-batch",
-            mapper=_degree_mapper,
-            reducer=_sum_reducer,
-            mapper_batch=self._flaky(_degree_mapper_batch, flaky_map_failures),
-            reducer_batch=self._flaky(_sum_reducer_batch, flaky_reduce_failures),
+            mapper=self._flaky(_degree_mapper, flaky_map_failures),
+            reducer=self._flaky(_sum_reducer, flaky_reduce_failures),
         )
 
     def _edges(self):
@@ -418,32 +517,25 @@ class TestBatchTaskRetries:
         """A driver run with fault injection matches a clean run."""
         from repro.mapreduce import densest
 
-        clean = mr_densest_subgraph(
-            social, 0.5, runtime=MapReduceRuntime(4, 4, seed=6), engine="numpy"
-        )
+        clean = mr_densest_subgraph(social, 0.5, runtime=MapReduceRuntime(4, 4, seed=6))
         state = {"failures": 3}
         original_job = densest.DEGREE_JOB
 
-        def flaky_degree_mapper_batch(batch):
+        def flaky_degree_mapper(batch):
             if state["failures"] > 0:
                 state["failures"] -= 1
                 raise TransientTaskError("injected")
-            return original_job.mapper_batch(batch)
+            return original_job.mapper(batch)
 
         runtime = MapReduceRuntime(4, 4, seed=6, max_task_retries=3)
         try:
             densest.DEGREE_JOB = MapReduceJob(
                 name="degree",
-                mapper=original_job.mapper,
+                mapper=flaky_degree_mapper,
                 reducer=original_job.reducer,
                 combiner=original_job.combiner,
-                mapper_batch=flaky_degree_mapper_batch,
-                reducer_batch=original_job.reducer_batch,
-                combiner_batch=original_job.combiner_batch,
             )
-            flaky = densest.mr_densest_subgraph(
-                social, 0.5, runtime=runtime, engine="numpy"
-            )
+            flaky = densest.mr_densest_subgraph(social, 0.5, runtime=runtime)
         finally:
             densest.DEGREE_JOB = original_job
         assert runtime.task_retries == 3
@@ -452,28 +544,38 @@ class TestBatchTaskRetries:
 
 class TestBackendEngineOption:
     def test_solve_engine_parity(self, social):
+        """The mapreduce backend accepts its one engine under both
+        spellings, with identical answers and round counts."""
         from repro.api import DensestSubgraph, solve
 
-        record = solve(
-            DensestSubgraph(social, epsilon=0.5),
-            backend="mapreduce",
-            runtime=MapReduceRuntime(4, 4, seed=7),
-            engine="python",
-        )
-        columnar = solve(
-            DensestSubgraph(social, epsilon=0.5),
-            backend="mapreduce",
-            runtime=MapReduceRuntime(4, 4, seed=7),
-            engine="numpy",
-        )
-        assert record.nodes == columnar.nodes
-        assert record.density == pytest.approx(columnar.density)
-        assert record.cost.mapreduce_rounds == columnar.cost.mapreduce_rounds
+        solutions = [
+            solve(
+                DensestSubgraph(social, epsilon=0.5),
+                backend="mapreduce",
+                runtime=MapReduceRuntime(4, 4, seed=7),
+                **options,
+            )
+            for options in ({}, {"engine": "auto"}, {"engine": "numpy"})
+        ]
+        for other in solutions[1:]:
+            assert other.nodes == solutions[0].nodes
+            assert other.density == solutions[0].density
+            assert other.cost.mapreduce_rounds == solutions[0].cost.mapreduce_rounds
+
+    @pytest.mark.parametrize("engine", ["python", "native"])
+    def test_other_engines_rejected(self, social, engine):
+        from repro.api import DensestSubgraph, solve
+        from repro.errors import SolverError
+
+        with pytest.raises(SolverError, match="pinned to the numpy engine"):
+            solve(
+                DensestSubgraph(social, epsilon=0.5), backend="mapreduce", engine=engine
+            )
 
     def test_mapreduce_backend_advertises_engines(self):
         from repro.api import get_backend
 
-        assert "numpy" in get_backend("mapreduce").capabilities().engines
+        assert get_backend("mapreduce").capabilities().engines == ("numpy",)
         assert "numpy" in get_backend("sketch").capabilities().engines
 
     def test_sketch_engine_parity(self, social):

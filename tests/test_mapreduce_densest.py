@@ -96,10 +96,21 @@ class TestDirectedDriver:
         # After a full run the driver must have filtered edges without
         # ever flipping their direction; equivalence with the reference
         # (tested above) would break otherwise.  Spot-check one pass.
+        import numpy as np
+
+        from repro.mapreduce.columnar import ColumnarKV
         from repro.mapreduce.densest import REMOVAL_JOB_PIVOT_SECOND
 
         runtime = MapReduceRuntime(3, 3)
-        edges = [(1, (2, 1.0)), (3, (2, 1.0)), (2, (4, 1.0))]
-        markers = [(4, "$")]
-        output, _ = runtime.run(REMOVAL_JOB_PIVOT_SECOND, edges + markers)
-        assert sorted(output) == [(1, (2, 1.0)), (3, (2, 1.0))]
+        # Edges 1->2, 3->2, 2->4 plus a marker row for node 4.
+        batch = ColumnarKV(
+            np.array([1, 3, 2, 4]),
+            {
+                "v": np.array([2, 2, 4, -1]),
+                "w": np.array([1.0, 1.0, 1.0, 0.0]),
+                "m": np.array([False, False, False, True]),
+            },
+        )
+        output, _ = runtime.run(REMOVAL_JOB_PIVOT_SECOND, batch)
+        edges = [(u, v, w) for u, (v, w, _) in output.to_pairs()]
+        assert sorted(edges) == [(1, 2, 1.0), (3, 2, 1.0)]

@@ -3,12 +3,11 @@
 ``fused=True`` keeps the edge input static and broadcasts the
 cumulative kill set as a per-round job parameter, so each peeling pass
 is a single map/reduce round instead of degree + removal rounds.  The
-contract mirrors the columnar parity suite: fused runs must produce
-identical results and traces to the classic pipeline on both engines
-(dyadic weights, so float sums are exact in any association order),
-meter identically between the record and columnar fused paths, and —
-the point of the optimization — shuffle at most 0.6x the classic
-pipeline's bytes.
+contract: fused runs must produce identical results and traces to the
+classic pipeline and to the :mod:`repro.core` reference peel (dyadic
+weights, so float sums are exact in any association order), meter the
+closed-form record counts of their round shapes, and — the point of the
+optimization — shuffle at most 0.6x the classic pipeline's bytes.
 """
 
 import multiprocessing
@@ -17,6 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core.atleast_k import densest_subgraph_atleast_k
+from repro.core.directed import densest_subgraph_directed
+from repro.core.undirected import densest_subgraph
 from repro.kernels import CSRDigraph, CSRGraph
 from repro.mapreduce.densest import (
     mr_densest_subgraph,
@@ -25,12 +27,7 @@ from repro.mapreduce.densest import (
 )
 from repro.mapreduce.runtime import MapReduceRuntime
 
-#: Counter fields compared between the fused record and columnar
-#: paths.  ``shuffle_bytes`` is included for the undirected jobs
-#: (int64 keys meter identically on both paths) but not the directed
-#: ones, whose record keys are ``('out', u)`` tuples with a different
-#: per-type size than the columnar bit-packed int64 keys — the same
-#: split as the classic parity suite.
+#: Record-count fields of :class:`JobCounters`.
 COUNT_FIELDS = (
     "map_input_records",
     "map_output_records",
@@ -98,75 +95,95 @@ def _total_shuffle_bytes(report):
 
 
 # ----------------------------------------------------------------------
-# Fused == classic, per engine
+# Fused == classic == the core reference peel (on either core engine)
 # ----------------------------------------------------------------------
 class TestFusedMatchesClassic:
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_undirected(self, engine, weighted):
+    def test_undirected(self, reference_engine, weighted):
         graph = _undirected_csr(weighted)
-        classic = mr_densest_subgraph(graph, 0.5, runtime=_runtime(), engine=engine)
-        fused = mr_densest_subgraph(
-            graph, 0.5, runtime=_runtime(), engine=engine, fused=True
-        )
+        classic = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
+        fused = mr_densest_subgraph(graph, 0.5, runtime=_runtime(), fused=True)
         assert fused.result == classic.result
         assert fused.result.trace == classic.result.trace
+        assert classic.result == densest_subgraph(graph, 0.5, engine=reference_engine)
         # One round per pass instead of three.
         assert all(len(rounds) == 1 for rounds in fused.rounds_per_pass[:-1])
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_atleast_k(self, engine):
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
+    def test_atleast_k(self, reference_engine):
         graph = _undirected_csr(True)
-        classic = mr_densest_subgraph_atleast_k(
-            graph, 30, 0.5, runtime=_runtime(), engine=engine
-        )
+        classic = mr_densest_subgraph_atleast_k(graph, 30, 0.5, runtime=_runtime())
         fused = mr_densest_subgraph_atleast_k(
-            graph, 30, 0.5, runtime=_runtime(), engine=engine, fused=True
+            graph, 30, 0.5, runtime=_runtime(), fused=True
         )
         assert fused.result == classic.result
         assert fused.result.trace == classic.result.trace
+        assert classic.result == densest_subgraph_atleast_k(
+            graph, 30, 0.5, engine=reference_engine
+        )
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_directed(self, engine, weighted):
+    def test_directed(self, reference_engine, weighted):
         graph = _directed_csr(weighted)
-        classic = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine=engine
-        )
+        classic = mr_densest_subgraph_directed(graph, 1.0, 0.5, runtime=_runtime())
         fused = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine=engine, fused=True
+            graph, 1.0, 0.5, runtime=_runtime(), fused=True
         )
         assert fused.result == classic.result
         assert fused.result.trace == classic.result.trace
+        assert classic.result == densest_subgraph_directed(
+            graph, 1.0, 0.5, engine=reference_engine
+        )
         assert all(len(rounds) == 1 for rounds in fused.rounds_per_pass)
 
 
 # ----------------------------------------------------------------------
-# Fused record path == fused columnar path (counters included)
+# Record counts in closed form (unweighted: weight == edge count)
 # ----------------------------------------------------------------------
-class TestFusedEnginesAgree:
-    def test_undirected_counters_identical(self):
-        graph = _undirected_csr(True)
-        record = mr_densest_subgraph(
-            graph, 0.1, runtime=_runtime(), engine="python", fused=True
-        )
-        columnar = mr_densest_subgraph(
-            graph, 0.1, runtime=_runtime(), engine="numpy", fused=True
-        )
-        assert record.result == columnar.result
-        fields = COUNT_FIELDS + ("shuffle_bytes",)
-        assert _count_tuples(record, fields) == _count_tuples(columnar, fields)
+class TestClosedFormCounters:
+    def test_undirected_counters(self):
+        graph = _undirected_csr(False)
+        m = graph.num_edges
+        classic = mr_densest_subgraph(graph, 0.1, runtime=_runtime())
+        fused = mr_densest_subgraph(graph, 0.1, runtime=_runtime(), fused=True)
+        assert fused.result.trace == classic.result.trace
+        for record, rounds in zip(classic.result.trace, classic.rounds_per_pass):
+            alive = int(record.edges_before)
+            degree, first_removal, second_removal = rounds
+            assert degree.job_name == "degree"
+            assert degree.map_input_records == alive
+            assert degree.map_output_records == 2 * alive
+            # Surviving edges plus one marker row per removed node.
+            assert first_removal.map_input_records == alive + record.removed
+            assert second_removal.map_output_records == (
+                second_removal.map_input_records
+            )
+        for record, (degree,) in zip(fused.result.trace, fused.rounds_per_pass):
+            assert degree.job_name == "fused-degree"
+            assert degree.map_input_records == m  # the static input
+            assert degree.map_output_records == 2 * int(record.edges_before)
 
-    def test_directed_counters_identical(self):
-        graph = _directed_csr(True)
-        record = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine="python", fused=True
+    def test_directed_counters(self):
+        graph = _directed_csr(False)
+        m = graph.num_edges
+        classic = mr_densest_subgraph_directed(graph, 1.0, 0.5, runtime=_runtime())
+        fused = mr_densest_subgraph_directed(
+            graph, 1.0, 0.5, runtime=_runtime(), fused=True
         )
-        columnar = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine="numpy", fused=True
-        )
-        assert record.result == columnar.result
-        assert _count_tuples(record) == _count_tuples(columnar)
+        assert fused.result.trace == classic.result.trace
+        for record, (degree, removal) in zip(
+            classic.result.trace, classic.rounds_per_pass
+        ):
+            alive = int(record.edges_before)
+            assert degree.map_input_records == alive
+            assert degree.map_output_records == 2 * alive
+            assert removal.map_input_records == alive + record.removed
+            assert removal.reduce_output_records == int(record.edges_after)
+        for record, (degree,) in zip(fused.result.trace, fused.rounds_per_pass):
+            assert degree.map_input_records == m
+            assert degree.map_output_records == 2 * int(record.edges_before)
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +198,17 @@ class TestFusedShufflesLess:
         if driver == "undirected":
             run = lambda fused: mr_densest_subgraph(
                 _undirected_csr(True), 0.5,
-                runtime=_runtime(), engine="numpy", fused=fused,
+                runtime=_runtime(), fused=fused,
             )
         elif driver == "atleast_k":
             run = lambda fused: mr_densest_subgraph_atleast_k(
                 _undirected_csr(True), 30, 0.5,
-                runtime=_runtime(), engine="numpy", fused=fused,
+                runtime=_runtime(), fused=fused,
             )
         else:
             run = lambda fused: mr_densest_subgraph_directed(
                 _directed_csr(True), 1.0, 0.5,
-                runtime=_runtime(), engine="numpy", fused=fused,
+                runtime=_runtime(), fused=fused,
             )
         classic_bytes = _total_shuffle_bytes(run(False))
         fused_bytes = _total_shuffle_bytes(run(True))
@@ -208,11 +225,11 @@ class TestFusedDistributed:
     def test_process_file_shuffle_matches_serial(self, pool, tmp_path):
         graph = _undirected_csr(True)
         serial = mr_densest_subgraph(
-            graph, 0.1, runtime=_runtime(), engine="numpy", fused=True
+            graph, 0.1, runtime=_runtime(), fused=True
         )
         runtime = _runtime(pool, shuffle_dir=str(tmp_path))
         got = mr_densest_subgraph(
-            graph, 0.1, runtime=runtime, engine="numpy", fused=True
+            graph, 0.1, runtime=runtime, fused=True
         )
         assert got.result == serial.result
         assert got.result.trace == serial.result.trace
@@ -228,12 +245,12 @@ class TestFusedDistributed:
     def test_directed_process_file_shuffle_matches_serial(self, pool, tmp_path):
         graph = _directed_csr(False)
         serial = mr_densest_subgraph_directed(
-            graph, 1.0, 0.5, runtime=_runtime(), engine="numpy", fused=True
+            graph, 1.0, 0.5, runtime=_runtime(), fused=True
         )
         got = mr_densest_subgraph_directed(
             graph, 1.0, 0.5,
             runtime=_runtime(pool, shuffle_dir=str(tmp_path)),
-            engine="numpy", fused=True,
+            fused=True,
         )
         assert got.result == serial.result
         assert _count_tuples(got) == _count_tuples(serial)
@@ -243,8 +260,8 @@ class TestFusedDistributed:
 
         graph = _undirected_csr(True)
         problem = DensestSubgraph(graph, epsilon=0.1)
-        classic = solve(problem, backend="mapreduce", engine="numpy")
-        fused = solve(problem, backend="mapreduce", engine="numpy", fused=True)
+        classic = solve(problem, backend="mapreduce")
+        fused = solve(problem, backend="mapreduce", fused=True)
         assert classic.nodes == fused.nodes
         assert classic.density == fused.density
         assert fused.cost.mapreduce_rounds < classic.cost.mapreduce_rounds
