@@ -28,15 +28,13 @@ per-shard checksums and quarantines damaged shards; ``--deadline S``
 bounds a solve (CLI and serve) with a typed timeout instead of a
 hang.
 
-Distributed shuffle & fused rounds (see DESIGN.md §13): the mapreduce
-backend on a process pool can spill its shuffle to disk — pass
-``--workers N --shuffle-dir DIR`` to ``repro-densest densest`` (or
-set ``workers`` / ``shuffle_dir`` on ``ExecutionContext``) and map
-tasks write hash-partitioned run files that reduce tasks memmap, so
-intermediate data never routes through the driver; ``--mr-fused``
-(``solve(..., fused=True)``) fuses each peeling pass into a single
-broadcast-parameter degree round, shuffling a fraction of the bytes —
-both knobs return bit-identical results to the serial run.
+Distributed shuffle (see DESIGN.md §13): the mapreduce backend on a
+process pool can spill its shuffle to disk — pass ``--workers N
+--shuffle-dir DIR`` to ``repro-densest densest`` (or set ``workers`` /
+``shuffle_dir`` on ``ExecutionContext``) and map tasks write
+hash-partitioned run files that reduce tasks memmap, so intermediate
+data never routes through the driver, with results bit-identical to
+the serial run.
 
 Run:  python examples/quickstart.py
 """

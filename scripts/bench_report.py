@@ -17,17 +17,15 @@ Three suites, selected with ``--suite``:
   pool (Fig 6.7-scale im_sim fixture, array-native) with both shuffle
   transports — driver-shuffle (intermediate partitions pickle through
   the driver) and file-shuffle (map tasks spill run files, reducers
-  memmap them) — plus the fused peel (``mr_fused_peel``: one
-  broadcast-parameter round per pass; the driver asserts it shuffles
-  ≤ 0.6x the classic bytes and returns identical results), a
-  driver-RSS probe comparing the two shuffle transports in fresh
-  child processes, and an out-of-core probe — a subprocess solving a
-  sharded store with the semi-streaming backend while its peak RSS is
-  compared against the store's edge-array size.  ``--min-speedup``
-  gates the ``mr_fused_peel`` file-shuffle row.  The report records
-  ``cpu_count``; on a single-core box the process rows measure pure
-  executor overhead (no parallel speedup is physically possible
-  there).
+  memmap them) — after asserting every transport returns the serial
+  run's exact answer, a driver-RSS probe comparing the two shuffle
+  transports in fresh child processes, and an out-of-core probe — a
+  subprocess solving a sharded store with the semi-streaming backend
+  while its peak RSS is compared against the store's edge-array size.
+  ``--min-speedup`` gates the ``mr_columnar_peel`` file-shuffle row.
+  The report records ``cpu_count``; on a single-core box the process
+  rows measure pure executor overhead (no parallel speedup is
+  physically possible there).
 * ``streaming`` times pass compaction and writes ``BENCH_stream.json``:
   the semi-streaming engine over a large synthetic sharded store (a
   nested-core deep-peel graph, ≈18M edges at full scale), full-rescan
@@ -359,7 +357,7 @@ def _oocore_child(store_path: str, epsilon: float) -> dict:
 def _exec_driver_rss_child(scale: float, shuffle: bool) -> dict:
     """Driver-RSS probe body, run in a fresh worker process.
 
-    Runs one fused process-pool peel with either shuffle transport and
+    Runs one process-pool peel with either shuffle transport and
     reports this (driver) process's peak RSS: with the driver shuffle,
     every round's intermediate partitions pickle through here; with the
     file shuffle only run manifests do, so the driver's high-water mark
@@ -387,7 +385,7 @@ def _exec_driver_rss_child(scale: float, shuffle: bool) -> dict:
             executor="process", pool=pool,
             shuffle_dir=tmp if shuffle else None,
         )
-        report = mr_densest_subgraph(csr, 0.5, runtime=runtime, engine="numpy")
+        report = mr_densest_subgraph(csr, 0.5, runtime=runtime)
     return {
         "baseline_rss_bytes": baseline,
         "peak_rss_bytes": _vm_peak_bytes(),
@@ -404,7 +402,7 @@ def run_exec_benches(scale_factor: float, repeats: int):
     import tempfile
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.datasets.synthetic import synthetic_edge_arrays, write_synthetic_store
+    from repro.datasets.synthetic import synthetic_edge_arrays
     from repro.kernels import CSRGraph
     from repro.mapreduce.densest import mr_densest_subgraph
     from repro.mapreduce.runtime import MapReduceRuntime
@@ -421,11 +419,6 @@ def run_exec_benches(scale_factor: float, repeats: int):
     fixture = f"im_sim_arrays@{scale:g}"
     print(f"fixture {fixture}: n={n}, m={src.size}, cpu_count={os.cpu_count()}")
 
-    def _total_shuffle_bytes(report):
-        return sum(
-            c.shuffle_bytes for rounds in report.rounds_per_pass for c in rounds
-        )
-
     def _assert_same(ref, got, label):
         assert got.result.nodes == ref.result.nodes, label
         assert got.result.density == ref.result.density, label
@@ -437,7 +430,7 @@ def run_exec_benches(scale_factor: float, repeats: int):
         # Warm the pool (spawn + first imports) outside the timings.
         pool.submit(_vm_peak_bytes).result()
 
-        def peel(executor="serial", shuffle=False, fused=False):
+        def peel(executor="serial", shuffle=False):
             kwargs = {}
             if executor == "process":
                 kwargs = {"executor": "process", "pool": pool}
@@ -446,36 +439,18 @@ def run_exec_benches(scale_factor: float, repeats: int):
             runtime = MapReduceRuntime(
                 num_mappers=8, num_reducers=8, seed=1, **kwargs
             )
-            return mr_densest_subgraph(
-                csr, 0.5, runtime=runtime, engine="numpy", fused=fused
-            )
+            return mr_densest_subgraph(csr, 0.5, runtime=runtime)
 
-        # Parity gates first: every transport and the fused pipeline
-        # must return the serial classic run's exact answer before any
-        # timing row is recorded.
+        # Parity gates first: every transport must return the serial
+        # run's exact answer before any timing row is recorded.
         ref = peel()
         _assert_same(ref, peel("process"), "driver-shuffle")
         _assert_same(ref, peel("process", shuffle=True), "file-shuffle")
-        fused_ref = peel(fused=True)
-        _assert_same(ref, fused_ref, "fused-serial")
-        _assert_same(ref, peel("process", shuffle=True, fused=True),
-                     "fused-file-shuffle")
-        classic_bytes = _total_shuffle_bytes(ref)
-        fused_bytes = _total_shuffle_bytes(fused_ref)
-        bytes_ratio = fused_bytes / classic_bytes if classic_bytes else None
-        assert bytes_ratio is not None and bytes_ratio <= 0.6, (
-            f"fused peel shuffled {bytes_ratio:.2f}x the classic bytes "
-            f"(must be <= 0.6x)"
-        )
 
         serial_s = _median_seconds(lambda: peel(), repeats)
         process_s = _median_seconds(lambda: peel("process"), repeats)
         file_s = _median_seconds(
             lambda: peel("process", shuffle=True), repeats
-        )
-        fused_serial_s = _median_seconds(lambda: peel(fused=True), repeats)
-        fused_file_s = _median_seconds(
-            lambda: peel("process", shuffle=True, fused=True), repeats
         )
 
     records.append(
@@ -504,38 +479,11 @@ def run_exec_benches(scale_factor: float, repeats: int):
             "speedup": serial_s / file_s if file_s > 0 else None,
         }
     )
-    records.append(
-        {
-            "bench": "mr_fused_peel",
-            "fixture": fixture,
-            "engine": "serial",
-            "median_seconds": fused_serial_s,
-            "shuffle_bytes": fused_bytes,
-            "classic_shuffle_bytes": classic_bytes,
-            "bytes_ratio": bytes_ratio,
-            "speedup_vs_classic_serial": (
-                serial_s / fused_serial_s if fused_serial_s > 0 else None
-            ),
-        }
-    )
-    records.append(
-        {
-            "bench": "mr_fused_peel",
-            "fixture": fixture,
-            "engine": f"process-{workers}w-file-shuffle",
-            "median_seconds": fused_file_s,
-            "speedup": fused_serial_s / fused_file_s if fused_file_s > 0 else None,
-        }
-    )
     print(f"{'mr_columnar_peel':28s} serial {serial_s * 1e3:9.3f} ms   "
           f"driver-shuffle {process_s * 1e3:9.3f} ms (x{serial_s / process_s:5.2f})   "
           f"file-shuffle {file_s * 1e3:9.3f} ms (x{serial_s / file_s:5.2f})")
-    print(f"{'mr_fused_peel':28s} serial {fused_serial_s * 1e3:9.3f} ms   "
-          f"file-shuffle {fused_file_s * 1e3:9.3f} ms "
-          f"(x{fused_serial_s / fused_file_s:5.2f})   "
-          f"bytes x{bytes_ratio:.2f} of classic")
 
-    # Driver-RSS probe: the same fused process peel in fresh children,
+    # Driver-RSS probe: the same process peel in fresh children,
     # one per shuffle transport — with the file shuffle the driver's
     # high-water mark must stop tracking the shuffle volume (reported,
     # not gated: at quick scales the fixture dominates both peaks).
@@ -1718,7 +1666,8 @@ def run_chaos_benches(scale_factor: float, repeats: int):
 
 
 #: Per-suite configuration: bench driver, default report path, and the
-#: benches the ``--min-speedup`` gate applies to.
+#: benches the ``--min-speedup`` gate applies to (a bench name gates all
+#: its rows, a ``(bench, engine)`` pair gates that one row).
 SUITES = {
     "core": {
         "run": run_benches,
@@ -1736,7 +1685,7 @@ SUITES = {
         "output": "BENCH_exec.json",
         # Gate only on explicit --min-speedup: a 4-worker pool cannot
         # beat serial on fewer than ~2 physical cores.
-        "gate": {"mr_fused_peel"},
+        "gate": {("mr_columnar_peel", "process-4w-file-shuffle")},
     },
     "streaming": {
         "run": run_streaming_benches,
@@ -1836,13 +1785,13 @@ def main(argv=None) -> int:
 
     if args.min_speedup is not None:
         gate = suite["gate"]
-        # Gate on every row that carries a speedup (the comparison rows
-        # of each suite: engine "numpy" in core, the process row in
-        # exec).
+        # Gate on every gated row that carries a speedup (the
+        # comparison rows of each suite: engine "numpy" in core, the
+        # file-shuffle process row in exec).
         failing = [
             r
             for r in records
-            if r["bench"] in gate
+            if (r["bench"] in gate or (r["bench"], r.get("engine")) in gate)
             and r.get("speedup") is not None
             and r["speedup"] < args.min_speedup
         ]

@@ -669,9 +669,7 @@ class MapReduceSolver:
     (and no explicit ``runtime=``) runs the columnar rounds on a
     spawned process pool; the pool lives for this solve and is shut
     down before returning.  ``context.shuffle_dir`` routes the pool's
-    intermediate data through the file-backed shuffle, and the
-    ``fused=True`` option collapses each peel pass to a single
-    broadcast-parameter degree round (DESIGN.md §13) — both are
+    intermediate data through the file-backed shuffle (DESIGN.md §13),
     bit-exact against the serial driver.
     """
 
@@ -699,9 +697,8 @@ class MapReduceSolver:
                 f"backend 'mapreduce' is pinned to the numpy engine; "
                 f"got engine={engine!r}"
             )
-        _reject_options(self.name, options, ("runtime", "fused"))
+        _reject_options(self.name, options, ("runtime",))
         runtime = options.get("runtime")
-        fused = bool(options.get("fused", False))
         owned_runtime = None
         if runtime is None and context.workers > 1:
             from ..mapreduce.runtime import MapReduceRuntime
@@ -713,12 +710,12 @@ class MapReduceSolver:
                 shuffle_dir=context.shuffle_dir,
             )
         try:
-            return self._solve(problem, runtime, fused)
+            return self._solve(problem, runtime)
         finally:
             if owned_runtime is not None:
                 owned_runtime.close()
 
-    def _solve(self, problem: Problem, runtime, fused: bool = False) -> Solution:
+    def _solve(self, problem: Problem, runtime) -> Solution:
         from ..mapreduce.densest import (
             mr_densest_subgraph,
             mr_densest_subgraph_atleast_k,
@@ -727,9 +724,7 @@ class MapReduceSolver:
 
         graph = _require_graph(problem, self.name, allow_csr=True, allow_shards=True)
         if isinstance(problem, DensestSubgraph):
-            report = mr_densest_subgraph(
-                graph, problem.epsilon, runtime=runtime, fused=fused
-            )
+            report = mr_densest_subgraph(graph, problem.epsilon, runtime=runtime)
             return _undirected_solution(
                 report.result,
                 backend=self.name,
@@ -742,11 +737,7 @@ class MapReduceSolver:
             )
         if isinstance(problem, DensestAtLeastK):
             report = mr_densest_subgraph_atleast_k(
-                graph,
-                problem.k,
-                problem.epsilon,
-                runtime=runtime,
-                fused=fused,
+                graph, problem.k, problem.epsilon, runtime=runtime
             )
             return _undirected_solution(
                 report.result,
@@ -767,11 +758,7 @@ class MapReduceSolver:
                     graph = CSRDigraph.from_directed(graph)
                 reports = [
                     mr_densest_subgraph_directed(
-                        graph,
-                        ratio,
-                        problem.epsilon,
-                        runtime=runtime,
-                        fused=fused,
+                        graph, ratio, problem.epsilon, runtime=runtime
                     )
                     for ratio in _directed_grid(problem)
                 ]
@@ -793,11 +780,7 @@ class MapReduceSolver:
                     details=sweep,
                 )
             report = mr_densest_subgraph_directed(
-                graph,
-                problem.ratio,
-                problem.epsilon,
-                runtime=runtime,
-                fused=fused,
+                graph, problem.ratio, problem.epsilon, runtime=runtime
             )
             return _directed_solution(
                 report.result,

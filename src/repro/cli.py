@@ -15,6 +15,7 @@ Solve a densest-subgraph problem on any backend::
     repro-densest densest --edge-list graph.txt --k 100 --backend core
     repro-densest densest --dataset flickr_sim --engine numpy
     repro-densest densest --edge-list graph.txt --backend core-csr
+    repro-densest densest --dataset grqc_sim --backend exact-flow
 
 Out-of-core pipeline: convert an edge list into a sharded store, then
 solve on it (or do both in one command with ``--spill-dir``)::
@@ -24,7 +25,7 @@ solve on it (or do both in one command with ``--spill-dir``)::
     repro-densest densest --edge-list big.txt --spill-dir /tmp/st --backend streaming
     repro-densest densest --shard-store /data/big-store --backend mapreduce --workers 4
     repro-densest densest --shard-store /data/big-store --backend mapreduce \
-        --workers 4 --shuffle-dir /tmp/shuffle --mr-fused
+        --workers 4 --shuffle-dir /tmp/shuffle
     repro-densest densest --shard-store /data/big-store --compaction on
     repro-densest densest --shard-store /data/big-store --compaction-threshold 0.75
 
@@ -34,12 +35,6 @@ interrupted run resumes (bit-identically) instead of restarting::
     repro-densest verify-store /data/big-store [--repair]
     repro-densest densest --shard-store /data/big-store --backend streaming \
         --k 500 --checkpoint-dir /data/ckpt --checkpoint-every 16
-
-Legacy commands (thin wrappers over ``densest``)::
-
-    repro-densest run --dataset flickr_sim --epsilon 0.5
-    repro-densest run-directed --dataset twitter_sim --epsilon 1 --delta 2
-    repro-densest exact --dataset grqc_sim
 
 Serve densest-subgraph queries over HTTP with a SQLite result catalog
 (see ``repro.serve`` and DESIGN.md §10)::
@@ -183,13 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "data through the driver (results are identical either way)",
     )
     p_solve.add_argument(
-        "--mr-fused", action="store_true",
-        help="mapreduce backend: fuse each peel pass into a single "
-        "degree round that broadcasts the cumulative kill set, instead "
-        "of degree + removal rounds rewriting the edge set (identical "
-        "results and trace, ~3x fewer rounds and far less shuffle)",
-    )
-    p_solve.add_argument(
         "--compaction",
         choices=["auto", "on", "off"],
         default="auto",
@@ -221,29 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve stops at the next pass boundary with a timeout error",
     )
     p_solve.add_argument("--show-nodes", type=int, default=0, help="print up to N member nodes")
-
-    p_run = sub.add_parser(
-        "run", help="[legacy] Algorithm 1 (or 2 with --k) on the core backend"
-    )
-    _add_input_args(p_run)
-    p_run.add_argument("--epsilon", type=float, default=0.5)
-    p_run.add_argument("--k", type=int, default=None, help="minimum subgraph size (Algorithm 2)")
-    p_run.add_argument("--show-nodes", type=int, default=0, help="print up to N member nodes")
-
-    p_dir = sub.add_parser(
-        "run-directed", help="[legacy] Algorithm 3 ratio sweep on the core backend"
-    )
-    _add_input_args(p_dir)
-    p_dir.add_argument("--epsilon", type=float, default=0.5)
-    p_dir.add_argument("--delta", type=float, default=2.0)
-
-    p_exact = sub.add_parser(
-        "exact", help="[legacy] exact rho* via the exact-lp / exact-flow backends"
-    )
-    _add_input_args(p_exact)
-    p_exact.add_argument(
-        "--solver", choices=["lp", "flow", "both"], default="both"
-    )
 
     p_enum = sub.add_parser(
         "enumerate", help="enumerate node-disjoint dense subgraphs (Section 6 remark)"
@@ -450,18 +415,9 @@ def _load_undirected(args) -> UndirectedGraph:
     if args.dataset:
         graph = dataset_load(args.dataset, scale=args.scale, seed=args.seed)
         if not isinstance(graph, UndirectedGraph):
-            raise ReproError(f"dataset {args.dataset!r} is directed; use run-directed")
+            raise ReproError(f"dataset {args.dataset!r} is directed; use densest")
         return graph
     return read_undirected(args.edge_list)
-
-
-def _load_directed(args) -> DirectedGraph:
-    if args.dataset:
-        graph = dataset_load(args.dataset, scale=args.scale, seed=args.seed)
-        if not isinstance(graph, DirectedGraph):
-            raise ReproError(f"dataset {args.dataset!r} is undirected; use run")
-        return graph
-    return read_directed(args.edge_list)
 
 
 def _cmd_datasets(args) -> int:
@@ -613,16 +569,14 @@ def _cmd_densest(args) -> int:
             # An explicit threshold is a request to compact — on any
             # input, not just the shard-store auto-enable shape.
             options["compaction"] = True
-    if args.shuffle_dir or args.mr_fused:
+    if args.shuffle_dir:
         if backend == "auto":
-            backend = "mapreduce"  # both knobs name the mapreduce backend
+            backend = "mapreduce"  # --shuffle-dir names the mapreduce backend
         if backend != "mapreduce":
             raise ReproError(
-                f"--shuffle-dir/--mr-fused apply to the mapreduce backend, "
+                f"--shuffle-dir applies to the mapreduce backend, "
                 f"not {backend!r}"
             )
-        if args.mr_fused:
-            options["fused"] = True
     if (
         args.workers > 1
         or args.spill_dir
@@ -657,61 +611,6 @@ def _cmd_densest(args) -> int:
         f"eps={args.epsilon:g}"
     )
     _print_solution(solution, args.show_nodes)
-    return 0
-
-
-def _cmd_run(args) -> int:
-    graph = _load_undirected(args)
-    if args.k is not None:
-        solution = solve(
-            DensestAtLeastK(graph, k=args.k, epsilon=args.epsilon), backend="core"
-        )
-        algo = f"Algorithm 2 (k={args.k})"
-    else:
-        solution = solve(
-            DensestSubgraph(graph, epsilon=args.epsilon), backend="core"
-        )
-        algo = "Algorithm 1"
-    result = solution.details
-    print(f"{algo} on |V|={graph.num_nodes}, |E|={graph.num_edges}, eps={args.epsilon:g}")
-    print(f"  density : {solution.density:.4f}")
-    print(f"  size    : {solution.size}")
-    print(f"  passes  : {result.passes} (best after pass {result.best_pass})")
-    if args.show_nodes:
-        sample = sorted(solution.nodes, key=repr)[: args.show_nodes]
-        print(f"  nodes   : {sample}{' ...' if solution.size > args.show_nodes else ''}")
-    return 0
-
-
-def _cmd_run_directed(args) -> int:
-    graph = _load_directed(args)
-    solution = solve(
-        DirectedDensest(graph, delta=args.delta, epsilon=args.epsilon),
-        backend="core",
-    )
-    sweep = solution.details
-    best = sweep.best
-    print(
-        f"Algorithm 3 sweep on |V|={graph.num_nodes}, |E|={graph.num_edges}, "
-        f"eps={args.epsilon:g}, delta={args.delta:g} ({len(sweep.by_ratio)} ratios)"
-    )
-    print(f"  best c   : {best.ratio:g}")
-    print(f"  density  : {best.density:.4f}")
-    print(f"  |S|, |T| : {best.s_size}, {best.t_size}")
-    print(f"  passes   : {best.passes} (total across sweep: {sweep.total_passes()})")
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    graph = _load_undirected(args)
-    print(f"exact solvers on |V|={graph.num_nodes}, |E|={graph.num_edges}")
-    problem = DensestSubgraph(graph)
-    if args.solver in ("lp", "both"):
-        solution = solve(problem, backend="exact-lp")
-        print(f"  LP (HiGHS)     : rho* = {solution.density:.6f}, |S*| = {solution.size}")
-    if args.solver in ("flow", "both"):
-        solution = solve(problem, backend="exact-flow")
-        print(f"  Goldberg flow  : rho* = {solution.density:.6f}, |S*| = {solution.size}")
     return 0
 
 
@@ -830,9 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "datasets": _cmd_datasets,
         "backends": _cmd_backends,
         "densest": _cmd_densest,
-        "run": _cmd_run,
-        "run-directed": _cmd_run_directed,
-        "exact": _cmd_exact,
         "enumerate": _cmd_enumerate,
         "shard": _cmd_shard,
         "verify-store": _cmd_verify_store,

@@ -17,8 +17,7 @@ translate counters into simulated wall-clock (Figure 6.7).
 * :mod:`~repro.mapreduce.cost` — the wall-clock cost model.
 * :mod:`~repro.mapreduce.densest` — the paper's §5.2 realization of the
   peeling algorithms as MapReduce job chains (degree job + two-round
-  node-removal job per pass, or one fused round), for graphs with any
-  node labels.
+  node-removal job per pass), for graphs with any node labels.
 """
 
 from .columnar import ColumnarKV, GroupedKV

@@ -37,17 +37,6 @@ graphs; otherwise up to float-reassociation noise, since combiner-local
 and pass-total sums associate differently).  All rounds are metered,
 and :class:`MapReduceRunReport` groups counters by peeling pass so a
 :class:`~repro.mapreduce.cost.CostModel` can regenerate Figure 6.7.
-
-``fused=True`` replaces the degree + removal pipeline with a single
-*fused* round per pass: the edge input stays static across passes and
-the driver broadcasts the cumulative kill set as a per-round parameter
-(``takes_params`` jobs), so the fused mapper filters dead-endpoint
-edges and emits degree contributions in one pass — one round instead
-of three (undirected) or two (directed), and no edge records travel
-back to the driver.  Under a file-backed shuffle the fused drivers
-additionally spill the edge input once up front
-(``runtime.spill_splits``) so every subsequent pass ships only the
-kill set to the workers.  See DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -187,85 +176,6 @@ REMOVAL_JOB_PIVOT_SECOND = register_job(MapReduceJob(
 
 
 # ----------------------------------------------------------------------
-# Fused peel round: filter + degree in ONE map/reduce round per pass.
-#
-# The classic pipeline pays three shuffles per pass (degree round + two
-# marker-filter rounds) and rewrites the whole edge set every pass.
-# The fused job inverts the data flow: the edge input stays *static*
-# across all passes, and the driver broadcasts the cumulative kill set
-# (a small ``params`` value — the driver already keeps O(n) alive
-# state) to the mappers, which drop dead-endpoint edges and emit the
-# degree contributions of the survivors; the combiner sums partial
-# degrees per map task, the reducer finishes the sum, and the driver
-# makes the kill decision directly off the degree output.  Markers,
-# pivot rounds, and the per-pass edge rewrite disappear — per-pass
-# shuffle drops to the (combiner-compacted) degree records alone.
-# ----------------------------------------------------------------------
-def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``values`` in a sorted int64 ``table``
-    (``table`` must be nonempty)."""
-    pos = np.searchsorted(table, values)
-    pos[pos == table.size] = 0
-    return table[pos] == values
-
-
-def _fused_degree_mapper(batch, dead):
-    """Edge rows -> degree contributions, unless an endpoint is in the
-    broadcast kill set ``dead`` (a sorted int64 key array)."""
-    keys = batch.keys
-    v = batch.columns["v"]
-    w = batch.columns["w"]
-    if dead.size:
-        keep = ~(_in_sorted(keys, dead) | _in_sorted(v, dead))
-        keys, v, w = keys[keep], v[keep], w[keep]
-    return ColumnarKV(
-        np.concatenate([keys, v]),
-        {"w": np.concatenate([w, w])},
-    )
-
-
-FUSED_DEGREE_JOB = register_job(MapReduceJob(
-    name="fused-degree",
-    mapper=_fused_degree_mapper,
-    reducer=_sum_reducer,
-    combiner=_sum_reducer,
-    takes_params=True,
-))
-
-
-def _fused_directed_degree_mapper(batch, dead):
-    """Directed fused mapper: ``dead`` is a ``(dead_s, dead_t)`` pair of
-    sorted key arrays; an edge survives while its source is in S and
-    its target in T.  Emits the bit-packed side keys of
-    :func:`_directed_degree_mapper`."""
-    dead_s, dead_t = dead
-    keys = batch.keys
-    v = batch.columns["v"]
-    w = batch.columns["w"]
-    drop = np.zeros(keys.size, dtype=bool)
-    if dead_s.size:
-        drop |= _in_sorted(keys, dead_s)
-    if dead_t.size:
-        drop |= _in_sorted(v, dead_t)
-    if drop.any():
-        keep = ~drop
-        keys, v, w = keys[keep], v[keep], w[keep]
-    return ColumnarKV(
-        np.concatenate([keys * 2, v * 2 + 1]),
-        {"w": np.concatenate([w, w])},
-    )
-
-
-FUSED_DIRECTED_DEGREE_JOB = register_job(MapReduceJob(
-    name="fused-directed-degree",
-    mapper=_fused_directed_degree_mapper,
-    reducer=_sum_reducer,
-    combiner=_sum_reducer,
-    takes_params=True,
-))
-
-
-# ----------------------------------------------------------------------
 # Boundary relabelling and columnar input construction
 # ----------------------------------------------------------------------
 #: Labels used as shuffle keys must leave one bit of int64 headroom so
@@ -319,30 +229,6 @@ def _edge_batch(graph, keys: np.ndarray, relabelled: bool) -> ColumnarKV:
         arr = np.fromiter(edges, dtype=dtype, count=graph.num_edges)
         u, v, w = arr["u"], arr["v"], arr["w"].copy()
     return ColumnarKV(u, {"v": v, "w": w, "m": np.zeros(u.size, dtype=bool)})
-
-
-def _fused_edge_batch(edges: ColumnarKV) -> ColumnarKV:
-    """The fused jobs' static input: edge rows without the marker
-    column (fused passes never inject markers, so the bool column
-    would be dead weight in every split shipped or spilled)."""
-    return ColumnarKV(
-        edges.keys, {"v": edges.columns["v"], "w": edges.columns["w"]}
-    )
-
-
-def _fused_input(edges: ColumnarKV, runtime: MapReduceRuntime):
-    """The fused drivers' job input and (optional) spill handle.
-
-    Under the file-backed shuffle the static edge batch is spilled to
-    disk once, so each pass ships only the kill-set broadcast and run
-    manifests through the driver; otherwise the in-memory batch is
-    reused directly.  The caller must ``cleanup()`` a non-None handle.
-    """
-    fused_edges = _fused_edge_batch(edges)
-    if runtime.uses_file_shuffle:
-        spilled = runtime.spill_splits(fused_edges, tag="peel-input")
-        return spilled, spilled
-    return fused_edges, None
 
 
 def _marker_batch(marked_keys: np.ndarray) -> ColumnarKV:
@@ -440,7 +326,6 @@ def mr_densest_subgraph(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 1 as a chain of MapReduce rounds (§5.2).
 
@@ -449,16 +334,6 @@ def mr_densest_subgraph(
     :func:`repro.core.densest_subgraph`.  ``graph`` may be a dict graph
     or a :class:`~repro.kernels.CSRGraph` snapshot with any hashable
     labels (see the module docstring on keys).
-
-    ``fused=True`` collapses each pass to ONE round: the edge input
-    stays static, the driver broadcasts the cumulative kill set as job
-    params, and the fused job filters + counts degrees in the mapper
-    (combiner-compacted) — same node set, density, threshold
-    decisions, and pass count as the classic three-round pipeline
-    (bit-identical for dyadic weights, the usual float-reassociation
-    caveat otherwise) at a fraction of the shuffled bytes.  Under a
-    file-backed shuffle the static edge input is pre-spilled once, so
-    every pass ships only the sorted kill-set broadcast.
     """
     epsilon = check_epsilon(epsilon)
     if runtime is None:
@@ -477,81 +352,60 @@ def mr_densest_subgraph(
     rounds_per_pass: List[List[JobCounters]] = []
     pass_index = 0
 
-    job_input = spilled = None
-    dead_sorted = np.empty(0, dtype=np.int64)
-    if fused:
-        job_input, spilled = _fused_input(edges, runtime)
+    while remaining > 0:
+        pass_index += 1
+        pass_rounds: List[JobCounters] = []
 
-    try:
-        while remaining > 0:
-            pass_index += 1
-            pass_rounds: List[JobCounters] = []
+        # Round 1: degrees (and, via their sum, the surviving weight).
+        degree_out, counters = runtime.run(DEGREE_JOB, edges)
+        pass_rounds.append(counters)
+        degrees = _scatter_by_key(
+            order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
+        )
+        weight = float(degrees.sum()) / 2.0
+        density = weight / remaining
 
-            # Round 1: degrees (and, via their sum, the surviving
-            # weight).  Fused mode filters the static edge set against
-            # the broadcast kill set inside the same round.
-            if fused:
-                degree_out, counters = runtime.run(
-                    FUSED_DEGREE_JOB, job_input, params=dead_sorted
-                )
-            else:
-                degree_out, counters = runtime.run(DEGREE_JOB, edges)
-            pass_rounds.append(counters)
-            degrees = _scatter_by_key(
-                order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
+        if pending is not None:
+            trace.append(
+                PassRecord(edges_after=weight, density_after=density, **pending)
             )
-            weight = float(degrees.sum()) / 2.0
-            density = weight / remaining
-
-            if pending is not None:
-                trace.append(
-                    PassRecord(edges_after=weight, density_after=density, **pending)
-                )
-                if density > best_density:  # type: ignore[operator]
-                    best_density = density
-                    best_mask = alive.copy()
-                    best_pass = pending["pass_index"]
-            if best_density is None:
+            if density > best_density:  # type: ignore[operator]
                 best_density = density
+                best_mask = alive.copy()
+                best_pass = pending["pass_index"]
+        if best_density is None:
+            best_density = density
 
-            threshold = factor * density
-            remove_mask = alive & (degrees <= threshold + THRESHOLD_EPS)
-            removed = int(remove_mask.sum())
+        threshold = factor * density
+        remove_mask = alive & (degrees <= threshold + THRESHOLD_EPS)
+        removed = int(remove_mask.sum())
 
-            pending = {
-                "pass_index": pass_index,
-                "nodes_before": remaining,
-                "edges_before": weight,
-                "density_before": density,
-                "threshold": threshold,
-                "removed": removed,
-                "nodes_after": remaining - removed,
-            }
-            alive &= ~remove_mask
-            remaining -= removed
+        pending = {
+            "pass_index": pass_index,
+            "nodes_before": remaining,
+            "edges_before": weight,
+            "density_before": density,
+            "threshold": threshold,
+            "removed": removed,
+            "nodes_after": remaining - removed,
+        }
+        alive &= ~remove_mask
+        remaining -= removed
 
-            if fused:
-                # No removal rounds: next pass's mapper filter sees the
-                # grown kill set instead of a rewritten edge batch.
-                dead_sorted = np.sort(keys[~alive])
-            else:
-                # Rounds 2-3: drop edges incident to removed nodes.  The
-                # first round filters on the first endpoint and re-keys
-                # on the second, the second round filters on the (new)
-                # first key and re-keys back.
-                marked = keys[remove_mask]
-                half_filtered, counters = runtime.run(
-                    REMOVAL_JOB, _with_markers(edges, marked)
-                )
-                pass_rounds.append(counters)
-                edges, counters = runtime.run(
-                    REMOVAL_JOB, _with_markers(half_filtered, marked)
-                )
-                pass_rounds.append(counters)
-            rounds_per_pass.append(pass_rounds)
-    finally:
-        if spilled is not None:
-            spilled.cleanup()
+        # Rounds 2-3: drop edges incident to removed nodes.  The first
+        # round filters on the first endpoint and re-keys on the
+        # second, the second round filters on the (new) first key and
+        # re-keys back.
+        marked = keys[remove_mask]
+        half_filtered, counters = runtime.run(
+            REMOVAL_JOB, _with_markers(edges, marked)
+        )
+        pass_rounds.append(counters)
+        edges, counters = runtime.run(
+            REMOVAL_JOB, _with_markers(half_filtered, marked)
+        )
+        pass_rounds.append(counters)
+        rounds_per_pass.append(pass_rounds)
 
     if pending is not None:
         trace.append(PassRecord(edges_after=0.0, density_after=0.0, **pending))
@@ -576,7 +430,6 @@ def mr_densest_subgraph_atleast_k(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 2 as a chain of MapReduce rounds.
 
@@ -585,8 +438,6 @@ def mr_densest_subgraph_atleast_k(
     removal batch to the ε/(1+ε)·|S| lowest-degree members of the
     threshold set (ties broken by ``graph.nodes()`` order) and stops
     once |S| < k, matching :func:`repro.core.densest_subgraph_atleast_k`.
-    ``fused`` selects one kill-set-broadcast round per pass, including
-    the final valuation round, as in :func:`mr_densest_subgraph`.
     """
     from .._validation import check_positive_int
 
@@ -611,103 +462,86 @@ def mr_densest_subgraph_atleast_k(
     rounds_per_pass: List[List[JobCounters]] = []
     pass_index = 0
 
-    job_input = spilled = None
-    dead_sorted = np.empty(0, dtype=np.int64)
-    if fused:
-        job_input, spilled = _fused_input(edges, runtime)
-
     def _scatter_degrees(degree_out) -> np.ndarray:
         return _scatter_by_key(
             order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
         )
 
-    def _degree_round():
-        if fused:
-            return runtime.run(FUSED_DEGREE_JOB, job_input, params=dead_sorted)
-        return runtime.run(DEGREE_JOB, edges)
-
-    try:
-        while remaining >= k and remaining > 0:
-            pass_index += 1
-            pass_rounds: List[JobCounters] = []
-            degree_out, counters = _degree_round()
-            pass_rounds.append(counters)
-            degrees = _scatter_degrees(degree_out)
-            weight = float(degrees.sum()) / 2.0
-            density = weight / remaining
-
-            if pending is not None:
-                trace.append(
-                    PassRecord(edges_after=weight, density_after=density, **pending)
-                )
-                if density > best_density:  # type: ignore[operator]
-                    best_density = density
-                    best_mask = alive.copy()
-                    best_pass = pending["pass_index"]
-            if best_density is None:
-                best_density = density
-
-            threshold = factor * density
-            candidate_idx = np.flatnonzero(
-                alive & (degrees <= threshold + THRESHOLD_EPS)
-            )
-            batch_size = min(
-                candidate_idx.size, max(1, math.floor(batch_fraction * remaining))
-            )
-            # Stable sort by degree breaks ties in graph.nodes() order,
-            # the core peel's tie-break.
-            by_degree = np.argsort(degrees[candidate_idx], kind="stable")
-            remove_idx = candidate_idx[by_degree[:batch_size]]
-
-            pending = {
-                "pass_index": pass_index,
-                "nodes_before": remaining,
-                "edges_before": weight,
-                "density_before": density,
-                "threshold": threshold,
-                "removed": int(remove_idx.size),
-                "nodes_after": remaining - int(remove_idx.size),
-            }
-            alive[remove_idx] = False
-            remaining -= int(remove_idx.size)
-
-            if fused:
-                dead_sorted = np.sort(keys[~alive])
-            else:
-                marked = keys[remove_idx]
-                half_filtered, counters = runtime.run(
-                    REMOVAL_JOB, _with_markers(edges, marked)
-                )
-                pass_rounds.append(counters)
-                edges, counters = runtime.run(
-                    REMOVAL_JOB, _with_markers(half_filtered, marked)
-                )
-                pass_rounds.append(counters)
-            rounds_per_pass.append(pass_rounds)
+    while remaining >= k and remaining > 0:
+        pass_index += 1
+        pass_rounds: List[JobCounters] = []
+        degree_out, counters = runtime.run(DEGREE_JOB, edges)
+        pass_rounds.append(counters)
+        degrees = _scatter_degrees(degree_out)
+        weight = float(degrees.sum()) / 2.0
+        density = weight / remaining
 
         if pending is not None:
-            if remaining == 0:
-                edges_after, density_after = 0.0, 0.0
-            else:
-                # |S| fell below k; value the final state with one more
-                # degree round so the trace is complete (cannot win).
-                degree_out, counters = _degree_round()
-                if rounds_per_pass:
-                    rounds_per_pass[-1].append(counters)
-                edges_after = float(_scatter_degrees(degree_out).sum()) / 2.0
-                density_after = edges_after / remaining
-                if remaining >= k and density_after > (best_density or 0.0):
-                    best_density = density_after
-                    best_mask = alive.copy()
-                    best_pass = pending["pass_index"]
             trace.append(
-                PassRecord(
-                    edges_after=edges_after, density_after=density_after, **pending
-                )
+                PassRecord(edges_after=weight, density_after=density, **pending)
             )
-    finally:
-        if spilled is not None:
-            spilled.cleanup()
+            if density > best_density:  # type: ignore[operator]
+                best_density = density
+                best_mask = alive.copy()
+                best_pass = pending["pass_index"]
+        if best_density is None:
+            best_density = density
+
+        threshold = factor * density
+        candidate_idx = np.flatnonzero(
+            alive & (degrees <= threshold + THRESHOLD_EPS)
+        )
+        batch_size = min(
+            candidate_idx.size, max(1, math.floor(batch_fraction * remaining))
+        )
+        # Stable sort by degree breaks ties in graph.nodes() order, the
+        # core peel's tie-break.
+        by_degree = np.argsort(degrees[candidate_idx], kind="stable")
+        remove_idx = candidate_idx[by_degree[:batch_size]]
+
+        pending = {
+            "pass_index": pass_index,
+            "nodes_before": remaining,
+            "edges_before": weight,
+            "density_before": density,
+            "threshold": threshold,
+            "removed": int(remove_idx.size),
+            "nodes_after": remaining - int(remove_idx.size),
+        }
+        alive[remove_idx] = False
+        remaining -= int(remove_idx.size)
+
+        marked = keys[remove_idx]
+        half_filtered, counters = runtime.run(
+            REMOVAL_JOB, _with_markers(edges, marked)
+        )
+        pass_rounds.append(counters)
+        edges, counters = runtime.run(
+            REMOVAL_JOB, _with_markers(half_filtered, marked)
+        )
+        pass_rounds.append(counters)
+        rounds_per_pass.append(pass_rounds)
+
+    if pending is not None:
+        if remaining == 0:
+            edges_after, density_after = 0.0, 0.0
+        else:
+            # |S| fell below k; value the final state with one more
+            # degree round so the trace is complete (cannot win).
+            degree_out, counters = runtime.run(DEGREE_JOB, edges)
+            if rounds_per_pass:
+                rounds_per_pass[-1].append(counters)
+            edges_after = float(_scatter_degrees(degree_out).sum()) / 2.0
+            density_after = edges_after / remaining
+            if remaining >= k and density_after > (best_density or 0.0):
+                best_density = density_after
+                best_mask = alive.copy()
+                best_pass = pending["pass_index"]
+        trace.append(
+            PassRecord(
+                edges_after=edges_after, density_after=density_after, **pending
+            )
+        )
 
     result = DensestSubgraphResult(
         nodes=frozenset(labels[i] for i in np.flatnonzero(best_mask)),
@@ -729,7 +563,6 @@ def mr_densest_subgraph_directed(
     epsilon: float = 0.5,
     *,
     runtime: Optional[MapReduceRuntime] = None,
-    fused: bool = False,
 ) -> MapReduceRunReport:
     """Algorithm 3 as a chain of MapReduce rounds.
 
@@ -739,8 +572,6 @@ def mr_densest_subgraph_directed(
     :func:`repro.core.densest_subgraph_directed`.  The degree job's
     side-tagged keys come back bit-packed (``2u`` / ``2v + 1``); one
     shift and parity test splits them into the two counter arrays.
-    ``fused`` collapses each pass to a single degree round that
-    broadcasts the per-side kill sets instead of rewriting the edges.
     """
     epsilon = check_epsilon(epsilon)
     check_positive_float(ratio, "ratio")
@@ -762,114 +593,89 @@ def mr_densest_subgraph_directed(
     rounds_per_pass: List[List[JobCounters]] = []
     pass_index = 0
 
-    job_input = spilled = None
-    dead_s_sorted = np.empty(0, dtype=np.int64)
-    dead_t_sorted = np.empty(0, dtype=np.int64)
-    if fused:
-        job_input, spilled = _fused_input(edges, runtime)
+    while s_size > 0 and t_size > 0:
+        pass_index += 1
+        pass_rounds: List[JobCounters] = []
 
-    try:
-        while s_size > 0 and t_size > 0:
-            pass_index += 1
-            pass_rounds: List[JobCounters] = []
-
-            if fused:
-                degree_out, counters = runtime.run(
-                    FUSED_DIRECTED_DEGREE_JOB,
-                    job_input,
-                    params=(dead_s_sorted, dead_t_sorted),
-                )
-            else:
-                degree_out, counters = runtime.run(DIRECTED_DEGREE_JOB, edges)
-            pass_rounds.append(counters)
-            packed = degree_out.keys
-            values = degree_out.columns["w"]
-            is_in = (packed & 1).astype(bool)
-            node_keys = packed >> 1
-            out_sel = ~is_in
-            out_to_t = _scatter_by_key(
-                order, sorted_keys, n, node_keys[out_sel], values[out_sel]
-            )
-            in_from_s = _scatter_by_key(
-                order, sorted_keys, n, node_keys[is_in], values[is_in]
-            )
-            weight = float(values[out_sel].sum())
-            density = weight / math.sqrt(s_size * t_size)
-
-            if pending is not None:
-                trace.append(
-                    DirectedPassRecord(
-                        edges_after=weight, density_after=density, **pending
-                    )
-                )
-                if density > best_density:  # type: ignore[operator]
-                    best_density = density
-                    best_s_mask = in_s.copy()
-                    best_t_mask = in_t.copy()
-                    best_pass = pending["pass_index"]
-            if best_density is None:
-                best_density = density
-
-            peel_s = s_size / t_size >= ratio
-            if peel_s:
-                threshold = one_plus_eps * weight / s_size
-                remove_mask = in_s & (out_to_t <= threshold + THRESHOLD_EPS)
-                side = "S"
-            else:
-                threshold = one_plus_eps * weight / t_size
-                remove_mask = in_t & (in_from_s <= threshold + THRESHOLD_EPS)
-                side = "T"
-            removed = int(remove_mask.sum())
-
-            pending = {
-                "pass_index": pass_index,
-                "side": side,
-                "s_before": s_size,
-                "t_before": t_size,
-                "edges_before": weight,
-                "density_before": density,
-                "threshold": threshold,
-                "removed": removed,
-                "s_after": s_size - removed if side == "S" else s_size,
-                "t_after": t_size - removed if side == "T" else t_size,
-            }
-            if side == "S":
-                in_s &= ~remove_mask
-                s_size -= removed
-                if fused:
-                    dead_s_sorted = np.sort(keys[~in_s])
-                else:
-                    # Edges are keyed on the first endpoint already: one
-                    # round filters the marked sources, keeping the key
-                    # orientation.
-                    edges, counters = runtime.run(
-                        REMOVAL_JOB_KEEP_KEY,
-                        _with_markers(edges, keys[remove_mask]),
-                    )
-                    pass_rounds.append(counters)
-            else:
-                in_t &= ~remove_mask
-                t_size -= removed
-                if fused:
-                    dead_t_sorted = np.sort(keys[~in_t])
-                else:
-                    # Pivot onto the second endpoint in the mapper,
-                    # filter the marked targets, and the reducer re-keys
-                    # survivors back on the first endpoint — one round.
-                    edges, counters = runtime.run(
-                        REMOVAL_JOB_PIVOT_SECOND,
-                        _with_markers(edges, keys[remove_mask]),
-                    )
-                    pass_rounds.append(counters)
-            rounds_per_pass.append(pass_rounds)
+        degree_out, counters = runtime.run(DIRECTED_DEGREE_JOB, edges)
+        pass_rounds.append(counters)
+        packed = degree_out.keys
+        values = degree_out.columns["w"]
+        is_in = (packed & 1).astype(bool)
+        node_keys = packed >> 1
+        out_sel = ~is_in
+        out_to_t = _scatter_by_key(
+            order, sorted_keys, n, node_keys[out_sel], values[out_sel]
+        )
+        in_from_s = _scatter_by_key(
+            order, sorted_keys, n, node_keys[is_in], values[is_in]
+        )
+        weight = float(values[out_sel].sum())
+        density = weight / math.sqrt(s_size * t_size)
 
         if pending is not None:
             trace.append(
-                DirectedPassRecord(edges_after=0.0, density_after=0.0, **pending)
+                DirectedPassRecord(
+                    edges_after=weight, density_after=density, **pending
+                )
             )
-    finally:
-        if spilled is not None:
-            spilled.cleanup()
+            if density > best_density:  # type: ignore[operator]
+                best_density = density
+                best_s_mask = in_s.copy()
+                best_t_mask = in_t.copy()
+                best_pass = pending["pass_index"]
+        if best_density is None:
+            best_density = density
+
+        peel_s = s_size / t_size >= ratio
+        if peel_s:
+            threshold = one_plus_eps * weight / s_size
+            remove_mask = in_s & (out_to_t <= threshold + THRESHOLD_EPS)
+            side = "S"
+        else:
+            threshold = one_plus_eps * weight / t_size
+            remove_mask = in_t & (in_from_s <= threshold + THRESHOLD_EPS)
+            side = "T"
+        removed = int(remove_mask.sum())
+
+        pending = {
+            "pass_index": pass_index,
+            "side": side,
+            "s_before": s_size,
+            "t_before": t_size,
+            "edges_before": weight,
+            "density_before": density,
+            "threshold": threshold,
+            "removed": removed,
+            "s_after": s_size - removed if side == "S" else s_size,
+            "t_after": t_size - removed if side == "T" else t_size,
+        }
+        if side == "S":
+            in_s &= ~remove_mask
+            s_size -= removed
+            # Edges are keyed on the first endpoint already: one round
+            # filters the marked sources, keeping the key orientation.
+            edges, counters = runtime.run(
+                REMOVAL_JOB_KEEP_KEY,
+                _with_markers(edges, keys[remove_mask]),
+            )
+        else:
+            in_t &= ~remove_mask
+            t_size -= removed
+            # Pivot onto the second endpoint in the mapper, filter the
+            # marked targets, and the reducer re-keys survivors back on
+            # the first endpoint — one round.
+            edges, counters = runtime.run(
+                REMOVAL_JOB_PIVOT_SECOND,
+                _with_markers(edges, keys[remove_mask]),
+            )
+        pass_rounds.append(counters)
+        rounds_per_pass.append(pass_rounds)
+
+    if pending is not None:
+        trace.append(
+            DirectedPassRecord(edges_after=0.0, density_after=0.0, **pending)
+        )
 
     result = DirectedDensestSubgraphResult(
         s_nodes=frozenset(labels[i] for i in np.flatnonzero(best_s_mask)),

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional
 
 #: Batch callables: ColumnarKV (mapper) or GroupedKV (combiner,
 #: reducer) in, ColumnarKV out.
-Mapper = Callable[..., Any]
+Mapper = Callable[[Any], Any]
 Reducer = Callable[[Any], Any]
 Combiner = Callable[[Any], Any]
 
@@ -39,21 +39,12 @@ class MapReduceJob:
         Human-readable job name (appears in reports).
     mapper / reducer / combiner:
         The batch functions; ``combiner`` may be None.
-    takes_params:
-        When True the mapper takes a second argument — a small,
-        picklable, per-round broadcast value the driver passes to
-        ``runtime.run(job, input, params=...)``, i.e.
-        ``mapper(batch, params)``.  This is the Hadoop "job
-        configuration / distributed cache" idiom: fused peel rounds
-        broadcast the cumulative kill set this way instead of
-        rewriting the edge input every pass.
     """
 
     name: str
     mapper: Mapper
     reducer: Reducer
     combiner: Optional[Combiner] = None
-    takes_params: bool = False
 
 
 @dataclass

@@ -41,10 +41,7 @@ bytes, so driver memory is independent of shuffle volume.  Shuffle
 counters are metered from the manifests; because a run's payload is
 exactly 8 bytes of key plus the column dtypes per record, the metered
 bytes are bit-identical to the in-memory path's
-:meth:`ColumnarKV.byte_size` model.  Iterative drivers can further
-pre-spill a static input once via :meth:`MapReduceRuntime.spill_splits`
-and pass the resulting :class:`SpilledSplits` to every round, shipping
-only a small per-round broadcast (``params``) instead of the input.
+:meth:`ColumnarKV.byte_size` model.
 """
 
 from __future__ import annotations
@@ -115,13 +112,10 @@ def _resolve_job(name: str, module: str) -> MapReduceJob:
         ) from None
 
 
-def _map_task_body(job: MapReduceJob, split, params=None) -> tuple:
+def _map_task_body(job: MapReduceJob, split) -> tuple:
     """One map task (+ per-task combiner); both executors run exactly
     this, so the serial and process paths cannot drift."""
-    if job.takes_params:
-        local = job.mapper(split, params)
-    else:
-        local = job.mapper(split)
+    local = job.mapper(split)
     _check_batch(local, job.name, "mapper")
     raw_count = local.num_records
     if job.combiner is not None:
@@ -139,7 +133,7 @@ def _reduce_task_body(job: MapReduceJob, partition) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# File-backed shuffle: run manifests and pre-spilled input splits.
+# File-backed shuffle: run manifests.
 # ----------------------------------------------------------------------
 class RunRef(NamedTuple):
     """Manifest entry of one spilled run file.
@@ -155,53 +149,12 @@ class RunRef(NamedTuple):
     crc: int
 
 
-class SpilledSplits:
-    """Input splits pre-spilled to disk as run files, one per map task.
-
-    Produced by :meth:`MapReduceRuntime.spill_splits` and accepted by
-    :meth:`MapReduceRuntime.run` anywhere a :class:`ColumnarKV` batch
-    is.  Under the file-backed shuffle, map workers memmap their own
-    split, so an iterative driver ships a static input to disk once
-    and then only O(manifest + params) bytes per round.  Call
-    :meth:`cleanup` when the job chain is done with the input.
-    """
-
-    __slots__ = ("runs", "schema", "num_records", "directory")
-
-    def __init__(self, runs, schema, num_records: int, directory: str) -> None:
-        self.runs = list(runs)
-        self.schema = tuple(schema)
-        self.num_records = num_records
-        self.directory = directory
-
-    @property
-    def num_splits(self) -> int:
-        return len(self.runs)
-
-    def load_splits(self) -> list:
-        """Read the split batches back into memory (serial executor)."""
-        return [_load_run(ref) for ref in self.runs]
-
-    def cleanup(self) -> None:
-        """Remove the split run files (idempotent, best-effort)."""
-        import shutil
-
-        shutil.rmtree(self.directory, ignore_errors=True)
-
-
 def _load_run(ref: RunRef):
     """Memmap one run file back as a batch, verifying its payload CRC."""
     from ..store.shards import read_run_file
 
     keys, columns = read_run_file(ref.path, expected_crc=ref.crc)
     return ColumnarKV(keys, dict(columns))
-
-
-def _load_map_source(source):
-    """A map task's input: an in-memory split or a spilled split run."""
-    if source[0] == "mem":
-        return source[1]
-    return _load_run(source[1])
 
 
 def _apply_worker_fault(fault: Optional[str]) -> None:
@@ -224,15 +177,15 @@ def _apply_worker_fault(fault: Optional[str]) -> None:
 
 
 def _process_map_task(
-    name: str, module: str, split, fault: Optional[str] = None, params=None
+    name: str, module: str, split, fault: Optional[str] = None
 ) -> tuple:
     """Worker-process entry: resolve the job, run the shared map body."""
     _apply_worker_fault(fault)
-    return _map_task_body(_resolve_job(name, module), split, params)
+    return _map_task_body(_resolve_job(name, module), split)
 
 
 def _process_reduce_task(
-    name: str, module: str, partition, fault: Optional[str] = None, params=None
+    name: str, module: str, partition, fault: Optional[str] = None
 ) -> tuple:
     """Worker-process entry: resolve the job, run the shared reduce body."""
     _apply_worker_fault(fault)
@@ -240,7 +193,7 @@ def _process_reduce_task(
 
 
 def _process_map_spill_task(
-    name: str, module: str, payload, fault: Optional[str] = None, params=None
+    name: str, module: str, payload, fault: Optional[str] = None
 ) -> tuple:
     """Worker-process entry of the file-backed shuffle's map side.
 
@@ -261,9 +214,9 @@ def _process_map_spill_task(
         shuffle_fault = fault.split(":", 1)[1]
         fault = None
     _apply_worker_fault(fault)
-    source, task, num_reducers, round_dir = payload
+    split, task, num_reducers, round_dir = payload
     job = _resolve_job(name, module)
-    raw_count, local = _map_task_body(job, _load_map_source(source), params)
+    raw_count, local = _map_task_body(job, split)
 
     import os
 
@@ -293,7 +246,7 @@ def _process_map_spill_task(
 
 
 def _process_reduce_runs_task(
-    name: str, module: str, payload, fault: Optional[str] = None, params=None
+    name: str, module: str, payload, fault: Optional[str] = None
 ) -> tuple:
     """Worker-process entry of the file-backed shuffle's reduce side.
 
@@ -463,7 +416,6 @@ class MapReduceRuntime:
         self._owns_pool = False
         self._rng = random.Random(seed)
         self._round_seq: int = 0
-        self._split_seq: int = 0
         self.history: List[JobCounters] = []
         self.task_retries: int = 0
         self.tasks_retried: int = 0
@@ -540,11 +492,6 @@ class MapReduceRuntime:
             self._pool = None
             self._owns_pool = False
 
-    @property
-    def uses_file_shuffle(self) -> bool:
-        """Whether rounds will run the file-backed shuffle."""
-        return self.executor == "process" and self.shuffle_dir is not None
-
     def __enter__(self) -> "MapReduceRuntime":
         return self
 
@@ -572,7 +519,6 @@ class MapReduceRuntime:
         job: MapReduceJob,
         inputs,
         *,
-        params=None,
         shuffle_faults: bool = False,
     ) -> List[tuple]:
         """Run one stage's tasks on the process pool.
@@ -625,7 +571,7 @@ class MapReduceRuntime:
                         fault = f"shuffle:{point.mode}"
             pool = self._ensure_pool()
             pending[task] = pool.submit(
-                task_fn, job.name, module, inputs[task], fault, params
+                task_fn, job.name, module, inputs[task], fault
             )
 
         for task in range(len(inputs)):
@@ -677,16 +623,11 @@ class MapReduceRuntime:
 
     # ------------------------------------------------------------------
     def run(
-        self, job: MapReduceJob, batch, params=None
+        self, job: MapReduceJob, batch: ColumnarKV
     ) -> Tuple[ColumnarKV, JobCounters]:
         """Execute one job; returns (output batch, counters).
 
-        ``batch`` is a :class:`~repro.mapreduce.columnar.ColumnarKV` or
-        a :class:`SpilledSplits` handle from :meth:`spill_splits` (an
-        input pre-spilled as per-task run files).  ``params`` is a small
-        picklable per-round broadcast passed to the mappers of a
-        ``takes_params`` job (see
-        :class:`~repro.mapreduce.job.MapReduceJob`).
+        ``batch`` is a :class:`~repro.mapreduce.columnar.ColumnarKV`.
 
         With ``shuffle_dir`` set under the process executor, the
         shuffle is file-backed: map workers partition and spill their
@@ -695,37 +636,20 @@ class MapReduceRuntime:
         manifests — identical outputs and counters, O(1) driver memory
         in the shuffle volume.
         """
-        if not isinstance(batch, (ColumnarKV, SpilledSplits)):
+        if not isinstance(batch, ColumnarKV):
             raise MapReduceError(
-                f"job {job.name!r}: run() takes a ColumnarKV batch or "
-                f"SpilledSplits, got {type(batch).__name__}"
-            )
-        if job.takes_params and params is None:
-            raise MapReduceError(
-                f"job {job.name!r} declares takes_params; call "
-                f"run(job, input, params=...)"
-            )
-        if params is not None and not job.takes_params:
-            raise MapReduceError(
-                f"job {job.name!r} does not declare takes_params but got params"
+                f"job {job.name!r}: run() takes a ColumnarKV batch, "
+                f"got {type(batch).__name__}"
             )
         counters = JobCounters(job_name=job.name)
         counters.map_input_records = batch.num_records
 
         parallel = self.executor == "process"
         file_shuffle = parallel and self.shuffle_dir is not None
-        presplit = isinstance(batch, SpilledSplits)
-        if presplit and batch.num_splits != self.num_mappers:
-            raise MapReduceError(
-                f"SpilledSplits carries {batch.num_splits} splits but the "
-                f"runtime runs {self.num_mappers} map tasks"
-            )
 
         # 1. Round-robin splits via strided slicing (record i goes to
-        #    task `i % num_mappers`), unless the input arrived pre-spilled.
-        splits = None
-        if not file_shuffle:
-            splits = batch.load_splits() if presplit else batch.split(self.num_mappers)
+        #    task `i % num_mappers`).
+        splits = batch.split(self.num_mappers)
 
         # 2. Map tasks (+ per-task combiner on the grouped local
         #    output), shuffled order, with retry-on-transient-failure.
@@ -738,12 +662,12 @@ class MapReduceRuntime:
             run_lists = schema = None
             if file_shuffle:
                 run_lists, schema = self._map_stage_spill(
-                    job, batch, round_dir, counters, params
+                    job, splits, round_dir, counters
                 )
             elif parallel:
                 map_outputs: List[Optional[ColumnarKV]] = [None] * self.num_mappers
                 map_results = self._run_stage_process(
-                    "map", _process_map_task, job, splits, params=params
+                    "map", _process_map_task, job, splits
                 )
                 for task, (raw_count, local) in enumerate(map_results):
                     counters.map_output_records += raw_count
@@ -754,7 +678,7 @@ class MapReduceRuntime:
                 for task in task_order:
                     raw_count, local = self._run_task_with_retries(
                         f"job {job.name!r} map task {task}",
-                        lambda task=task: _map_task_body(job, splits[task], params),
+                        lambda task=task: _map_task_body(job, splits[task]),
                     )
                     counters.map_output_records += raw_count
                     counters.combine_output_records += local.num_records
@@ -834,26 +758,17 @@ class MapReduceRuntime:
         return str(round_dir)
 
     def _map_stage_spill(
-        self, job: MapReduceJob, batch, round_dir: str, counters, params
+        self, job: MapReduceJob, splits, round_dir: str, counters
     ) -> Tuple[List[List[RunRef]], tuple]:
         """File-backed map stage: spill per-partition runs, return the
         manifest grouped by reduce partition (in map-task order, the
         same row order the in-memory shuffle concatenates in)."""
-        if isinstance(batch, SpilledSplits):
-            sources = [("run", ref) for ref in batch.runs]
-        else:
-            sources = [("mem", split) for split in batch.split(self.num_mappers)]
         payloads = [
-            (source, task, self.num_reducers, round_dir)
-            for task, source in enumerate(sources)
+            (split, task, self.num_reducers, round_dir)
+            for task, split in enumerate(splits)
         ]
         map_results = self._run_stage_process(
-            "map",
-            _process_map_spill_task,
-            job,
-            payloads,
-            params=params,
-            shuffle_faults=True,
+            "map", _process_map_spill_task, job, payloads, shuffle_faults=True
         )
         run_lists: List[List[RunRef]] = [[] for _ in range(self.num_reducers)]
         schema = None
@@ -868,37 +783,6 @@ class MapReduceRuntime:
                 counters.shuffle_bytes += ref.byte_size
                 self.spilled_runs += 1
         return run_lists, schema
-
-    def spill_splits(self, batch: "ColumnarKV", *, tag: str = "input") -> SpilledSplits:
-        """Pre-spill a batch's round-robin input splits as run files.
-
-        Iterative drivers call this once per job chain: every
-        subsequent :meth:`run` over the returned handle has its map
-        workers memmap a static on-disk split instead of the driver
-        re-pickling the full input each round, so per-round driver
-        traffic drops to the manifests plus any ``params`` broadcast.
-        Requires ``shuffle_dir``; the serial executor loads the splits
-        back into memory (same records, same results).
-        """
-        if self.shuffle_dir is None:
-            raise MapReduceError("spill_splits requires a runtime shuffle_dir")
-        if not isinstance(batch, ColumnarKV):
-            raise MapReduceError("spill_splits takes a ColumnarKV batch")
-        from pathlib import Path
-
-        from ..store.shards import _sweep_tmp_debris, write_run_file
-
-        self._split_seq += 1
-        directory = Path(self.shuffle_dir) / f"{tag}-{self._split_seq:04d}"
-        directory.mkdir(parents=True, exist_ok=True)
-        _sweep_tmp_debris(directory)
-        runs = []
-        for task, split in enumerate(batch.split(self.num_mappers)):
-            path = str(directory / f"split-{task:04d}.npy")
-            records, nbytes, crc = write_run_file(path, split.keys, split.columns)
-            runs.append(RunRef(path, records, nbytes, crc))
-            self.spilled_runs += 1
-        return SpilledSplits(runs, batch.schema(), batch.num_records, str(directory))
 
     def run_chain(
         self, jobs: List[MapReduceJob], batch

@@ -23,38 +23,67 @@ class TestDatasetsCommand:
 
 
 class TestRunCommand:
+    """Algorithms 1 and 2 on the core backend via ``densest``."""
+
     def test_run_on_dataset(self, capsys):
-        code = main(["run", "--dataset", "as_sim", "--scale", "0.3", "--epsilon", "0.5"])
+        code = main(
+            ["densest", "--dataset", "as_sim", "--scale", "0.3", "--epsilon", "0.5",
+             "--backend", "core"]
+        )
         assert code == 0
         out = capsys.readouterr().out
+        assert "backend : core" in out
         assert "density" in out and "passes" in out
 
     def test_run_with_k(self, capsys):
         code = main(
-            ["run", "--dataset", "as_sim", "--scale", "0.3", "--k", "50"]
+            ["densest", "--dataset", "as_sim", "--scale", "0.3", "--k", "50",
+             "--backend", "core"]
         )
         assert code == 0
-        assert "Algorithm 2" in capsys.readouterr().out
+        assert "k>=50" in capsys.readouterr().out
 
     def test_run_on_edge_list(self, tmp_path, capsys):
         g = disjoint_union([clique(5), star(20, offset=50)])
         path = tmp_path / "g.txt"
         write_undirected(g, path)
-        code = main(["run", "--edge-list", str(path), "--epsilon", "0.1", "--show-nodes", "3"])
+        code = main(
+            ["densest", "--edge-list", str(path), "--epsilon", "0.1",
+             "--backend", "core", "--show-nodes", "3"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "density : 2.0" in out
         assert "nodes" in out
 
     def test_run_directed_dataset_errors(self, capsys):
-        code = main(["run", "--dataset", "twitter_sim", "--scale", "0.1"])
+        code = main(
+            ["densest", "--dataset", "twitter_sim", "--scale", "0.1",
+             "--backend", "core", "--k", "5"]
+        )
         assert code == 2
         assert "directed" in capsys.readouterr().err
 
     def test_unknown_dataset_errors(self, capsys):
-        code = main(["run", "--dataset", "bogus"])
+        code = main(["densest", "--dataset", "bogus"])
         assert code == 2
         assert "unknown dataset" in capsys.readouterr().err
+
+
+class TestRemovedCommands:
+    @pytest.mark.parametrize("command", ["run", "run-directed", "exact"])
+    def test_legacy_subcommands_exit_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "as_sim"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_mr_fused_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["densest", "--dataset", "as_sim", "--backend", "mapreduce",
+                  "--mr-fused"])
+        assert exc.value.code == 2
+        assert "--mr-fused" in capsys.readouterr().err
 
 
 class TestBackendsCommand:
@@ -126,44 +155,65 @@ class TestDensestCommand:
 
 
 class TestRunDirectedCommand:
+    """The Algorithm 3 ratio sweep on the core backend via ``densest``."""
+
     def test_run_directed(self, capsys):
         code = main(
-            ["run-directed", "--dataset", "twitter_sim", "--scale", "0.1", "--epsilon", "1"]
+            ["densest", "--dataset", "twitter_sim", "--scale", "0.1", "--epsilon", "1",
+             "--backend", "core"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "best c" in out
+        assert "ratio c" in out and "|S|, |T|" in out
 
     def test_on_edge_list(self, tmp_path, capsys):
         g = DirectedGraph([(i, 9) for i in range(6)])
         path = tmp_path / "d.txt"
         write_directed(g, path)
-        code = main(["run-directed", "--edge-list", str(path)])
+        code = main(
+            ["densest", "--edge-list", str(path), "--directed", "--backend", "core"]
+        )
         assert code == 0
-        assert "density" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "density" in out and "ratio c" in out
 
     def test_undirected_dataset_errors(self, capsys):
-        code = main(["run-directed", "--dataset", "as_sim"])
+        code = main(
+            ["densest", "--dataset", "as_sim", "--scale", "0.3", "--ratio", "1"]
+        )
         assert code == 2
+        assert "directed inputs only" in capsys.readouterr().err
 
 
 class TestExactCommand:
+    """Exact rho* via the exact-lp and exact-flow backends."""
+
+    def _exact_lines(self, path, backend, capsys):
+        code = main(["densest", "--edge-list", str(path), "--backend", backend])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"backend : {backend} (exact)" in out
+        return [
+            line.strip() for line in out.splitlines()
+            if "density" in line or "size" in line
+        ]
+
     def test_both_solvers_agree(self, tmp_path, capsys):
         g = disjoint_union([clique(5), star(15, offset=50)])
         path = tmp_path / "g.txt"
         write_undirected(g, path)
-        assert main(["exact", "--edge-list", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "LP (HiGHS)" in out and "Goldberg flow" in out
-        assert out.count("rho* = 2.000000") == 2
+        lp = self._exact_lines(path, "exact-lp", capsys)
+        flow = self._exact_lines(path, "exact-flow", capsys)
+        assert lp == flow
+        assert "density : 2.0000" in lp
 
     def test_single_solver(self, tmp_path, capsys):
         g = clique(4)
         path = tmp_path / "g.txt"
         write_undirected(g, path)
-        assert main(["exact", "--edge-list", str(path), "--solver", "flow"]) == 0
-        out = capsys.readouterr().out
-        assert "Goldberg" in out and "LP" not in out
+        lines = self._exact_lines(path, "exact-flow", capsys)
+        assert "density : 1.5000" in lines
+        assert "size    : 4" in lines
 
 
 class TestEnumerateCommand:
@@ -177,6 +227,11 @@ class TestEnumerateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "#1:" in out and "#2:" in out
+
+    def test_directed_dataset_errors(self, capsys):
+        code = main(["enumerate", "--dataset", "twitter_sim", "--scale", "0.1"])
+        assert code == 2
+        assert "is directed; use densest" in capsys.readouterr().err
 
 
 class TestEdgeListFastPath:

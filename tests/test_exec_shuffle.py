@@ -18,16 +18,12 @@ import numpy as np
 import pytest
 
 from repro.api import DensestSubgraph, ExecutionContext, solve
-from repro.errors import MapReduceError, StoreCorruptionError, StoreError
+from repro.errors import StoreCorruptionError, StoreError
 from repro.faults import FaultPlan, FaultPoint
 from repro.kernels import CSRDigraph, CSRGraph
 from repro.mapreduce.columnar import ColumnarKV
-from repro.mapreduce.densest import (
-    DEGREE_JOB,
-    mr_densest_subgraph,
-    mr_densest_subgraph_directed,
-)
-from repro.mapreduce.runtime import MapReduceRuntime, SpilledSplits, shuffle_size
+from repro.mapreduce.densest import mr_densest_subgraph, mr_densest_subgraph_directed
+from repro.mapreduce.runtime import MapReduceRuntime, shuffle_size
 from repro.store import corrupt_run_file, read_run_file, write_run_file
 
 
@@ -193,7 +189,8 @@ class TestFileShuffleParity:
         graph = _undirected_csr(weighted)
         serial = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
         runtime = _runtime(pool, shuffle_dir=str(tmp_path))
-        assert runtime.uses_file_shuffle
+        assert runtime.executor == "process"
+        assert runtime.shuffle_dir == str(tmp_path)
         got = mr_densest_subgraph(graph, 0.5, runtime=runtime)
         assert got.result.nodes == serial.result.nodes
         assert got.result.trace == serial.result.trace
@@ -216,7 +213,8 @@ class TestFileShuffleParity:
 
     def test_serial_runtime_ignores_shuffle_dir(self, tmp_path):
         runtime = _runtime(shuffle_dir=str(tmp_path))
-        assert not runtime.uses_file_shuffle
+        assert runtime.executor == "serial"
+        assert runtime.shuffle_dir == str(tmp_path)
         graph = _undirected_csr(False)
         ref = mr_densest_subgraph(graph, 0.5, runtime=_runtime())
         got = mr_densest_subgraph(graph, 0.5, runtime=runtime)
@@ -235,60 +233,6 @@ class TestFileShuffleParity:
         assert serial.nodes == shuffled.nodes
         assert serial.density == shuffled.density
         assert _tree(tmp_path) == []
-
-
-# ----------------------------------------------------------------------
-# Pre-spilled input splits
-# ----------------------------------------------------------------------
-class TestSpilledSplits:
-    def test_round_trip_matches_split(self, tmp_path):
-        batch = _batch()
-        runtime = _runtime(shuffle_dir=str(tmp_path))
-        spilled = runtime.spill_splits(batch, tag="unit")
-        assert isinstance(spilled, SpilledSplits)
-        assert spilled.num_splits == runtime.num_mappers
-        assert spilled.num_records == batch.num_records
-        loaded = spilled.load_splits()
-        for expect, got in zip(batch.split(runtime.num_mappers), loaded):
-            np.testing.assert_array_equal(expect.keys, got.keys)
-            for name in expect.columns:
-                np.testing.assert_array_equal(expect.columns[name], got.columns[name])
-        spilled.cleanup()
-        assert _tree(tmp_path) == []
-
-    def test_run_over_spilled_splits_matches_batch(self, pool, tmp_path):
-        graph = _undirected_csr(True)
-        from repro.mapreduce.densest import _columnar_state
-
-        edges = _columnar_state(graph)[4]
-        ref_out, ref_counters = _runtime().run(DEGREE_JOB, edges)
-        runtime = _runtime(pool, shuffle_dir=str(tmp_path))
-        spilled = runtime.spill_splits(edges)
-        try:
-            out, counters = runtime.run(DEGREE_JOB, spilled)
-        finally:
-            spilled.cleanup()
-        np.testing.assert_array_equal(out.keys, ref_out.keys)
-        np.testing.assert_array_equal(out.columns["w"], ref_out.columns["w"])
-        assert counters == ref_counters
-
-    def test_requires_shuffle_dir(self):
-        with pytest.raises(MapReduceError, match="shuffle_dir"):
-            _runtime().spill_splits(_batch())
-
-    def test_split_count_must_match_mappers(self, pool, tmp_path):
-        batch = _batch()
-        spiller = _runtime(shuffle_dir=str(tmp_path))
-        spilled = spiller.spill_splits(batch)
-        mismatched = MapReduceRuntime(
-            num_mappers=2, num_reducers=4, seed=11,
-            executor="process", pool=pool, shuffle_dir=str(tmp_path),
-        )
-        try:
-            with pytest.raises(MapReduceError, match="splits"):
-                mismatched.run(DEGREE_JOB, spilled)
-        finally:
-            spilled.cleanup()
 
 
 # ----------------------------------------------------------------------

@@ -311,6 +311,101 @@ class TestDriverParity:
         assert a.density == pytest.approx(b.density)
 
 
+def _undirected_csr(weighted: bool, n=90, m=700, seed=1):
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, n, (m, 2))
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in raw if u != v})
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    dst = np.array([p[1] for p in pairs], dtype=np.int64)
+    # Dyadic weights: exact float sums in any association order, so the
+    # combiner-local sums and the core peel's totals agree bit for bit.
+    w = rng.choice([0.25, 0.5, 1.0, 2.0], size=src.size) if weighted else None
+    return CSRGraph.from_edge_arrays(src, dst, w, num_nodes=n)
+
+
+def _directed_csr(weighted: bool, n=90, m=900, seed=2):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    keep = src != dst
+    _, idx = np.unique(src[keep] * n + dst[keep], return_index=True)
+    src = src[keep][idx].astype(np.int64)
+    dst = dst[keep][idx].astype(np.int64)
+    w = rng.choice([0.5, 1.0, 4.0], size=src.size) if weighted else None
+    return CSRDigraph.from_edge_arrays(src, dst, w, num_nodes=n)
+
+
+def _csr_runtime():
+    return MapReduceRuntime(num_mappers=4, num_reducers=4, seed=11)
+
+
+class TestClassicMatchesCore:
+    """On CSR snapshots with dyadic weights the drivers' results equal
+    the core peel's exactly (``==``, trace included) on either core
+    engine, with the §5.2 round shape per pass."""
+
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_undirected(self, reference_engine, weighted):
+        graph = _undirected_csr(weighted)
+        report = mr_densest_subgraph(graph, 0.5, runtime=_csr_runtime())
+        assert report.result == densest_subgraph(graph, 0.5, engine=reference_engine)
+        # A degree round plus the two-round removal filter per pass.
+        assert all(len(rounds) == 3 for rounds in report.rounds_per_pass)
+
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
+    def test_atleast_k(self, reference_engine):
+        graph = _undirected_csr(True)
+        report = mr_densest_subgraph_atleast_k(graph, 30, 0.5, runtime=_csr_runtime())
+        assert report.result == densest_subgraph_atleast_k(
+            graph, 30, 0.5, engine=reference_engine
+        )
+
+    @pytest.mark.parametrize("reference_engine", ["python", "numpy"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_directed(self, reference_engine, weighted):
+        graph = _directed_csr(weighted)
+        report = mr_densest_subgraph_directed(graph, 1.0, 0.5, runtime=_csr_runtime())
+        assert report.result == densest_subgraph_directed(
+            graph, 1.0, 0.5, engine=reference_engine
+        )
+        # A degree round plus one removal round on the peeled side.
+        assert all(len(rounds) == 2 for rounds in report.rounds_per_pass)
+
+
+class TestClosedFormCounters:
+    """Record counts in closed form (unweighted: weight == edge count)."""
+
+    def test_undirected_counters(self):
+        graph = _undirected_csr(False)
+        report = mr_densest_subgraph(graph, 0.1, runtime=_csr_runtime())
+        for record, rounds in zip(report.result.trace, report.rounds_per_pass):
+            alive = int(record.edges_before)
+            degree, first_removal, second_removal = rounds
+            assert degree.job_name == "degree"
+            assert degree.map_input_records == alive
+            assert degree.map_output_records == 2 * alive
+            # Surviving edges plus one marker row per removed node.
+            assert first_removal.map_input_records == alive + record.removed
+            assert second_removal.map_output_records == (
+                second_removal.map_input_records
+            )
+            assert second_removal.reduce_output_records == int(record.edges_after)
+
+    def test_directed_counters(self):
+        graph = _directed_csr(False)
+        report = mr_densest_subgraph_directed(graph, 1.0, 0.5, runtime=_csr_runtime())
+        for record, (degree, removal) in zip(
+            report.result.trace, report.rounds_per_pass
+        ):
+            alive = int(record.edges_before)
+            assert degree.job_name == "directed-degree"
+            assert degree.map_input_records == alive
+            assert degree.map_output_records == 2 * alive
+            assert removal.map_input_records == alive + record.removed
+            assert removal.reduce_output_records == int(record.edges_after)
+
+
 # ----------------------------------------------------------------------
 # Boundary relabelling: labels that cannot be shuffle keys themselves
 # ----------------------------------------------------------------------
@@ -340,37 +435,33 @@ def _relabel(graph, name, order_seed=None):
 
 
 class TestBoundaryRelabelling:
-    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
     @pytest.mark.parametrize("labels", sorted(RELABELS))
-    def test_undirected(self, social_weighted, labels, fused):
+    def test_undirected(self, social_weighted, labels):
         graph = _relabel(social_weighted, labels)
         report = mr_densest_subgraph(
-            graph, 0.1, runtime=MapReduceRuntime(4, 3, seed=1), fused=fused
+            graph, 0.1, runtime=MapReduceRuntime(4, 3, seed=1)
         )
         _assert_matches_reference(
             report.result, densest_subgraph(graph, 0.1, engine="python")
         )
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
     @pytest.mark.parametrize("labels", sorted(RELABELS))
-    def test_atleast_k(self, social_weighted, labels, fused):
+    def test_atleast_k(self, social_weighted, labels):
         graph = _relabel(social_weighted, labels)
         report = mr_densest_subgraph_atleast_k(
-            graph, 25, 0.5, runtime=MapReduceRuntime(4, 3, seed=2), fused=fused
+            graph, 25, 0.5, runtime=MapReduceRuntime(4, 3, seed=2)
         )
         _assert_matches_reference(
             report.result,
             densest_subgraph_atleast_k(graph, 25, 0.5, engine="python"),
         )
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
     @pytest.mark.parametrize("labels", sorted(RELABELS))
-    def test_directed(self, directed_weighted, labels, fused):
+    def test_directed(self, directed_weighted, labels):
         graph = _relabel(directed_weighted, labels)
         for ratio in (0.5, 2.0):
             report = mr_densest_subgraph_directed(
-                graph, ratio, 0.5, runtime=MapReduceRuntime(3, 4, seed=3),
-                fused=fused,
+                graph, ratio, 0.5, runtime=MapReduceRuntime(3, 4, seed=3)
             )
             _assert_matches_reference(
                 report.result,
@@ -396,9 +487,8 @@ class TestBoundaryRelabelling:
             densest_subgraph_directed(digraph, 1.0, 0.5, engine="python"),
         )
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["classic", "fused"])
     @pytest.mark.parametrize("labels", ["str", "tuple"])
-    def test_atleast_k_tie_break_follows_node_order(self, labels, fused):
+    def test_atleast_k_tie_break_follows_node_order(self, labels):
         """On an unweighted graph full of degree ties, which candidates
         Algorithm 2 removes depends on ``graph.nodes()`` order; the
         relabelled drivers must break ties exactly as the core peel."""
@@ -408,7 +498,7 @@ class TestBoundaryRelabelling:
             graph = _relabel(base, labels, order_seed=order_seed)
             reference = densest_subgraph_atleast_k(graph, 5, 1.0, engine="python")
             report = mr_densest_subgraph_atleast_k(
-                graph, 5, 1.0, runtime=MapReduceRuntime(3, 2), fused=fused
+                graph, 5, 1.0, runtime=MapReduceRuntime(3, 2)
             )
             _assert_matches_reference(report.result, reference)
             answers.add(reference.nodes)
@@ -571,6 +661,17 @@ class TestBackendEngineOption:
             solve(
                 DensestSubgraph(social, epsilon=0.5), backend="mapreduce", engine=engine
             )
+
+    def test_fused_option_rejected(self, social):
+        """``fused`` is not an option of the backend: it fails like any
+        other unknown option, and the drivers take no such keyword."""
+        from repro.api import DensestSubgraph, solve
+        from repro.errors import SolverError
+
+        with pytest.raises(SolverError, match=r"unsupported options \['fused'\]"):
+            solve(DensestSubgraph(social, epsilon=0.5), backend="mapreduce", fused=True)
+        with pytest.raises(TypeError):
+            mr_densest_subgraph(social, 0.5, fused=True)
 
     def test_mapreduce_backend_advertises_engines(self):
         from repro.api import get_backend
