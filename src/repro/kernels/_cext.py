@@ -4,7 +4,8 @@ The compiled tier needs nothing but a system C toolchain.  ``load()``
 compiles ``peel_kernels.c`` with ``$CC``/``cc``/``gcc``/``clang`` into
 a per-user cache directory (keyed by a hash of the source, so edits
 invalidate stale builds) and returns a :class:`ctypes.CDLL` with the
-three kernel entry points declared.  Any failure — no compiler, a
+kernel entry points declared: the three peels and the three stable
+sorts (shuffle argsort, shard CSR fill, CSR row sort).  Any failure — no compiler, a
 compile error, a load error — raises; :mod:`repro.kernels.native`
 catches it and falls back to the numpy kernels.
 
@@ -160,6 +161,23 @@ def _declare(lib: ctypes.CDLL) -> None:
         _P, _P, _P, _P,                # T bucket_of, nxt, prv, head
         _P, _P, _I64,                  # frontier, trace, trace_cap
         _PF64, _PI64, _PI64,
+    ]
+    lib.repro_stable_argsort_i64.restype = ctypes.c_int
+    lib.repro_stable_argsort_i64.argtypes = [
+        _P, _I64, _P,                  # keys, len, out
+        _P, _I64,                      # scratch, scratch_len
+    ]
+    lib.repro_csr_fill.restype = ctypes.c_int
+    lib.repro_csr_fill.argtypes = [
+        _P, _I64, _P, _I64, _P, _I64,  # rows, cols, weights + byte strides
+        _I64, _I64,                    # len, n
+        _P, _P, _P, _P,                # indptr, cursor, indices, data
+        _I64,                          # capacity
+    ]
+    lib.repro_csr_sort_rows.restype = ctypes.c_int
+    lib.repro_csr_sort_rows.argtypes = [
+        _P, _I64, _P, _P,              # indptr, n, indices, data
+        _P, _P,                        # tmp_idx, tmp_val
     ]
 
 

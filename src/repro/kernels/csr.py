@@ -15,8 +15,9 @@ immutable snapshots built once per run:
   skipping the dict-of-dict detour entirely (pairs with
   :func:`repro.graph.io.read_edge_arrays`);
 * ``from_shards`` — from a :class:`~repro.store.ShardedEdgeStore`,
-  per-shard bincount + counting-sort fill passes, so nothing beyond
-  the CSR output and one shard is ever resident.
+  a per-shard bincount pass and an O(m) slot-scatter fill pass (the
+  C kernels of :mod:`repro.kernels.native`, numpy without them), so
+  nothing beyond the CSR output and one shard is ever resident.
 
 Arrays use int32 ``indptr``/``indices`` and float64 ``weights``; node
 labels of any hashable type are factorized to dense indices at build
@@ -269,50 +270,10 @@ def _rows_to_csr(
     return indptr, indices, data, degrees
 
 
-def _shard_fill_positions(
-    rows: np.ndarray, cursor: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR write positions for one shard chunk of COO rows.
-
-    ``cursor`` holds each row's next free CSR slot.  Returns the sort
-    order of the chunk and the target positions of the sorted entries;
-    the caller scatters columns/weights and advances the cursor by the
-    chunk's per-row counts.
-    """
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]
-    )
-    run_lengths = np.diff(np.append(starts, sorted_rows.size))
-    offsets = np.arange(sorted_rows.size, dtype=np.int64) - np.repeat(
-        starts, run_lengths
-    )
-    return order, cursor[sorted_rows] + offsets
-
-
 def _indptr_from_counts(n: int, counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     return indptr
-
-
-def _sort_rows_by_column(
-    n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort each CSR row segment by column (stable).
-
-    The shard fill pass appends neighbors in shard order; the bulk
-    builders order them by column (``lexsort((cols, rows))``).  Kernel
-    reductions sum row segments left to right, so the two orders can
-    round differently in the last ULPs — this final sort makes
-    shard-built snapshots bit-identical to array-built ones.
-    """
-    if indices.size == 0:
-        return indices, data
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr).astype(np.int64))
-    order = np.argsort(rows * np.int64(n) + indices.astype(np.int64), kind="stable")
-    return indices[order], data[order]
 
 
 def _snapshot_stream(cls, stream, duplicates: str):
@@ -491,16 +452,21 @@ class CSRGraph:
         """Build a snapshot from a sharded edge store, one shard at a time.
 
         Two bounded passes over the store's shards — a bincount pass
-        for per-node entry counts and weighted degrees, then a
-        counting-sort fill pass scattering each shard's entries into
-        the preallocated CSR arrays (plus a final within-row column
-        sort for bit-parity with :meth:`from_edge_arrays`) — so peak
-        memory is the O(m) CSR output plus one shard and a transient
-        sort index, never a dict graph.  The store's dense id universe
-        becomes the label space (``labels[i] == i``); parallel
-        duplicate records are kept as parallel CSR entries, which every
-        peel kernel reads additively (equivalent to the summed edge).
+        for per-node entry counts and weighted degrees, then a fill
+        pass in which :func:`~repro.kernels.native.csr_fill` scatters
+        each shard's ``u→v`` and then ``v→u`` entries into their rows'
+        next free slots of the preallocated CSR arrays, O(m) in all
+        (plus a final stable within-row column sort,
+        :func:`~repro.kernels.native.csr_sort_rows`, for bit-parity
+        with :meth:`from_edge_arrays`) — so peak memory is the O(m) CSR
+        output plus one shard, never a dict graph.  The store's dense
+        id universe becomes the label space (``labels[i] == i``);
+        parallel duplicate records are kept as parallel CSR entries,
+        which every peel kernel reads additively (equivalent to the
+        summed edge).
         """
+        from . import native
+
         if store.directed:
             raise GraphError(
                 "store holds directed edges; use CSRDigraph.from_shards"
@@ -535,17 +501,11 @@ class CSRGraph:
         data = np.empty(indices.size, dtype=np.float64)
         cursor = indptr[:-1].astype(np.int64)
         for u, v, w in store.iter_shard_arrays():
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            rows = np.concatenate([u, v])
-            cols = np.concatenate([v, u])
-            both = np.concatenate([w, w])
-            order, pos = _shard_fill_positions(rows, cursor)
-            indices[pos] = cols[order].astype(np.int32)
-            data[pos] = both[order]
-            cursor += np.bincount(rows, minlength=n)
-        indices, data = _sort_rows_by_column(n, indptr, indices, data)
+            # u-side entries before v-side ones in every row: the order
+            # of a stable row sort over the chunk [u | v]
+            native.csr_fill(u, v, w, indptr, cursor, indices, data)
+            native.csr_fill(v, u, w, indptr, cursor, indices, data)
+        indices, data = native.csr_sort_rows(indptr, indices, data)
         return cls(indptr, indices, data, degrees, labels, total_weight)
 
     # ------------------------------------------------------------------
@@ -726,9 +686,12 @@ class CSRDigraph:
         """Build a directed snapshot from a sharded edge store.
 
         Same two-pass bincount/fill structure as
-        :meth:`CSRGraph.from_shards`, run once per orientation (out-CSR
+        :meth:`CSRGraph.from_shards`, one
+        :func:`~repro.kernels.native.csr_fill` per orientation (out-CSR
         keyed on ``u``, in-CSR keyed on ``v``).
         """
+        from . import native
+
         if not store.directed:
             raise GraphError(
                 "store holds undirected edges; use CSRGraph.from_shards"
@@ -769,21 +732,12 @@ class CSRDigraph:
         out_cursor = out_indptr[:-1].astype(np.int64)
         in_cursor = in_indptr[:-1].astype(np.int64)
         for u, v, w in store.iter_shard_arrays():
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            order, pos = _shard_fill_positions(u, out_cursor)
-            out_indices[pos] = v[order].astype(np.int32)
-            out_data[pos] = w[order]
-            out_cursor += np.bincount(u, minlength=n)
-            order, pos = _shard_fill_positions(v, in_cursor)
-            in_indices[pos] = u[order].astype(np.int32)
-            in_data[pos] = w[order]
-            in_cursor += np.bincount(v, minlength=n)
-        out_indices, out_data = _sort_rows_by_column(
-            n, out_indptr, out_indices, out_data
+            native.csr_fill(u, v, w, out_indptr, out_cursor, out_indices, out_data)
+            native.csr_fill(v, u, w, in_indptr, in_cursor, in_indices, in_data)
+        out_indices, out_data = native.csr_sort_rows(
+            out_indptr, out_indices, out_data
         )
-        in_indices, in_data = _sort_rows_by_column(n, in_indptr, in_indices, in_data)
+        in_indices, in_data = native.csr_sort_rows(in_indptr, in_indices, in_data)
         return cls(
             (out_indptr, out_indices, out_data, out_degrees),
             (in_indptr, in_indices, in_data, in_degrees),

@@ -12,6 +12,13 @@ graphs — the wrappers fall back to :mod:`repro.kernels.peel`
 transparently; ``available_backend()`` reports what a call would
 actually use.
 
+The same library backs three stable O(m) sorts, each with a wrapper
+here: :func:`stable_argsort` (the MapReduce shuffle partition and
+group-by), :func:`csr_fill` and :func:`csr_sort_rows` (the shard CSR
+build in :meth:`~repro.kernels.csr.CSRGraph.from_shards`).  Their
+results are bit-identical to the numpy code each wrapper runs when the
+library is absent.
+
 Environment knobs:
 
 ``REPRO_NATIVE``
@@ -32,9 +39,9 @@ import numpy as np
 
 from .._tolerances import THRESHOLD_EPS
 from ..core.trace import DirectedPassRecord, PassRecord
-from ..errors import ParameterError
+from ..errors import GraphError, ParameterError
 from . import peel
-from .csr import CSRDigraph, CSRGraph
+from .csr import CSRDigraph, CSRGraph, _check_index_range
 from .peel import DirectedPeelOutcome, PeelOutcome
 
 #: Bucket count of the degree queue.  More buckets mean tighter drains
@@ -367,3 +374,196 @@ def peel_directed_sweep(
     return [
         peel_directed(csr, ratio, epsilon, side_rule=side_rule) for ratio in ratios
     ]
+
+
+# ----------------------------------------------------------------------
+# Stable O(m) sorts: the MapReduce shuffle/group-by and the shard CSR
+# fill.  Without the C tier each wrapper runs the numpy code it
+# replaces, which is the reference the tests compare against.
+# ----------------------------------------------------------------------
+
+#: int64 scratch cells the argsort kernel needs beyond ``3 * len``: its
+#: per-digit histograms (``RADIX_MAX_PASSES * RADIX_SIZE`` in
+#: ``peel_kernels.c``, which checks the size it is given).
+_ARGSORT_SCRATCH_EXTRA = 6 * 2048
+
+#: ``repro_csr_fill`` status codes.
+_FILL_BAD_ID = 2
+_FILL_ROW_OVERFLOW = 3
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of a 1-D integer array in O(len).
+
+    The C kernel counting-sorts keys whose span is at most about twice
+    their count (partition ids, node ids) and LSD-radix-sorts the rest;
+    both give exactly the permutation numpy's stable sort gives.  Keys
+    the kernel cannot take as int64 (uint64, non-integer dtypes) and
+    runs without the C tier use numpy itself.
+    """
+    keys = np.asarray(keys)
+    lib = get_backend()
+    if (
+        lib is None
+        or keys.ndim != 1
+        or keys.dtype.kind not in "iu"
+        or keys.dtype == np.uint64
+    ):
+        return np.argsort(keys, kind="stable")
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    out = np.empty(keys.size, dtype=np.intp)
+    scratch = np.empty(3 * keys.size + _ARGSORT_SCRATCH_EXTRA, dtype=np.int64)
+    status = lib.repro_stable_argsort_i64(
+        keys.ctypes.data, keys.size, out.ctypes.data,
+        scratch.ctypes.data, scratch.size,
+    )
+    if status != 0:  # pragma: no cover - scratch is sized above
+        raise RuntimeError(f"stable argsort kernel failed (status {status})")
+    return out
+
+
+def _shard_fill_positions(
+    rows: np.ndarray, cursor: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR write positions for one shard chunk of COO rows (numpy).
+
+    Returns the stable sort order of the chunk and the target slots of
+    the sorted entries: each row's entries land at ``cursor[row]``
+    onward, in input order.
+    """
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(
+        np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]
+    )
+    run_lengths = np.diff(np.append(starts, sorted_rows.size))
+    offsets = np.arange(sorted_rows.size, dtype=np.int64) - np.repeat(
+        starts, run_lengths
+    )
+    return order, cursor[sorted_rows] + offsets
+
+
+def csr_fill(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    weights: np.ndarray,
+    indptr: np.ndarray,
+    cursor: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+) -> None:
+    """Scatter one chunk of ``(row, col, weight)`` entries into CSR slots.
+
+    Entry i goes to slot ``cursor[rows[i]]``, which then advances, so
+    each row fills in input order — the order a stable sort of the
+    chunk by row gives.  ``indptr`` (int32, length n + 1) bounds the
+    rows, ``cursor`` (int64, length n) holds each row's next free slot
+    and is updated in place, as are ``indices`` (int32) and ``data``
+    (float64).
+
+    Raises :class:`~repro.errors.GraphError` for an id outside
+    ``[0, n)`` or a row filled past its slot count; the output arrays
+    are then partly written and must be discarded.
+    """
+    n = cursor.size
+    if indptr.shape != (n + 1,):
+        raise GraphError(
+            f"csr_fill: indptr has shape {indptr.shape}, expected ({n + 1},)"
+        )
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (rows.ndim == 1 and rows.shape == cols.shape == weights.shape):
+        raise GraphError(
+            f"csr_fill: rows/cols/weights must be 1-D of one length, got "
+            f"shapes {rows.shape}, {cols.shape}, {weights.shape}"
+        )
+    lib = get_backend()
+    if lib is None:
+        _check_index_range(rows, cols, n)
+        counts = np.bincount(rows, minlength=n)
+        if np.any(cursor + counts > indptr[1:]):
+            raise GraphError("csr_fill: a row has more entries than CSR slots")
+        order, pos = _shard_fill_positions(rows, cursor)
+        indices[pos] = cols[order].astype(np.int32)
+        data[pos] = weights[order]
+        cursor += counts
+        return
+    if not (
+        indptr.dtype == np.int32
+        and cursor.dtype == np.int64
+        and indices.dtype == np.int32
+        and data.dtype == np.float64
+        and indptr.flags.c_contiguous
+        and cursor.flags.c_contiguous
+        and indices.flags.c_contiguous
+        and data.flags.c_contiguous
+    ):
+        raise GraphError(
+            "csr_fill: indptr/cursor/indices/data must be contiguous "
+            "int32/int64/int32/float64 arrays"
+        )
+    status = lib.repro_csr_fill(
+        rows.ctypes.data, rows.strides[0],
+        cols.ctypes.data, cols.strides[0],
+        weights.ctypes.data, weights.strides[0],
+        rows.size, n,
+        indptr.ctypes.data, cursor.ctypes.data,
+        indices.ctypes.data, data.ctypes.data,
+        min(indices.size, data.size),
+    )
+    if status == _FILL_BAD_ID:
+        raise GraphError(f"csr_fill: an edge endpoint lies outside [0, {n})")
+    if status == _FILL_ROW_OVERFLOW:
+        raise GraphError("csr_fill: a row has more entries than CSR slots")
+
+
+def csr_sort_rows(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable sort of every CSR row segment of ``(indices, data)`` by column.
+
+    Returns the sorted ``(indices, data)``: the C kernel sorts the
+    given arrays in place, the numpy path returns new ones.  Equal
+    columns (parallel duplicate entries) keep their fill order.  The
+    shard fill leaves rows in shard order while the bulk builders order
+    them by column, and the peel kernels sum row segments left to
+    right, so this sort is what makes shard-built snapshots
+    bit-identical to array-built ones.
+    """
+    if indices.size == 0:
+        return indices, data
+    lib = get_backend()
+    if lib is None:
+        n = indptr.size - 1
+        rows = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(indptr).astype(np.int64)
+        )
+        order = np.argsort(
+            rows * np.int64(n) + indices.astype(np.int64), kind="stable"
+        )
+        return indices[order], data[order]
+    lengths = np.diff(indptr)
+    if not (
+        indptr.dtype == np.int32
+        and indices.dtype == np.int32
+        and data.dtype == np.float64
+        and indptr.flags.c_contiguous
+        and indices.flags.c_contiguous
+        and data.flags.c_contiguous
+        and indptr[0] == 0
+        and lengths.min(initial=0) >= 0
+        and indptr[-1] == indices.size == data.size
+    ):
+        raise GraphError(
+            "csr_sort_rows: expects a well-formed CSR of contiguous "
+            "int32 indptr/indices and float64 data"
+        )
+    longest = int(lengths.max(initial=0))
+    tmp_idx = np.empty(longest, dtype=np.int32)
+    tmp_val = np.empty(longest, dtype=np.float64)
+    lib.repro_csr_sort_rows(
+        indptr.ctypes.data, indptr.size - 1, indices.ctypes.data,
+        data.ctypes.data, tmp_idx.ctypes.data, tmp_val.ctypes.data,
+    )
+    return indices, data

@@ -10,14 +10,19 @@
  * tiers and float fields agree to reassociation noise (exactly, for
  * dyadic weights).
  *
- * Every function returns 0 on success or 1 when the caller-provided
- * trace buffer is too small (the caller doubles it and reruns).
- * Scratch arrays (bucket links, frontier) are allocated by the caller
- * so the kernels perform no allocation at all.  The frontier array
- * must hold 2n int32 entries: the first n are the pass frontier, the
- * upper n hold the pending-relink list (neighbors whose bucket move
- * is deferred to the end of the pass so each costs one relink per
- * pass instead of one per lost edge).
+ * The same library holds the stable O(m) sorts behind the MapReduce
+ * shuffle/group-by and the shard CSR fill (stable_argsort_i64,
+ * csr_fill, csr_sort_rows; see their section at the end).
+ *
+ * Every function returns 0 on success; the peels return 1 when the
+ * caller-provided trace buffer is too small (the caller doubles it and
+ * reruns), the sorts and fills the status codes documented there.
+ * Scratch arrays (bucket links, frontier, sort buffers) are allocated
+ * by the caller so the kernels perform no allocation at all.  The
+ * frontier array must hold 2n int32 entries: the first n are the pass
+ * frontier, the upper n hold the pending-relink list (neighbors whose
+ * bucket move is deferred to the end of the pass so each costs one
+ * relink per pass instead of one per lost edge).
  */
 
 #include <math.h>
@@ -688,5 +693,229 @@ int repro_peel_directed(
     *out_best_density = best_density;
     *out_best_pass = best_pass;
     *out_passes = passes;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Stable O(m) sorts for the shuffle group-by and the shard CSR fill.  */
+/* ------------------------------------------------------------------ */
+
+#define SORT_BAD_SCRATCH 2
+#define FILL_BAD_ID 2
+#define FILL_ROW_OVERFLOW 3
+
+#define RADIX_BITS 11
+#define RADIX_SIZE (1 << RADIX_BITS)
+#define RADIX_MAX_PASSES 6 /* ceil(64 / 11) */
+
+/* Keys whose span is at most 2 * len + COUNT_SLACK take the counting
+ * sort (one count per key value); wider spans take the LSD radix. */
+#define COUNT_SLACK 4096
+
+/* Stable argsort of int64 keys: out[] receives the permutation
+ * np.argsort(keys, kind="stable") returns.  Both branches scatter
+ * records in ascending input order into per-key (per-digit) slots, so
+ * equal keys keep their input order.
+ *
+ * scratch must hold at least 3 * len + RADIX_MAX_PASSES * RADIX_SIZE
+ * int64 cells (checked; status SORT_BAD_SCRATCH otherwise): the
+ * counting branch uses span <= 2 * len + COUNT_SLACK of them as
+ * counts, the radix branch two uint64 key buffers, one index buffer
+ * and the per-pass digit histograms. */
+int repro_stable_argsort_i64(const int64_t *keys, int64_t len, int64_t *out,
+                             int64_t *scratch, int64_t scratch_len) {
+    if (scratch_len < 3 * len + RADIX_MAX_PASSES * RADIX_SIZE)
+        return SORT_BAD_SCRATCH;
+    if (len == 0)
+        return 0;
+    int64_t kmin = keys[0], kmax = keys[0];
+    for (int64_t i = 1; i < len; i++) {
+        if (keys[i] < kmin)
+            kmin = keys[i];
+        if (keys[i] > kmax)
+            kmax = keys[i];
+    }
+    /* offsets as uint64 keep the full int64 range exact */
+    uint64_t base = (uint64_t)kmin;
+    uint64_t span_m1 = (uint64_t)kmax - base;
+
+    if (span_m1 < (uint64_t)(2 * len + COUNT_SLACK)) {
+        int64_t *counts = scratch;
+        int64_t span = (int64_t)span_m1 + 1;
+        memset(counts, 0, (size_t)span * sizeof(int64_t));
+        for (int64_t i = 0; i < len; i++)
+            counts[(uint64_t)keys[i] - base]++;
+        int64_t acc = 0;
+        for (int64_t k = 0; k < span; k++) {
+            int64_t c = counts[k];
+            counts[k] = acc;
+            acc += c;
+        }
+        for (int64_t i = 0; i < len; i++)
+            out[counts[(uint64_t)keys[i] - base]++] = i;
+        return 0;
+    }
+
+    /* LSD radix over (key - min): digit passes up to the top set bit. */
+    uint64_t *key_buf[2] = {(uint64_t *)scratch, (uint64_t *)scratch + len};
+    int64_t *idx_tmp = scratch + 2 * len;
+    int64_t *hist = scratch + 3 * len;
+    int top_bits = 64 - __builtin_clzll(span_m1);
+    int num_digits = (top_bits + RADIX_BITS - 1) / RADIX_BITS;
+    memset(hist, 0, (size_t)num_digits * RADIX_SIZE * sizeof(int64_t));
+    for (int64_t i = 0; i < len; i++) {
+        uint64_t d = (uint64_t)keys[i] - base;
+        for (int p = 0; p < num_digits; p++)
+            hist[p * RADIX_SIZE + ((d >> (p * RADIX_BITS)) & (RADIX_SIZE - 1))]++;
+    }
+    for (int p = 0; p < num_digits; p++) {
+        int64_t *h = hist + p * RADIX_SIZE;
+        int64_t acc = 0;
+        for (int b = 0; b < RADIX_SIZE; b++) {
+            int64_t c = h[b];
+            h[b] = acc;
+            acc += c;
+        }
+    }
+    const uint64_t *src_key = 0;
+    const int64_t *src_idx = 0;
+    for (int p = 0; p < num_digits; p++) {
+        int shift = p * RADIX_BITS;
+        int64_t *off = hist + p * RADIX_SIZE;
+        int last = p == num_digits - 1;
+        /* the final pass lands in out */
+        int64_t *dst_idx = ((num_digits - 1 - p) % 2 == 0) ? out : idx_tmp;
+        uint64_t *dst_key = key_buf[p & 1];
+        if (p == 0) {
+            for (int64_t i = 0; i < len; i++) {
+                uint64_t d = (uint64_t)keys[i] - base;
+                int64_t pos = off[(d >> shift) & (RADIX_SIZE - 1)]++;
+                dst_idx[pos] = i;
+                if (!last)
+                    dst_key[pos] = d;
+            }
+        } else {
+            for (int64_t i = 0; i < len; i++) {
+                uint64_t d = src_key[i];
+                int64_t pos = off[(d >> shift) & (RADIX_SIZE - 1)]++;
+                dst_idx[pos] = src_idx[i];
+                if (!last)
+                    dst_key[pos] = d;
+            }
+        }
+        src_key = dst_key;
+        src_idx = dst_idx;
+    }
+    return 0;
+}
+
+/* One shard's entries scattered into preallocated CSR arrays: entry i
+ * goes to slot cursor[rows[i]]++ of row rows[i], so rows fill in
+ * input order.  rows/cols/weights are read through byte strides (the
+ * fields of a shard's structured records).  Every row and column id
+ * is checked against [0, n) and every slot against its row end
+ * indptr[row + 1] and the array capacity (the length of indices and
+ * data) before it is written, so a bad record returns
+ * FILL_BAD_ID / FILL_ROW_OVERFLOW instead of writing out of bounds
+ * (earlier entries stay written; the caller discards the arrays). */
+int repro_csr_fill(const char *rows, int64_t row_stride, const char *cols,
+                   int64_t col_stride, const char *weights,
+                   int64_t weight_stride, int64_t len, int64_t n,
+                   const int32_t *indptr, int64_t *cursor, int32_t *indices,
+                   double *data, int64_t capacity) {
+    for (int64_t i = 0; i < len; i++) {
+        int64_t r = *(const int64_t *)(rows + i * row_stride);
+        int64_t c = *(const int64_t *)(cols + i * col_stride);
+        if (r < 0 || r >= n || c < 0 || c >= n)
+            return FILL_BAD_ID;
+        int64_t p = cursor[r];
+        if (p < 0 || p >= capacity || p >= (int64_t)indptr[r + 1])
+            return FILL_ROW_OVERFLOW;
+        indices[p] = (int32_t)c;
+        data[p] = *(const double *)(weights + i * weight_stride);
+        cursor[r] = p + 1;
+    }
+    return 0;
+}
+
+#define ROW_INSERTION_MAX 32
+
+static void insertion_sort_entries(int32_t *idx, double *val, int64_t len) {
+    for (int64_t a = 1; a < len; a++) {
+        int32_t c = idx[a];
+        double w = val[a];
+        int64_t b = a - 1;
+        /* strict > keeps equal columns in input order */
+        while (b >= 0 && idx[b] > c) {
+            idx[b + 1] = idx[b];
+            val[b + 1] = val[b];
+            b--;
+        }
+        idx[b + 1] = c;
+        val[b + 1] = w;
+    }
+}
+
+/* Stable bottom-up merge sort of one row by column: insertion-sorted
+ * blocks, then merges ping-ponging between the row and tmp. */
+static void merge_sort_entries(int32_t *idx, double *val, int64_t len,
+                               int32_t *tmp_idx, double *tmp_val) {
+    for (int64_t lo = 0; lo < len; lo += ROW_INSERTION_MAX) {
+        int64_t hi = lo + ROW_INSERTION_MAX < len ? lo + ROW_INSERTION_MAX : len;
+        insertion_sort_entries(idx + lo, val + lo, hi - lo);
+    }
+    int32_t *si = idx, *di = tmp_idx;
+    double *sv = val, *dv = tmp_val;
+    for (int64_t width = ROW_INSERTION_MAX; width < len; width *= 2) {
+        for (int64_t lo = 0; lo < len; lo += 2 * width) {
+            int64_t mid = lo + width < len ? lo + width : len;
+            int64_t hi = lo + 2 * width < len ? lo + 2 * width : len;
+            int64_t a = lo, b = mid, o = lo;
+            while (a < mid && b < hi) {
+                /* <= takes the left run on ties: stable */
+                if (si[a] <= si[b]) {
+                    di[o] = si[a];
+                    dv[o++] = sv[a++];
+                } else {
+                    di[o] = si[b];
+                    dv[o++] = sv[b++];
+                }
+            }
+            while (a < mid) {
+                di[o] = si[a];
+                dv[o++] = sv[a++];
+            }
+            while (b < hi) {
+                di[o] = si[b];
+                dv[o++] = sv[b++];
+            }
+        }
+        int32_t *ti = si;
+        si = di;
+        di = ti;
+        double *tv = sv;
+        sv = dv;
+        dv = tv;
+    }
+    if (si != idx) {
+        memcpy(idx, si, (size_t)len * sizeof(int32_t));
+        memcpy(val, sv, (size_t)len * sizeof(double));
+    }
+}
+
+/* Stable in-place sort of every CSR row segment of (indices, data) by
+ * column.  tmp_idx / tmp_val must hold the longest row. */
+int repro_csr_sort_rows(const int32_t *indptr, int64_t n, int32_t *indices,
+                        double *data, int32_t *tmp_idx, double *tmp_val) {
+    for (int64_t r = 0; r < n; r++) {
+        int64_t lo = indptr[r], len = (int64_t)indptr[r + 1] - lo;
+        int32_t *idx = indices + lo;
+        double *val = data + lo;
+        if (len <= ROW_INSERTION_MAX) {
+            insertion_sort_entries(idx, val, len);
+            continue;
+        }
+        merge_sort_entries(idx, val, len, tmp_idx, tmp_val);
+    }
     return 0;
 }

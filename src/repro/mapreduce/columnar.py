@@ -10,9 +10,14 @@ runtime stage is a handful of vector operations —
   i lands in split ``i % k``;
 * **shuffle** — :func:`stable_hash_int64`, a deterministic
   multiplicative hash of the keys, then stable partitioning;
-* **group-by** — one stable ``np.argsort`` plus boundary detection
+* **group-by** — one stable sort by key plus boundary detection
   (:meth:`ColumnarKV.group`), giving reducers contiguous per-key
   segments to aggregate with ``np.add.reduceat``-style kernels.
+
+Both sorts go through :func:`repro.kernels.native.stable_argsort`, an
+O(n) counting/radix sort in C whose permutation is exactly numpy's
+stable argsort (numpy's own sort without the C tier), so partitions,
+groups and every counter are the same on either path.
 
 Keys must be integers that fit int64; callers with other labels map
 them to int ids first (the §5.2 drivers relabel at the boundary).
@@ -204,13 +209,16 @@ class ColumnarKV:
         """Hash-partition by key (the shuffle): record i goes to
         partition ``stable_hash_int64(key_i) % num_partitions``.
 
-        One stable argsort over the partition ids, then boundary
-        slicing — O(n log n) total rather than one full mask scan per
-        reducer, which matters at cluster-scale ``num_reducers``.  The
-        stable sort keeps arrival order within each partition.
+        One stable sort over the partition ids (a counting sort: the
+        ids lie below ``num_partitions``), then boundary slicing — O(n)
+        total rather than one full mask scan per reducer, which matters
+        at cluster-scale ``num_reducers``.  The stable sort keeps
+        arrival order within each partition.
         """
+        from ..kernels.native import stable_argsort
+
         part_ids = stable_hash_int64(self.keys) % num_partitions
-        by_partition = self.take(np.argsort(part_ids, kind="stable"))
+        by_partition = self.take(stable_argsort(part_ids))
         counts = np.bincount(part_ids, minlength=num_partitions)
         starts = np.zeros(num_partitions + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
@@ -220,8 +228,15 @@ class ColumnarKV:
         ]
 
     def group(self) -> "GroupedKV":
-        """Sort-based group-by: one stable argsort + boundary scan."""
-        order = np.argsort(self.keys, kind="stable")
+        """Sort-based group-by: one stable sort by key + boundary scan.
+
+        O(n) under the C tier: a counting sort when the keys span at
+        most about twice as many values as there are records, an LSD
+        radix over the key range otherwise.
+        """
+        from ..kernels.native import stable_argsort
+
+        order = stable_argsort(self.keys)
         sorted_keys = self.keys[order]
         n = sorted_keys.size
         if n == 0:

@@ -701,7 +701,7 @@ class MapReduceRuntime:
             #    in ascending key order.  Under the process executor
             #    the group-by runs inside the worker too — same grouped
             #    rows (the sort is deterministic), so same output and
-            #    counters, but the O(p log p) argsort leaves the driver.
+            #    counters, but the O(p) stable sort leaves the driver.
             reduce_order = list(range(self.num_reducers))
             self._rng.shuffle(reduce_order)
             outputs: List[Optional[ColumnarKV]] = [None] * self.num_reducers

@@ -12,6 +12,7 @@ from repro.graph.generators import (
     star,
 )
 from repro.graph.undirected import UndirectedGraph
+from repro.kernels import native
 
 
 @pytest.fixture
@@ -74,3 +75,16 @@ def directed_bowtie() -> DirectedGraph:
 def directed_cycle() -> DirectedGraph:
     """Directed 5-cycle: rho(V, V) = 5/5 = 1."""
     return DirectedGraph([(i, (i + 1) % 5) for i in range(5)])
+
+
+@pytest.fixture(params=["c", "off"])
+def kernel_tier(request, monkeypatch):
+    """Run the test with the C kernels, then with ``REPRO_NATIVE=off``
+    (the numpy code the C wrappers fall back to)."""
+    if request.param == "off":
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+    native.reset_backend_cache()
+    if request.param == "c" and native.available_backend() != "c":
+        pytest.skip("C kernel backend unavailable (no compiler)")
+    yield request.param
+    native.reset_backend_cache()

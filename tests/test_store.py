@@ -193,6 +193,148 @@ class TestFromShards:
             CSRDigraph.from_shards(store)
 
 
+def _parallel_duplicate_arrays(seed, n=120, m=1500):
+    """Edge arrays full of parallel records in both orientations, e.g.
+    ``(1, 2, w1)`` and ``(2, 1, w2)``, with non-dyadic weights."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    flip = m // 3
+    src = np.concatenate([src, dst[:flip], src[:flip]])
+    dst = np.concatenate([dst, src[:flip], dst[:flip]])
+    w = rng.random(src.size) * 3.0 + 0.1
+    return src.astype(np.int64), dst.astype(np.int64), w, n
+
+
+def _reference_csr(n, rows, cols, weights):
+    """CSR of COO entries ordered by row, then column, ties in entry
+    order — the order ``from_shards`` must reproduce."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order].astype(np.int32), weights[order]
+
+
+class TestFromShardsFill:
+    """``from_shards`` fills rows in shard order and keeps parallel
+    duplicates.  Both kernel tiers must match one reference byte for
+    byte, so the C and the ``REPRO_NATIVE=off`` builds are identical."""
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_undirected_parallel_duplicates(self, tmp_path, kernel_tier, num_shards):
+        src, dst, w, n = _parallel_duplicate_arrays(seed=21)
+        store = ShardedEdgeStore.write(
+            tmp_path / "st", (src, dst, w), directed=False,
+            num_shards=num_shards, num_nodes=n,
+        )
+        csr = CSRGraph.from_shards(store)
+        shards = list(store.iter_shard_arrays())
+        u = np.concatenate([a for a, _, _ in shards])
+        v = np.concatenate([b for _, b, _ in shards])
+        ws = np.concatenate([c for _, _, c in shards])
+        assert u.size == src.size - np.count_nonzero(src == dst)
+        # per shard: the u->v entries of a row precede its v->u entries
+        rows = np.concatenate([np.concatenate([a, b]) for a, b, _ in shards])
+        cols = np.concatenate([np.concatenate([b, a]) for a, b, _ in shards])
+        both = np.concatenate([np.concatenate([c, c]) for _, _, c in shards])
+        indptr, indices, data = _reference_csr(n, rows, cols, both)
+        assert csr.indptr.tobytes() == indptr.tobytes()
+        assert csr.indices.tobytes() == indices.tobytes()
+        assert csr.weights.tobytes() == data.tobytes()
+        degrees = np.zeros(n)
+        for a, b, c in shards:
+            degrees += np.bincount(a, weights=c, minlength=n)
+            degrees += np.bincount(b, weights=c, minlength=n)
+        assert csr.degrees.tobytes() == degrees.tobytes()
+        assert csr.total_weight == pytest.approx(ws.sum())
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_directed_parallel_duplicates(self, tmp_path, kernel_tier, num_shards):
+        src, dst, w, n = _parallel_duplicate_arrays(seed=22)
+        store = ShardedEdgeStore.write(
+            tmp_path / "st", (src, dst, w), directed=True,
+            num_shards=num_shards, num_nodes=n,
+        )
+        csr = CSRDigraph.from_shards(store)
+        shards = list(store.iter_shard_arrays())
+        u = np.concatenate([a for a, _, _ in shards])
+        v = np.concatenate([b for _, b, _ in shards])
+        ws = np.concatenate([c for _, _, c in shards])
+        for side, rows, cols in (("out", u, v), ("in", v, u)):
+            indptr, indices, data = _reference_csr(n, rows, cols, ws)
+            degrees = np.zeros(n)
+            for a, b, c in shards:
+                degrees += np.bincount(a if side == "out" else b, weights=c, minlength=n)
+            assert getattr(csr, f"{side}_indptr").tobytes() == indptr.tobytes()
+            assert getattr(csr, f"{side}_indices").tobytes() == indices.tobytes()
+            assert getattr(csr, f"{side}_weights").tobytes() == data.tobytes()
+            assert getattr(csr, f"{side}_degrees").tobytes() == degrees.tobytes()
+
+
+class TestCsrFillSafety:
+    """A bad record raises GraphError from ``csr_fill`` instead of
+    writing outside the CSR arrays."""
+
+    def _arrays(self, n=4, slots=(2, 1, 0, 1)):
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(slots, out=indptr[1:])
+        cursor = indptr[:-1].astype(np.int64)
+        indices = np.full(int(indptr[-1]), -7, dtype=np.int32)
+        data = np.full(indices.size, -7.0)
+        return indptr, cursor, indices, data
+
+    def test_fills_rows_in_input_order(self, kernel_tier):
+        from repro.kernels import native
+
+        indptr, cursor, indices, data = self._arrays()
+        native.csr_fill(
+            np.array([0, 3, 0, 1]), np.array([2, 0, 1, 3]),
+            np.array([0.1, 0.2, 0.3, 0.4]), indptr, cursor, indices, data,
+        )
+        assert indices.tolist() == [2, 1, 3, 0]
+        assert data.tolist() == [0.1, 0.3, 0.4, 0.2]
+        assert cursor.tolist() == indptr[1:].tolist()
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([0, 4], [1, 1]), ([0, -1], [1, 1]), ([0, 1], [4, 1]),
+         ([0, 1], [1, -5]), ([2**40], [0])],
+    )
+    def test_out_of_range_id(self, kernel_tier, rows, cols):
+        from repro.errors import GraphError
+        from repro.kernels import native
+
+        indptr, cursor, indices, data = self._arrays()
+        with pytest.raises(GraphError):
+            native.csr_fill(
+                np.array(rows), np.array(cols), np.ones(len(rows)),
+                indptr, cursor, indices, data,
+            )
+
+    @pytest.mark.parametrize("rows", [[1, 1], [2], [0, 0, 0], [3, 1, 3]])
+    def test_row_overflow(self, kernel_tier, rows):
+        from repro.errors import GraphError
+        from repro.kernels import native
+
+        indptr, cursor, indices, data = self._arrays()
+        with pytest.raises(GraphError):
+            native.csr_fill(
+                np.array(rows), np.zeros(len(rows), dtype=np.int64),
+                np.ones(len(rows)), indptr, cursor, indices, data,
+            )
+
+    def test_overflow_after_earlier_fill(self, kernel_tier):
+        from repro.errors import GraphError
+        from repro.kernels import native
+
+        indptr, cursor, indices, data = self._arrays()
+        native.csr_fill(np.array([1]), np.array([0]), np.ones(1),
+                        indptr, cursor, indices, data)
+        with pytest.raises(GraphError):
+            native.csr_fill(np.array([1]), np.array([2]), np.ones(1),
+                            indptr, cursor, indices, data)
+
+
 class TestShardEdgeStream:
     def _graph_and_store(self, tmp_path, dyadic=True):
         src, dst, w, n = _undirected_arrays(seed=7, dyadic=dyadic)
