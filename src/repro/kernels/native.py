@@ -393,24 +393,22 @@ _FILL_ROW_OVERFLOW = 3
 
 
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of a 1-D integer array in O(len).
+    """``np.argsort(keys, kind="stable")`` of a 1-D int64 array in O(len).
 
     The C kernel counting-sorts keys whose span is at most about twice
     their count (partition ids, node ids) and LSD-radix-sorts the rest;
-    both give exactly the permutation numpy's stable sort gives.  Keys
-    the kernel cannot take as int64 (uint64, non-integer dtypes) and
-    runs without the C tier use numpy itself.
+    both give exactly the permutation numpy's stable sort gives.
+    Without the C tier this is numpy's stable sort itself.
     """
-    keys = np.asarray(keys)
     lib = get_backend()
-    if (
-        lib is None
-        or keys.ndim != 1
-        or keys.dtype.kind not in "iu"
-        or keys.dtype == np.uint64
-    ):
+    if lib is None:
         return np.argsort(keys, kind="stable")
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    if keys.dtype != np.int64 or keys.ndim != 1:
+        raise TypeError(
+            f"stable_argsort takes 1-D int64 keys, got {keys.dtype} "
+            f"of shape {keys.shape}"
+        )
+    keys = np.ascontiguousarray(keys)
     out = np.empty(keys.size, dtype=np.intp)
     scratch = np.empty(3 * keys.size + _ARGSORT_SCRATCH_EXTRA, dtype=np.int64)
     status = lib.repro_stable_argsort_i64(

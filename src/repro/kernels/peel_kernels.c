@@ -756,7 +756,9 @@ int repro_stable_argsort_i64(const int64_t *keys, int64_t len, int64_t *out,
         return 0;
     }
 
-    /* LSD radix over (key - min): digit passes up to the top set bit. */
+    /* LSD radix over (key - min): digit passes up to the top set bit.
+     * Group-bys over the few surviving node ids of a late peeling
+     * round (span ~n, len << n) land here. */
     uint64_t *key_buf[2] = {(uint64_t *)scratch, (uint64_t *)scratch + len};
     int64_t *idx_tmp = scratch + 2 * len;
     int64_t *hist = scratch + 3 * len;

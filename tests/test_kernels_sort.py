@@ -62,16 +62,8 @@ class TestEdgeCases:
         # dense span: counting sort; sparse span: multi-digit radix
         assert_matches_numpy(rng.integers(0, 50_000, 40_000))
         assert_matches_numpy(rng.integers(0, 2**40, 40_000))
-
-    def test_other_integer_dtypes(self, kernel_tier):
-        rng = np.random.default_rng(3)
-        for keys in (
-            rng.integers(0, 9, 500).astype(np.uint8),
-            rng.integers(-500, 500, 500).astype(np.int32),
-            rng.integers(2**63, 2**64 - 1, 50, dtype=np.uint64),
-        ):
-            expected = np.argsort(keys, kind="stable")
-            assert np.array_equal(native.stable_argsort(keys), expected)
+        # few survivors among many node ids: two-digit radix
+        assert_matches_numpy(rng.integers(0, 100_000, 500))
 
 
 class TestMatchesNumpy:
