@@ -162,8 +162,6 @@ def run_benches(scale_factor: float, repeats: int):
     from repro.core.undirected import densest_subgraph
     from repro.datasets import load
     from repro.kernels import CSRDigraph, CSRGraph
-    from repro.streaming import engine as streaming_engine
-    from repro.streaming.stream import GraphEdgeStream
 
     records: list = []
 
@@ -234,25 +232,6 @@ def run_benches(scale_factor: float, repeats: int):
         lj_name,
         lambda: ratio_sweep(lj, 1.0, ratios=sweep_ratios, engine="python"),
         lambda: ratio_sweep(lj_csr, 1.0, ratios=sweep_ratios, engine="numpy"),
-        repeats,
-    )
-
-    # Streaming engine: same function, scan kernel on vs off (the
-    # vectorized chunked-bincount scan engages automatically for
-    # int-labeled streams; FORCE_PYTHON_SCAN is the supported toggle).
-    def stream_python():
-        streaming_engine.FORCE_PYTHON_SCAN = True
-        try:
-            streaming_engine.stream_densest_subgraph(GraphEdgeStream(flickr), 0.5)
-        finally:
-            streaming_engine.FORCE_PYTHON_SCAN = False
-
-    _bench_pair(
-        records,
-        "streaming_pass_scan",
-        flickr_name,
-        stream_python,
-        lambda: streaming_engine.stream_densest_subgraph(GraphEdgeStream(flickr), 0.5),
         repeats,
     )
     return records
@@ -1084,16 +1063,14 @@ def run_kernels_benches(scale_factor: float, repeats: int):
         # the threaded path must produce bit-identical counters.
         import numpy as _np
 
-        from repro.streaming.engine import _IntStreamScanner
+        from repro.streaming.engine import _StreamScanner
         from repro.streaming.stream import ShardEdgeStream
 
         alive = _np.ones(store.num_nodes, dtype=bool)
         threads = 4
 
         def scan(thread_count):
-            scanner = _IntStreamScanner.build(
-                range(store.num_nodes), threads=thread_count
-            )
+            scanner = _StreamScanner(range(store.num_nodes), threads=thread_count)
             return scanner.scan_undirected(ShardEdgeStream(store), alive)
 
         deg_seq, w_seq = scan(1)

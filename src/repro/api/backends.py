@@ -10,8 +10,7 @@ core      in-memory reference peels (Algorithms 1–3 + ratio sweep);
           engine="python"|"numpy"|"auto" selects the execution engine
 core-csr  the vectorized CSR kernels (core pinned to engine="numpy")
 streaming semi-streaming engines with O(n) between-pass state
-sketch    Algorithm 1 with Count-Sketch degree counters (§5.1);
-          engine="python"|"numpy"|"auto" selects the edge-scan path
+sketch    Algorithm 1 with Count-Sketch degree counters (§5.1)
 mapreduce the §5.2 MapReduce drivers on the simulated columnar
           runtime (pinned to engine="numpy", like core-csr)
 exact-lp  Charikar's LP (undirected and directed, scipy/HiGHS)
@@ -36,16 +35,10 @@ from ..core.result import (
 )
 from ..errors import SolverError
 
-try:  # CSR snapshots are valid graph-mode inputs when numpy is present.
-    from ..kernels import CSRDigraph, CSRGraph
-except ImportError:  # pragma: no cover - numpy-less installs
-    CSRDigraph = CSRGraph = None
-try:  # shard stores are the out-of-core input mode (need numpy too).
-    from ..store.shards import ShardedEdgeStore
-except ImportError:  # pragma: no cover - numpy-less installs
-    ShardedEdgeStore = None
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
+from ..kernels import CSRDigraph, CSRGraph
+from ..store.shards import ShardedEdgeStore
 from ..streaming.memory import MemoryAccountant
 from ..streaming.stream import (
     DirectedGraphEdgeStream,
@@ -224,9 +217,9 @@ def _require_graph(
         raise SolverError(f"backend {backend!r} needs an in-memory graph input")
     graph = problem.input
     if not allow_csr:
-        if CSRGraph is not None and isinstance(graph, CSRGraph):
+        if isinstance(graph, CSRGraph):
             return graph.to_undirected()
-        if CSRDigraph is not None and isinstance(graph, CSRDigraph):
+        if isinstance(graph, CSRDigraph):
             return graph.to_directed()
     return graph
 
@@ -264,14 +257,9 @@ class CoreSolver:
             exact=False,
             memory_class=MEM_EDGES,
             semantics="batch-peel",
-            # Advertise only the engines that can actually run here;
-            # "native" resolves (possibly with a fallback warning)
-            # whenever the numpy tier exists underneath it.
-            engines=(
-                ("python", "numpy", "native")
-                if CSRGraph is not None
-                else ("python",)
-            ),
+            # "native" resolves (possibly with a fallback warning to
+            # the numpy tier) on every install.
+            engines=("python", "numpy", "native"),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
@@ -377,8 +365,7 @@ class CoreCSRSolver(CoreSolver):
         return "numpy"
 
 
-if CSRGraph is not None:  # the numpy-pinned backend needs its engine
-    register(CoreCSRSolver)
+register(CoreCSRSolver)
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +381,9 @@ def _as_stream(problem: Problem) -> EdgeStream:
     """
     if isinstance(problem.input, EdgeStream):
         return problem.input
-    if ShardedEdgeStore is not None and isinstance(problem.input, ShardedEdgeStore):
+    if isinstance(problem.input, ShardedEdgeStore):
         return ShardEdgeStream(problem.input)
-    if isinstance(problem.input, DirectedGraph) or (
-        CSRDigraph is not None and isinstance(problem.input, CSRDigraph)
-    ):
+    if isinstance(problem.input, (DirectedGraph, CSRDigraph)):
         return DirectedGraphEdgeStream(problem.input)
     return GraphEdgeStream(problem.input)
 
@@ -584,10 +569,10 @@ class StreamingSolver:
 class SketchSolver:
     """Sublinear-memory Algorithm 1 (§5.1); approximate removals.
 
-    Accepts an ``engine="auto"|"python"|"numpy"`` option selecting the
-    per-pass edge-scan implementation (vectorized chunked scan for
-    int-labeled streams vs the record loop); the sketch state is
-    identical either way.  Shard stores are accepted as the
+    Every input runs the same chunked scan as the ``streaming``
+    backend (non-int labels are relabelled to dense ids at the
+    scanner), so the backend advertises ``engines=("numpy",)`` and
+    takes no ``engine=`` option.  Shard stores are accepted as the
     out-of-core input mode, and the ``compaction=`` option works as on
     the ``streaming`` backend (auto-enabled under the same
     conditions).
@@ -605,7 +590,7 @@ class SketchSolver:
             exact=False,
             memory_class=MEM_SKETCH,
             semantics="sketch-peel",
-            engines=("python", "numpy") if CSRGraph is not None else ("python",),
+            engines=("numpy",),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
@@ -626,7 +611,7 @@ class SketchSolver:
         _reject_options(
             self.name,
             options,
-            ("buckets", "tables", "seed", "accountant", "engine", "compaction"),
+            ("buckets", "tables", "seed", "accountant", "compaction"),
         )
         compaction = _compaction_policy(options, context, problem)
         accountant = options.get("accountant")
@@ -640,7 +625,6 @@ class SketchSolver:
             seed=options.get("seed", 0),
             max_passes=problem.max_passes,
             accountant=accountant,
-            engine=options.get("engine", "auto"),
             compaction=compaction,
         )
         return _undirected_solution(

@@ -25,24 +25,14 @@ from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
 from ..streaming.stream import DirectedGraphEdgeStream, EdgeStream, GraphEdgeStream
 
-try:  # CSR snapshots are first-class graph inputs when numpy is present.
-    from ..kernels import CSRDigraph, CSRGraph
+# After the streaming import, which loads repro.core: importing
+# repro.kernels before repro.core trips their import cycle.
+from ..kernels import CSRDigraph, CSRGraph
+from ..store.shards import ShardedEdgeStore
 
-    _UNDIRECTED_TYPES: tuple = (UndirectedGraph, CSRGraph)
-    _DIRECTED_TYPES: tuple = (DirectedGraph, CSRDigraph)
-except ImportError:  # pragma: no cover - numpy-less installs
-    _UNDIRECTED_TYPES = (UndirectedGraph,)
-    _DIRECTED_TYPES = (DirectedGraph,)
-
-try:  # shard stores are first-class out-of-core inputs (need numpy).
-    from ..store.shards import ShardedEdgeStore
-
-    _STORE_TYPES: tuple = (ShardedEdgeStore,)
-except ImportError:  # pragma: no cover - numpy-less installs
-    ShardedEdgeStore = None
-    _STORE_TYPES = ()
-
-_INPUT_TYPES = _UNDIRECTED_TYPES + _DIRECTED_TYPES + (EdgeStream,) + _STORE_TYPES
+_UNDIRECTED_TYPES = (UndirectedGraph, CSRGraph)
+_DIRECTED_TYPES = (DirectedGraph, CSRDigraph)
+_INPUT_TYPES = _UNDIRECTED_TYPES + _DIRECTED_TYPES + (EdgeStream, ShardedEdgeStore)
 
 GraphInput = Union[UndirectedGraph, DirectedGraph, EdgeStream]
 
@@ -61,7 +51,7 @@ def _check_undirected_input(input_obj, problem_name: str) -> None:
     stores carry the flag in their manifest and are checked.
     """
     if isinstance(input_obj, _DIRECTED_TYPES + (DirectedGraphEdgeStream,)) or (
-        _STORE_TYPES and isinstance(input_obj, _STORE_TYPES) and input_obj.directed
+        isinstance(input_obj, ShardedEdgeStore) and input_obj.directed
     ):
         raise ParameterError(
             f"{problem_name} takes an undirected input; use DirectedDensest"
@@ -94,7 +84,7 @@ class Problem:
         """``"graph"``, ``"stream"``, or ``"shards"`` per the input type."""
         if isinstance(self.input, EdgeStream):
             return MODE_STREAM
-        if _STORE_TYPES and isinstance(self.input, _STORE_TYPES):
+        if isinstance(self.input, ShardedEdgeStore):
             return MODE_SHARDS
         return MODE_GRAPH
 
@@ -223,9 +213,7 @@ class DirectedDensest(Problem):
     def __post_init__(self) -> None:
         super().__post_init__()
         if isinstance(self.input, _UNDIRECTED_TYPES + (GraphEdgeStream,)) or (
-            _STORE_TYPES
-            and isinstance(self.input, _STORE_TYPES)
-            and not self.input.directed
+            isinstance(self.input, ShardedEdgeStore) and not self.input.directed
         ):
             raise ParameterError(
                 "DirectedDensest takes a directed input; use DensestSubgraph"

@@ -17,13 +17,10 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError
-
-try:  # numpy members are encoded when numpy is present at all
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs
-    np = None
 
 Node = Hashable
 
@@ -55,9 +52,9 @@ def encode_value(value: Any) -> Any:
         if value == value and value not in (float("inf"), float("-inf")):
             return float(value)
         return {"__float__": repr(float(value))}
-    if np is not None and isinstance(value, np.generic):
+    if isinstance(value, np.generic):
         return encode_value(value.item())
-    if np is not None and isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray):
         contiguous = np.ascontiguousarray(value)
         return {
             "__ndarray__": {

@@ -128,12 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "python", "numpy", "native"],
         default="auto",
-        help="execution engine for the core/sketch backends: "
+        help="execution engine for the core backend: "
         "'python' (interpreted record loops), 'numpy' (vectorized kernels), "
         "'native' (bucket-queue peel in C, degrading to numpy when no C "
         "toolchain is available), or 'auto' (pick per graph; see "
-        "`repro-densest backends --verbose`); core-csr and mapreduce are "
-        "pinned to 'numpy'",
+        "`repro-densest backends --verbose`); core-csr, mapreduce, and "
+        "sketch are pinned to 'numpy'",
     )
     p_solve.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument(
@@ -548,7 +548,7 @@ def _cmd_densest(args) -> int:
                 f"--engine applies to the core/core-csr/mapreduce/sketch "
                 f"backends, not {backend!r}"
             )
-        if backend in ("core-csr", "mapreduce"):
+        if backend in ("core-csr", "mapreduce", "sketch"):
             if args.engine != "numpy":
                 raise ReproError(
                     f"backend {backend!r} is pinned to the numpy engine"

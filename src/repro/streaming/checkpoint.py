@@ -44,13 +44,10 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Any, List, Optional, Union
 
+import numpy as _np
+
 from ..core.trace import PassRecord
 from ..errors import CheckpointError
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Checkpoint file format tag + version (bump on layout changes).
 _FORMAT = "repro-peel-checkpoint"
@@ -119,8 +116,6 @@ def save_peel_checkpoint(
     ``.tmp`` sibling and renamed over the previous checkpoint, so a
     crash mid-save leaves the older (still valid) checkpoint in place.
     """
-    if _np is None:  # pragma: no cover - engines gate on the scanner
-        raise CheckpointError("peel checkpoints require numpy")
     directory = Path(config.path)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -173,8 +168,6 @@ def load_peel_checkpoint(
     taken by a different algorithm, with different parameters, or over
     a different node universe — resuming it would corrupt the solve.
     """
-    if _np is None:  # pragma: no cover
-        return None
     target = config.file
     if not target.exists():
         return None

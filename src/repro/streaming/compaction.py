@@ -51,10 +51,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-try:  # pragma: no cover - numpy-less installs use the record engines
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import ParameterError
 from .stream import ArrayEdgeStream, EdgeStream

@@ -17,14 +17,17 @@ happens — the same values, one pass later, as the in-memory reference
 in :mod:`repro.core`.  The test suite asserts the engines return
 identical sets and traces to the reference implementations.
 
-When the stream yields integer node ids (and numpy is importable),
-the per-pass degree recomputation runs through the same
+The per-pass degree recomputation runs through the same
 ``np.bincount`` kernel as the in-memory CSR engine: edges are pulled
 in bounded chunks (so the between-pass state stays O(n) + O(chunk)),
-endpoint ids are mapped to dense indices with a vectorized
-``searchsorted``, and the surviving edges update all counters at once
-instead of one Python statement per edge.  Threshold scans walk a
-maintained alive list, so late passes cost O(|S|) rather than O(n).
+endpoint labels are mapped to dense indices — a vectorized
+``searchsorted`` for integer ids, one dict lookup per endpoint for any
+other hashable label — and the surviving edges update all counters at
+once.  The scan is the same code for every label type: a relabelled
+input gives the same node sets, traces, and densities (bit-identical
+float sums whenever both runs see the same chunk boundaries, and
+always for dyadic weights).  Threshold scans are one vectorized mask
+over the maintained alive bitmap.
 
 All three engines additionally accept a ``compaction=`` control (see
 :mod:`repro.streaming.compaction`): when the surviving-edge fraction
@@ -40,19 +43,15 @@ import math
 from itertools import islice
 from typing import Hashable, List, Optional, Tuple
 
+import numpy as _np
+
 from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_float, check_positive_int
-from ..core._compact import drop_killed
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
 from .memory import MemoryAccountant
 from .stream import EdgeStream
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 Node = Hashable
 
@@ -60,19 +59,21 @@ Node = Hashable
 #: transient memory of a scan at O(chunk) on top of the O(n) counters.
 _SCAN_CHUNK = 1 << 16
 
-#: Benchmark/test seam: set True to disable the vectorized scanner and
-#: force the per-edge reference scan (used by scripts/bench_report.py
-#: to time the two scan implementations against each other).
-FORCE_PYTHON_SCAN = False
 
+class _StreamScanner:
+    """Vectorized per-pass counter recomputation over any edge stream.
 
-class _IntStreamScanner:
-    """Vectorized per-pass counter recomputation for int-labeled streams.
+    Every chunk of edges is mapped to dense int64 indices, after which
+    the degree updates are single ``np.bincount`` calls — the same
+    kernel the in-memory CSR engine uses on its removal frontier.  The
+    label → index map is O(n) words in one of two shapes:
 
-    Holds the sorted label universe and its permutation (O(n) words) so
-    each chunk of edges maps to dense indices via ``searchsorted``; the
-    degree updates are then single ``np.bincount`` calls — the same
-    kernel the in-memory CSR engine uses on its removal frontier.
+    * int64-range labels keep the sorted universe and its permutation,
+      and each chunk maps via ``searchsorted`` (array chunks and record
+      chunks alike);
+    * any other hashable labels (strings, tuples, huge ints) keep a
+      ``{label: index}`` dict and are read as record chunks, each
+      endpoint mapped through the dict.
 
     Two cached shortcuts keep per-pass work off the map:
 
@@ -89,53 +90,47 @@ class _IntStreamScanner:
     """
 
     def __init__(self, labels, threads: int = 1) -> None:
-        from ..kernels.csr import build_label_index
+        from ..kernels.csr import _all_int_labels, build_label_index
 
         self.threads = max(1, int(threads))
-
+        self.n = len(labels)
+        self._position = None
+        self._identity = False
         if isinstance(labels, range):
             # Dense-identity universes (shard stores) skip the O(n)
             # boxed-int conversion; range(0, n) also skips the argsort.
             arr = _np.arange(
                 labels.start, labels.stop, labels.step, dtype=_np.int64
             )
-        else:
+            if labels.start == 0 and labels.step == 1:
+                self._order = self._sorted = arr
+                self._identity = bool(self.n)
+            else:
+                self._order, self._sorted = build_label_index(arr)
+        elif _all_int_labels(labels):
             arr = _np.asarray(labels, dtype=_np.int64)
-        self.n = int(arr.size)
-        if isinstance(labels, range) and labels.start == 0 and labels.step == 1:
-            self._order = self._sorted = arr
-            self._identity = bool(self.n)
-        else:
             self._order, self._sorted = build_label_index(arr)
-            # The identity universe (labels == range(n), the shard-store
-            # case): mapping is a no-op, checked once instead of per chunk.
+            # The identity universe (labels[i] == i, the shard-store
+            # case): mapping is a no-op, checked once instead of per
+            # chunk.  A permutation of range(n) is not the identity.
             self._identity = bool(
                 self.n
-                and self._sorted[0] == 0
-                and self._sorted[-1] == self.n - 1
-                and _np.array_equal(self._sorted, _np.arange(self.n, dtype=_np.int64))
+                and arr[0] == 0
+                and arr[-1] == self.n - 1
+                and _np.array_equal(arr, _np.arange(self.n, dtype=_np.int64))
             )
+        else:
+            self._position = {label: i for i, label in enumerate(labels)}
         self._dtype = _np.dtype(
             [("u", _np.int64), ("v", _np.int64), ("w", _np.float64)]
         )
         self.last_scanned = 0
         self.last_kept = 0
 
-    @classmethod
-    def build(cls, labels, threads: int = 1) -> Optional["_IntStreamScanner"]:
-        """A scanner for ``labels``, or None when ineligible."""
-        if FORCE_PYTHON_SCAN or _np is None or not labels:
-            return None
-        if not isinstance(labels, range):  # ranges are ints by construction
-            from ..kernels.csr import _all_int_labels
-
-            if not _all_int_labels(labels):
-                return None
-        return cls(labels, threads=threads)
-
     def _missing(self, first_bad):
+        label = first_bad.item() if isinstance(first_bad, _np.generic) else first_bad
         return StreamError(
-            f"stream edge endpoint {int(first_bad)} outside the node universe"
+            f"stream edge endpoint {label!r} outside the node universe"
         )
 
     def _map(self, ids):
@@ -157,6 +152,17 @@ class _IntStreamScanner:
         rewrites — letting shard stores skip provably-dead shards.
         """
         dense = getattr(stream, "dense_ids", False)
+        if self._position is not None and not dense:
+            # Non-int labels cannot ride in int64 arrays, so their
+            # records are mapped through the dict as they are read.
+            # Compaction rewrites of such streams hold dense ids and
+            # take the array paths below.
+            position = self._position
+            yield from self._record_chunks(
+                ((position[u], position[v], w) for u, v, w in stream.edges()),
+                relabelled=True,
+            )
+            return
         chunks = None
         if stream.has_array_chunks():
             if alive is not None and (dense or self._identity):
@@ -187,11 +193,27 @@ class _IntStreamScanner:
                 v = self._map(v)
             yield u, v, _np.asarray(w, dtype=_np.float64)
             return
-        edges = stream.edges()
+        yield from self._record_chunks(stream.edges())
+
+    def _record_chunks(self, records, relabelled: bool = False):
+        """``(ui, vi, w)`` chunks of a record iterator.
+
+        ``relabelled`` records already carry dense indices (mapped
+        through the label dict); others carry int labels for
+        :meth:`_map`.
+        """
         while True:
-            arr = _np.fromiter(islice(edges, _SCAN_CHUNK), dtype=self._dtype, count=-1)
+            try:
+                arr = _np.fromiter(
+                    islice(records, _SCAN_CHUNK), dtype=self._dtype, count=-1
+                )
+            except KeyError as exc:  # a non-int endpoint outside the universe
+                raise self._missing(exc.args[0]) from None
             if arr.size:
-                yield self._map(arr["u"]), self._map(arr["v"]), arr["w"]
+                if relabelled:
+                    yield arr["u"], arr["v"], arr["w"]
+                else:
+                    yield self._map(arr["u"]), self._map(arr["v"]), arr["w"]
             if arr.size < _SCAN_CHUNK:
                 return
 
@@ -199,14 +221,15 @@ class _IntStreamScanner:
         """A task-shaped pass for the threaded scan, or None.
 
         Eligible only when this scanner has a thread pool to feed
-        (``threads > 1``) and the stream serves
+        (``threads > 1``), the chunks need no dict relabel (int labels
+        or a ``dense_ids`` rewrite), and the stream serves
         :meth:`~repro.streaming.stream.EdgeStream.edge_array_chunk_tasks`.
         Skip hints follow the same rule as :meth:`_chunks`: forwarded
         only when dense indices and node ids coincide.
         """
-        if self.threads <= 1:
-            return None
         dense = getattr(stream, "dense_ids", False)
+        if self.threads <= 1 or (self._position is not None and not dense):
+            return None
         if alive is not None and (dense or self._identity):
             return stream.edge_array_chunk_tasks(alive=alive, dst_alive=dst_alive)
         return stream.edge_array_chunk_tasks()
@@ -450,41 +473,29 @@ class _IntStreamScanner:
         return out_to_t, in_from_s, weight
 
 
-# Shared alive-list maintenance (same helper as the core loops).
-_drop_killed = drop_killed
-
-
-def _charge_exact_memory(
-    accountant: Optional[MemoryAccountant], n: int, *, vectorized: bool
-) -> None:
+def _charge_exact_memory(accountant: Optional[MemoryAccountant], n: int) -> None:
     """Standard footprint of the exact-degree engines."""
     if accountant is None:
         return
     accountant.charge_words("degrees", n)
     accountant.charge_bits("alive_bitmap", n)
-    # The maintained alive list (O(|S|) threshold scans) is at most n
+    # The alive-index list a threshold scan materializes is at most n
     # indices; charged at its worst case.
     accountant.charge_words("alive_list", n)
     # The best-set snapshot needs only membership, i.e. one bit per node.
     accountant.charge_bits("best_set_bitmap", n)
     accountant.charge_words("scalars", 4)
-    if vectorized:
-        # The scanner's sorted-label index (_order + _sorted).
-        accountant.charge_words("label_index", 2 * n)
+    # The scanner's label index (sorted labels + permutation, or the
+    # label -> index dict for non-int labels).
+    accountant.charge_words("label_index", 2 * n)
 
 
 class _UndirectedPassState:
     """Shared per-pass machinery of the undirected streaming engines.
 
-    The label → index dict is only materialized for the per-edge
-    fallback scan; the vectorized scanner carries its own (much
-    smaller) sorted-array index, which matters for the constant factor
-    of the O(n) state on out-of-core runs.
-
-    On the scanner path the dense alive mask is a *maintained* numpy
-    array — updated in place by :meth:`kill` rather than rebuilt from
-    the Python list every pass, so scan-only passes (final valuation,
-    empty-removal passes) reuse it untouched.
+    The dense alive mask is a *maintained* numpy array — updated in
+    place by :meth:`kill` rather than rebuilt every pass, so scan-only
+    passes (final valuation, empty-removal passes) reuse it untouched.
 
     With a :class:`~repro.streaming.compaction.CompactionPolicy`, each
     scan may fuse a survivor rewrite (see :mod:`~repro.streaming.compaction`);
@@ -505,27 +516,14 @@ class _UndirectedPassState:
             raise StreamError("stream has an empty node universe")
         self.n = len(self.labels)
         self.remaining = self.n
-        self._scanner = _IntStreamScanner.build(
-            self.labels, threads=scan_threads or 1
-        )
+        self._scanner = _StreamScanner(self.labels, threads=scan_threads or 1)
+        self._alive_arr = _np.ones(self.n, dtype=bool)
         self._compactor = None
-        if self._scanner is not None:
-            # The alive state lives only in the maintained dense mask;
-            # the Python bool/index lists exist only on the fallback
-            # path (O(n) boxed updates per pass are its hottest cost).
-            self.alive = None
-            self.alive_nodes = None
-            self.index = None
-            self._alive_arr = _np.ones(self.n, dtype=bool)
-            if compaction is not None:
-                from .compaction import Compactor
+        if compaction is not None:
+            from .compaction import Compactor
 
-                self._compactor = Compactor(compaction, stream, directed=False)
-                self._compactor.bind(self.n)
-        else:
-            self.alive = [True] * self.n
-            self.alive_nodes = list(range(self.n))
-            self.index = {node: i for i, node in enumerate(self.labels)}
+            self._compactor = Compactor(compaction, stream, directed=False)
+            self._compactor.bind(self.n)
 
     def scan(self, compact: bool = True):
         """One stream pass: degrees of alive nodes and surviving weight.
@@ -534,80 +532,51 @@ class _UndirectedPassState:
         terminal valuation scans whose result stream would be thrown
         away with the run.
         """
-        if self._scanner is not None:
-            sink = None
-            if compact and self._compactor is not None and self._compactor.due():
-                sink = self._compactor.open_sink()
-            try:
-                degrees, weight = self._scanner.scan_undirected(
-                    self.stream, self._alive_arr, sink=sink
+        sink = None
+        if compact and self._compactor is not None and self._compactor.due():
+            sink = self._compactor.open_sink()
+        try:
+            degrees, weight = self._scanner.scan_undirected(
+                self.stream, self._alive_arr, sink=sink
+            )
+        except BaseException:
+            # A scan interrupted mid-pass (fault, cancel, I/O error)
+            # must not leak the sink's half-written spill store.
+            if sink is not None:
+                sink.abort()
+            raise
+        if self._compactor is not None:
+            if sink is not None:
+                self.stream = self._compactor.finish(sink)
+            else:
+                self._compactor.observe(
+                    self._scanner.last_scanned, self._scanner.last_kept
                 )
-            except BaseException:
-                # A scan interrupted mid-pass (fault, cancel, I/O error)
-                # must not leak the sink's half-written spill store.
-                if sink is not None:
-                    sink.abort()
-                raise
-            if self._compactor is not None:
-                if sink is not None:
-                    self.stream = self._compactor.finish(sink)
-                else:
-                    self._compactor.observe(
-                        self._scanner.last_scanned, self._scanner.last_kept
-                    )
-            return degrees, weight
-        degrees = [0.0] * self.n
-        weight = 0.0
-        alive = self.alive
-        index = self.index
-        for u, v, w in self.stream.edges():
-            ui = index[u]
-            vi = index[v]
-            if alive[ui] and alive[vi]:
-                degrees[ui] += w
-                degrees[vi] += w
-                weight += w
         return degrees, weight
 
     def threshold_candidates(self, degrees, cutoff: float) -> List[int]:
-        """Alive indices with degree <= cutoff, ascending.
-
-        One vectorized mask on the scanner path (against the maintained
-        alive array); the list comprehension otherwise.  Both produce
-        ascending index order, so the peel decisions are identical.
-        """
-        if self._scanner is not None:
-            return _np.flatnonzero(self._alive_arr & (degrees <= cutoff)).tolist()
-        return [i for i in self.alive_nodes if degrees[i] <= cutoff]
+        """Alive indices with degree <= cutoff, ascending."""
+        return _np.flatnonzero(self._alive_arr & (degrees <= cutoff)).tolist()
 
     def kill(self, to_remove: List[int]) -> None:
         """Remove nodes from the alive set."""
-        if self._scanner is not None:
-            if to_remove:
-                self._alive_arr[to_remove] = False
-        else:
-            for i in to_remove:
-                self.alive[i] = False
-            self.alive_nodes = _drop_killed(self.alive_nodes, to_remove)
+        if to_remove:
+            self._alive_arr[to_remove] = False
         self.remaining -= len(to_remove)
         if self._compactor is not None:
             self._compactor.note_nodes(self.remaining)
 
     def alive_indices(self) -> List[int]:
         """Indices of currently alive nodes, ascending."""
-        if self._scanner is not None:
-            return _np.flatnonzero(self._alive_arr).tolist()
-        return list(self.alive_nodes)
+        return _np.flatnonzero(self._alive_arr).tolist()
 
     def restore(self, alive: "_np.ndarray", remaining: int) -> None:
-        """Adopt a checkpoint's alive mask (scanner path only).
+        """Adopt a checkpoint's alive mask.
 
         The next :meth:`scan` recomputes degrees from the base stream
         under this mask, so the resumed peel is bit-identical to an
         uninterrupted one from this point on.
         """
-        if self._scanner is None:
-            raise StreamError("checkpoint restore requires the vectorized scanner")
         self._alive_arr = _np.asarray(alive, dtype=bool).copy()
         self.remaining = int(remaining)
         if self._compactor is not None:
@@ -627,14 +596,8 @@ def _load_engine_checkpoint(config, kind, params, state, stream):
     Returns the loaded state dict (already applied to ``state`` and the
     stream accounting) or ``None`` when no checkpoint exists.
     """
-    from ..errors import CheckpointError
     from .checkpoint import load_peel_checkpoint, restore_accounting
 
-    if state._scanner is None:
-        raise CheckpointError(
-            "peel checkpointing requires the vectorized scanner "
-            "(integer node ids and numpy)"
-        )
     loaded = load_peel_checkpoint(config, kind=kind, params=params, n=state.n)
     if loaded is None:
         return None
@@ -698,20 +661,17 @@ def stream_densest_subgraph(
         pass keeps at most the threshold fraction of the records it
         scanned, the next scan also rewrites the survivors into a fresh
         sink and later passes scan only those — same node sets, traces,
-        and pass counts, geometrically fewer bytes.  Honored on the
-        vectorized scanner path (int-labeled streams); the per-edge
-        reference scan ignores it.
+        and pass counts, geometrically fewer bytes.
     scan_threads:
         Thread count for per-shard degree scans (default 1, sequential).
-        Honored only by shard-backed streams on the vectorized scanner
-        path; results and accounting are bit-identical to sequential.
+        Honored only by shard-backed streams; results and accounting
+        are bit-identical to sequential.
     checkpoint:
         ``None`` (off), a directory path, or a
         :class:`~repro.streaming.checkpoint.CheckpointConfig`: persist
         the O(n) between-pass state every ``every`` passes and resume
         from the latest checkpoint on a rerun of the same solve —
-        bit-identical node sets, traces, and pass counts.  Requires the
-        vectorized scanner path.
+        bit-identical node sets, traces, and pass counts.
     control:
         Optional :class:`~repro.faults.RunControl` checked at each pass
         boundary — cooperative cancellation, wall-clock deadline, and
@@ -730,7 +690,7 @@ def stream_densest_subgraph(
     state = _UndirectedPassState(
         stream, CompactionPolicy.coerce(compaction), scan_threads=scan_threads
     )
-    _charge_exact_memory(accountant, state.n, vectorized=state._scanner is not None)
+    _charge_exact_memory(accountant, state.n)
 
     best_set = None  # None = the full universe (no improvement yet)
     best_density: Optional[float] = None
@@ -865,7 +825,7 @@ def stream_densest_subgraph_atleast_k(
     )
     if k > state.n:
         raise ParameterError(f"k={k} exceeds the universe of {state.n} nodes")
-    _charge_exact_memory(accountant, state.n, vectorized=state._scanner is not None)
+    _charge_exact_memory(accountant, state.n)
 
     best_set = state.alive_indices()
     best_density: Optional[float] = None
@@ -996,11 +956,7 @@ def stream_densest_subgraph_directed(
     if not labels:
         raise StreamError("stream has an empty node universe")
     n = len(labels)
-    scanner = _IntStreamScanner.build(labels, threads=scan_threads or 1)
-    # The dict index feeds only the per-edge fallback scan.
-    index = (
-        None if scanner is not None else {node: i for i, node in enumerate(labels)}
-    )
+    scanner = _StreamScanner(labels, threads=scan_threads or 1)
     if accountant is not None:
         accountant.charge_words("out_counters", n)
         accountant.charge_words("in_counters", n)
@@ -1009,8 +965,7 @@ def stream_densest_subgraph_directed(
         accountant.charge_words("side_lists", 2 * n)
         accountant.charge_bits("best_set_bitmaps", 2 * n)
         accountant.charge_words("scalars", 5)
-        if scanner is not None:
-            accountant.charge_words("label_index", 2 * n)
+        accountant.charge_words("label_index", 2 * n)
 
     s_size = n
     t_size = n
@@ -1023,37 +978,18 @@ def stream_densest_subgraph_directed(
     trace: List[DirectedPassRecord] = []
     pass_index = 0
 
+    # The side state lives in two maintained dense bitmaps, updated in
+    # place on removal.
+    in_s = _np.ones(n, dtype=bool)
+    in_t = _np.ones(n, dtype=bool)
     compactor = None
-    in_s = in_t = s_nodes = t_nodes = None
-    in_s_arr = in_t_arr = None
-    if scanner is not None:
-        # The side state lives only in the maintained dense bitmaps
-        # (updated in place on removal); the Python bool/index lists
-        # exist only on the fallback path.
-        in_s_arr = _np.ones(n, dtype=bool)
-        in_t_arr = _np.ones(n, dtype=bool)
-        if policy is not None:
-            from .compaction import Compactor
+    if policy is not None:
+        from .compaction import Compactor
 
-            compactor = Compactor(policy, stream, directed=True)
-            # note_nodes reports s_size + t_size, so the trigger
-            # baseline is in membership units (2n), not nodes.
-            compactor.bind(n, source_nodes=2 * n)
-    else:
-        in_s = [True] * n
-        in_t = [True] * n
-        s_nodes = list(range(n))
-        t_nodes = list(range(n))
-
-    def current_s() -> List[int]:
-        if scanner is not None:
-            return _np.flatnonzero(in_s_arr).tolist()
-        return list(s_nodes)
-
-    def current_t() -> List[int]:
-        if scanner is not None:
-            return _np.flatnonzero(in_t_arr).tolist()
-        return list(t_nodes)
+        compactor = Compactor(policy, stream, directed=True)
+        # note_nodes reports s_size + t_size, so the trigger
+        # baseline is in membership units (2n), not nodes.
+        compactor.bind(n, source_nodes=2 * n)
 
     scan_stream = stream
     try:
@@ -1061,34 +997,22 @@ def stream_densest_subgraph_directed(
             if control is not None:
                 control.check_pass(pass_index + 1)
             pass_index += 1
-            if scanner is not None:
-                sink = None
-                if compactor is not None and compactor.due():
-                    sink = compactor.open_sink()
-                try:
-                    out_to_t, in_from_s, weight = scanner.scan_directed(
-                        scan_stream, in_s_arr, in_t_arr, sink=sink
-                    )
-                except BaseException:
-                    if sink is not None:
-                        sink.abort()
-                    raise
-                if compactor is not None:
-                    if sink is not None:
-                        scan_stream = compactor.finish(sink)
-                    else:
-                        compactor.observe(scanner.last_scanned, scanner.last_kept)
-            else:
-                out_to_t = [0.0] * n
-                in_from_s = [0.0] * n
-                weight = 0.0
-                for u, v, w in scan_stream.edges():
-                    ui = index[u]
-                    vi = index[v]
-                    if in_s[ui] and in_t[vi]:
-                        out_to_t[ui] += w
-                        in_from_s[vi] += w
-                        weight += w
+            sink = None
+            if compactor is not None and compactor.due():
+                sink = compactor.open_sink()
+            try:
+                out_to_t, in_from_s, weight = scanner.scan_directed(
+                    scan_stream, in_s, in_t, sink=sink
+                )
+            except BaseException:
+                if sink is not None:
+                    sink.abort()
+                raise
+            if compactor is not None:
+                if sink is not None:
+                    scan_stream = compactor.finish(sink)
+                else:
+                    compactor.observe(scanner.last_scanned, scanner.last_kept)
             density = weight / math.sqrt(s_size * t_size)
             if pending is not None:
                 trace.append(
@@ -1098,35 +1022,20 @@ def stream_densest_subgraph_directed(
                 )
                 if density > best_density:  # type: ignore[operator]
                     best_density = density
-                    best_s = current_s()
-                    best_t = current_t()
+                    best_s = _np.flatnonzero(in_s).tolist()
+                    best_t = _np.flatnonzero(in_t).tolist()
                     best_pass = pending["pass_index"]
             if best_density is None:
                 best_density = density
-            # Threshold scans: vectorized mask on the scanner path (reusing
-            # the pass's side bitmaps), list comprehension otherwise; both
-            # yield ascending index order.
-            peel_s = s_size / t_size >= ratio
-            if peel_s:
-                threshold = one_plus_eps * weight / s_size
-                cutoff = threshold + THRESHOLD_EPS
-                if scanner is not None:
-                    to_remove = _np.flatnonzero(
-                        in_s_arr & (out_to_t <= cutoff)
-                    ).tolist()
-                else:
-                    to_remove = [i for i in s_nodes if out_to_t[i] <= cutoff]
-                side = "S"
+            # Threshold scans: one vectorized mask against the pass's
+            # side bitmap, in ascending index order.
+            if s_size / t_size >= ratio:
+                side, members, counters, size = "S", in_s, out_to_t, s_size
             else:
-                threshold = one_plus_eps * weight / t_size
-                cutoff = threshold + THRESHOLD_EPS
-                if scanner is not None:
-                    to_remove = _np.flatnonzero(
-                        in_t_arr & (in_from_s <= cutoff)
-                    ).tolist()
-                else:
-                    to_remove = [j for j in t_nodes if in_from_s[j] <= cutoff]
-                side = "T"
+                side, members, counters, size = "T", in_t, in_from_s, t_size
+            threshold = one_plus_eps * weight / size
+            cutoff = threshold + THRESHOLD_EPS
+            to_remove = _np.flatnonzero(members & (counters <= cutoff)).tolist()
             pending = {
                 "pass_index": pass_index,
                 "side": side,
@@ -1139,23 +1048,11 @@ def stream_densest_subgraph_directed(
                 "s_after": s_size - len(to_remove) if side == "S" else s_size,
                 "t_after": t_size - len(to_remove) if side == "T" else t_size,
             }
+            if to_remove:
+                members[to_remove] = False
             if side == "S":
-                if scanner is not None:
-                    if to_remove:
-                        in_s_arr[to_remove] = False
-                else:
-                    for i in to_remove:
-                        in_s[i] = False
-                    s_nodes = _drop_killed(s_nodes, to_remove)
                 s_size -= len(to_remove)
             else:
-                if scanner is not None:
-                    if to_remove:
-                        in_t_arr[to_remove] = False
-                else:
-                    for j in to_remove:
-                        in_t[j] = False
-                    t_nodes = _drop_killed(t_nodes, to_remove)
                 t_size -= len(to_remove)
             if compactor is not None:
                 compactor.note_nodes(s_size + t_size)

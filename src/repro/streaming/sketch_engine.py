@@ -13,21 +13,10 @@ those are exactly the nodes that must survive; a few low-degree nodes
 surviving spuriously barely moves the density.  Table 4 measures the
 resulting quality/space trade-off.
 
-Like the exact streaming engines, the per-pass edge scan has two
-implementations behind an ``engine="auto"|"python"|"numpy"`` knob: the
-record loop (one dict lookup and list append per edge) and a
-vectorized scan that pulls int-labeled streams in chunks through the
-same :class:`~repro.streaming.engine._IntStreamScanner` machinery,
-masks out dead endpoints, and feeds whole surviving-edge arrays to
-:meth:`CountSketch.add_many` at once.  Sketch updates commute, so the
-two paths build the identical sketch state (bit-identical when the
-weights are dyadic, e.g. unweighted streams) and remove the same
-nodes.  Because of that equivalence, ``engine="python"`` on a stream
-that *offers the shard-chunk protocol* (``edge_array_chunks``) is also
-routed through the chunked scan — buffering millions of memmap-backed
-endpoints through Python lists would build the very same sketch at a
-per-record interpreter cost; the record loop remains the path for
-genuinely record-shaped streams.
+The per-pass edge scan is the exact engines' chunked scan
+(:class:`~repro.streaming.engine._StreamScanner`): each chunk is mapped
+to dense indices, dead endpoints are masked out, and whole
+surviving-edge arrays feed :meth:`CountSketch.add_many` at once.
 
 The sketch engine also honors the ``compaction=`` control of the exact
 engines (see :mod:`repro.streaming.compaction`): the chunked scan can
@@ -46,16 +35,13 @@ from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_int
 from ..core.result import DensestSubgraphResult
 from ..core.trace import PassRecord
-from ..errors import ParameterError, StreamError
+from ..errors import StreamError
 from .countsketch import CountSketch
-from .engine import _IntStreamScanner
+from .engine import _StreamScanner
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
 Node = Hashable
-
-#: Engine names accepted by ``sketch_densest_subgraph``.
-ENGINES = ("auto", "python", "numpy")
 
 
 def sketch_densest_subgraph(
@@ -67,7 +53,6 @@ def sketch_densest_subgraph(
     seed: int = 0,
     max_passes: Optional[int] = None,
     accountant: Optional[MemoryAccountant] = None,
-    engine: str = "auto",
     compaction=None,
 ) -> DensestSubgraphResult:
     """Algorithm 1 with sketched degrees.
@@ -86,16 +71,9 @@ def sketch_densest_subgraph(
     accountant:
         Optional accountant; charged t·b words for the sketch instead of
         the n words of exact counters.
-    engine:
-        Edge-scan implementation: ``"python"`` (record loop),
-        ``"numpy"`` (vectorized chunked scan; requires an int-labeled
-        stream), or ``"auto"`` (vectorized when eligible).  Streams
-        offering the shard-chunk protocol are pulled through the
-        chunked scan on every engine — see the module docstring.
     compaction:
         Pass-compaction control (``None``/bool/threshold/policy), as in
         :func:`~repro.streaming.engine.stream_densest_subgraph`.
-        Honored on the chunked scan path.
 
     Returns
     -------
@@ -106,65 +84,32 @@ def sketch_densest_subgraph(
     epsilon = check_epsilon(epsilon)
     check_positive_int(buckets, "buckets")
     check_positive_int(tables, "tables")
-    if engine not in ENGINES:
-        raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     labels = stream.node_universe()
     if not labels:
         raise StreamError("stream has an empty node universe")
     n = len(labels)
-    scanner = None
-    if engine != "python":
-        scanner = _IntStreamScanner.build(labels)
-        if scanner is None and engine == "numpy":
-            raise StreamError(
-                "engine='numpy' needs an int-labeled stream (and numpy); "
-                "use engine='python'"
-            )
-    if scanner is None and stream.has_array_chunks():
-        # The record loop would pull every memmap-backed record through
-        # a Python list append; the chunked scan builds the identical
-        # sketch state (updates commute), so chunk-offering streams are
-        # routed through it even under engine="python".  build() keeps
-        # its own guards (FORCE_PYTHON_SCAN, numpy, int labels).
-        scanner = _IntStreamScanner.build(labels)
-    # The label -> index dict feeds only the record-loop paths.
-    index = (
-        None if scanner is not None else {node: i for i, node in enumerate(labels)}
-    )
+    scanner = _StreamScanner(labels)
     from .compaction import Compactor, CompactionPolicy
 
     policy = CompactionPolicy.coerce(compaction)
     compactor = None
-    if policy is not None and scanner is not None:
+    if policy is not None:
         compactor = Compactor(policy, stream, directed=False)
         compactor.bind(n)
     sketch = CountSketch(tables=tables, buckets=buckets, seed=seed)
     if accountant is not None:
         accountant.charge_words("sketch", sketch.words)
-    # A fresh set of hash functions is drawn every pass (seeded, so runs
-    # stay deterministic).  With *fixed* hashes a pass whose estimates
-    # all land above the threshold would repeat the identical outcome
-    # forever, degenerating to one-node-per-pass removal; independent
-    # per-pass hashing makes the collision noise independent across
-    # passes and restores geometric progress.  Space is unchanged.
         accountant.charge_bits("alive_bitmap", n)
         accountant.charge_bits("best_set_bitmap", n)
         accountant.charge_words("scalars", 4)
-        # The vectorized scanner's label index replaces the label ->
-        # dense-index dict both paths already hold (and which, like
-        # the dict, is not part of the charged between-pass footprint
-        # — the sketch's memory claim is about the degree counters).
+        # The scanner's label index is not part of the charged
+        # between-pass footprint — the sketch's memory claim is about
+        # the degree counters.
 
-    # Alive state: the dense mask alone on the scanner path, the Python
-    # bool list alone on the record path (O(n) boxed updates per pass
-    # are the record path's hottest non-scan cost).
-    alive = None if scanner is not None else [True] * n
-    alive_arr = np.ones(n, dtype=bool) if scanner is not None else None
+    alive_arr = np.ones(n, dtype=bool)
 
     def alive_indices() -> list:
-        if alive_arr is not None:
-            return np.flatnonzero(alive_arr).tolist()
-        return [i for i in range(n) if alive[i]]
+        return np.flatnonzero(alive_arr).tolist()
 
     remaining = n
     best_set = list(range(n))
@@ -176,35 +121,8 @@ def sketch_densest_subgraph(
     pass_index = 0
     scan_stream = stream
 
-    # Endpoint updates are buffered in fixed-size chunks so the sketch
-    # can apply them vectorized; updates commute, so chunking does not
-    # change the resulting sketch state, and the buffer is O(1)-sized.
-    chunk_size = 8192
-
-    def _sketch_pass_python(sketch: CountSketch) -> float:
-        """Record-loop scan: buffer surviving endpoints, update chunked."""
-        weight = 0.0
-        chunk_items: List[int] = []
-        chunk_deltas: List[float] = []
-        for u, v, w in scan_stream.edges():
-            ui = index[u]
-            vi = index[v]
-            if alive[ui] and alive[vi]:
-                chunk_items.append(ui)
-                chunk_items.append(vi)
-                chunk_deltas.append(w)
-                chunk_deltas.append(w)
-                weight += w
-                if len(chunk_items) >= chunk_size:
-                    sketch.add_many(chunk_items, chunk_deltas)
-                    chunk_items.clear()
-                    chunk_deltas.clear()
-        if chunk_items:
-            sketch.add_many(chunk_items, chunk_deltas)
-        return weight
-
-    def _sketch_pass_numpy(sketch: Optional[CountSketch], sink=None) -> float:
-        """Vectorized scan: mask dead endpoints per chunk, one batched
+    def _sketch_pass(sketch: Optional[CountSketch], sink=None) -> float:
+        """One chunked scan: mask dead endpoints per chunk, one batched
         update per chunk for both endpoints of every surviving edge;
         surviving records also feed the compaction sink when one rides
         along.  With ``sketch=None`` only the surviving weight is
@@ -244,23 +162,25 @@ def sketch_densest_subgraph(
             if max_passes is not None and pass_index >= max_passes:
                 break
             pass_index += 1
+            # A fresh set of hash functions is drawn every pass (seeded,
+            # so runs stay deterministic).  With *fixed* hashes a pass
+            # whose estimates all land above the threshold would repeat
+            # the identical outcome forever, degenerating to
+            # one-node-per-pass removal; independent per-pass hashing
+            # makes the collision noise independent across passes and
+            # restores geometric progress.  Space is unchanged.
             sketch = CountSketch(
                 tables=tables, buckets=buckets, seed=seed + pass_index
             )
-            if scanner is not None:
-                sink = None
-                if compactor is not None and compactor.due():
-                    sink = compactor.open_sink()
-                weight = _sketch_pass_numpy(sketch, sink=sink)
-                if compactor is not None:
-                    if sink is not None:
-                        scan_stream = compactor.finish(sink)
-                    else:
-                        compactor.observe(
-                            scanner.last_scanned, scanner.last_kept
-                        )
-            else:
-                weight = _sketch_pass_python(sketch)
+            sink = None
+            if compactor is not None and compactor.due():
+                sink = compactor.open_sink()
+            weight = _sketch_pass(sketch, sink=sink)
+            if compactor is not None:
+                if sink is not None:
+                    scan_stream = compactor.finish(sink)
+                else:
+                    compactor.observe(scanner.last_scanned, scanner.last_kept)
             density = weight / remaining
             if pending is not None:
                 trace.append(
@@ -300,12 +220,8 @@ def sketch_densest_subgraph(
                 "removed": len(to_remove),
                 "nodes_after": remaining - len(to_remove),
             }
-            if alive_arr is not None:
-                if to_remove:
-                    alive_arr[to_remove] = False
-            else:
-                for i in to_remove:
-                    alive[i] = False
+            if to_remove:
+                alive_arr[to_remove] = False
             remaining -= len(to_remove)
             if compactor is not None:
                 compactor.note_nodes(remaining)
@@ -315,16 +231,8 @@ def sketch_densest_subgraph(
                 edges_after, density_after = 0.0, 0.0
             else:
                 # Truncation valuation: one counted pass summing the
-                # surviving weight, through the scanner when one exists
-                # (a record loop here would re-read the whole store
-                # through Python on the engine's hottest input shape).
-                if scanner is not None:
-                    weight = _sketch_pass_numpy(None)
-                else:
-                    weight = 0.0
-                    for u, v, w in scan_stream.edges():
-                        if alive[index[u]] and alive[index[v]]:
-                            weight += w
+                # surviving weight.
+                weight = _sketch_pass(None)
                 edges_after = weight
                 density_after = weight / remaining
                 if density_after > (best_density or 0.0):

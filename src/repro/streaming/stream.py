@@ -23,15 +23,13 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..errors import StreamError
 from ..graph.directed import DirectedGraph
 from ..graph.io import iter_edge_list
 from ..graph.undirected import UndirectedGraph
-
-try:  # the shard store needs numpy; streams must import without it
-    from ..store.shards import ShardedEdgeStore
-except ImportError:  # pragma: no cover - numpy-less installs
-    ShardedEdgeStore = None
+from ..store.shards import ShardedEdgeStore
 
 Node = Hashable
 EdgeTriple = Tuple[Node, Node, float]
@@ -108,13 +106,9 @@ def _alive_test(alive) -> Callable[[Node], bool]:
 def _triples_to_arrays(triples):
     """``(u, v, w)`` arrays from a materialized triple list, or None.
 
-    Returns None when numpy is unavailable or the node ids do not
-    convert to a sortable array dtype (exotic hashable labels).
+    Returns None when the node ids do not convert to a sortable array
+    dtype (exotic hashable labels).
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy-less installs
-        return None
     if not triples:
         return None
     us, vs, ws = zip(*triples)
@@ -445,8 +439,6 @@ class ShardEdgeStream(EdgeStream):
         dense_ids: bool = False,
         accounting: Optional[StreamAccounting] = None,
     ) -> None:
-        if ShardedEdgeStore is None:  # pragma: no cover - numpy-less installs
-            raise StreamError("ShardEdgeStream requires numpy")
         if not isinstance(store, ShardedEdgeStore):
             store = ShardedEdgeStore.open(store)
         super().__init__(accounting=accounting)
@@ -519,7 +511,6 @@ class ShardEdgeStream(EdgeStream):
         stream shares this stream's accounting.  The caller owns the
         target directory's lifecycle.
         """
-        import numpy as np
         import tempfile
 
         from ..store.shards import DEFAULT_MEMORY_BUDGET, ShardWriter
@@ -572,10 +563,6 @@ class ArrayEdgeStream(EdgeStream):
         dense_ids: bool = False,
         accounting: Optional[StreamAccounting] = None,
     ) -> None:
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy-less installs
-            raise StreamError("ArrayEdgeStream requires numpy") from None
         u = np.asarray(src, dtype=np.int64)
         v = np.asarray(dst, dtype=np.int64)
         if u.shape != v.shape or u.ndim != 1:

@@ -20,7 +20,7 @@ from repro.errors import (
     JobCancelledError,
 )
 from repro.faults import FaultPlan, RunControl
-from repro.streaming import ArrayEdgeStream, CheckpointConfig
+from repro.streaming import ArrayEdgeStream, CheckpointConfig, MemoryEdgeStream
 from repro.streaming.checkpoint import CHECKPOINT_NAME
 from repro.streaming.engine import (
     stream_densest_subgraph,
@@ -37,6 +37,14 @@ def _stream():
     return ArrayEdgeStream(src, dst, num_nodes=N)
 
 
+def _str_stream():
+    src, dst = nested_core_edge_arrays(N, seed=3)
+    return MemoryEdgeStream(
+        [(f"n{u}", f"n{v}") for u, v in zip(src.tolist(), dst.tolist())],
+        nodes=[f"n{i}" for i in range(N)],
+    )
+
+
 def _assert_identical(a, b):
     assert a.nodes == b.nodes
     assert a.density == b.density  # exact float equality, not approx
@@ -45,26 +53,38 @@ def _assert_identical(a, b):
     assert a.trace == b.trace
 
 
+def _check_atleast_k_resume(tmp_path, make_stream):
+    clean = stream_densest_subgraph_atleast_k(make_stream(), K, EPS)
+    assert clean.passes > 20  # the peel must be deep enough to matter
+
+    ckpt = CheckpointConfig(tmp_path / "ck", every=4)
+    fault_pass = clean.passes - 3
+    control = RunControl(fault_plan=FaultPlan.raise_at_pass(fault_pass))
+    with pytest.raises(InjectedFaultError):
+        stream_densest_subgraph_atleast_k(
+            make_stream(), K, EPS, checkpoint=ckpt, control=control
+        )
+    assert (tmp_path / "ck" / CHECKPOINT_NAME).exists()
+
+    resumed = stream_densest_subgraph_atleast_k(
+        make_stream(), K, EPS, checkpoint=ckpt
+    )
+    _assert_identical(resumed, clean)
+    # a successful run removes its checkpoint
+    assert not (tmp_path / "ck" / CHECKPOINT_NAME).exists()
+    return clean
+
+
 class TestResumeBitIdentical:
     def test_atleast_k_resume_after_fault(self, tmp_path):
-        clean = stream_densest_subgraph_atleast_k(_stream(), K, EPS)
-        assert clean.passes > 20  # the peel must be deep enough to matter
+        _check_atleast_k_resume(tmp_path, _stream)
 
-        ckpt = CheckpointConfig(tmp_path / "ck", every=4)
-        fault_pass = clean.passes - 3
-        control = RunControl(fault_plan=FaultPlan.raise_at_pass(fault_pass))
-        with pytest.raises(InjectedFaultError):
-            stream_densest_subgraph_atleast_k(
-                _stream(), K, EPS, checkpoint=ckpt, control=control
-            )
-        assert (tmp_path / "ck" / CHECKPOINT_NAME).exists()
-
-        resumed = stream_densest_subgraph_atleast_k(
-            _stream(), K, EPS, checkpoint=ckpt
-        )
-        _assert_identical(resumed, clean)
-        # a successful run removes its checkpoint
-        assert not (tmp_path / "ck" / CHECKPOINT_NAME).exists()
+    def test_atleast_k_resume_after_fault_str_labels(self, tmp_path):
+        # Non-int labels share the scanner path, so they checkpoint too.
+        clean = _check_atleast_k_resume(tmp_path, _str_stream)
+        int_run = stream_densest_subgraph_atleast_k(_stream(), K, EPS)
+        assert clean.nodes == {f"n{i}" for i in int_run.nodes}
+        assert clean.trace == int_run.trace
 
     def test_algorithm1_resume_after_fault(self, tmp_path):
         clean = stream_densest_subgraph(_stream(), EPS)

@@ -276,6 +276,23 @@ class TestEdgeListFastPath:
         out = capsys.readouterr().out
         assert "backend : mapreduce" in out and "density : 2.5000" in out
 
+    def test_sketch_engine_is_pinned(self, tmp_path, capsys):
+        g = disjoint_union([clique(6), star(10, offset=50)])
+        path = tmp_path / "g.txt"
+        write_undirected(g, path)
+        code = main(
+            ["densest", "--edge-list", str(path), "--backend", "sketch",
+             "--engine", "python"]
+        )
+        assert code == 2
+        assert "pinned to the numpy engine" in capsys.readouterr().err
+        code = main(
+            ["densest", "--edge-list", str(path), "--backend", "sketch",
+             "--engine", "numpy", "--epsilon", "0.1"]
+        )
+        assert code == 0
+        assert "backend : sketch" in capsys.readouterr().out
+
 
 class TestShardCommand:
     def _edge_list(self, tmp_path):

@@ -92,6 +92,19 @@ class TestUndirectedParity:
         )
         _assert_same_run(baseline, compacted)
 
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_str_labelled_input(self, epsilon):
+        # Non-int labels are relabelled at the scanner, so their rewrites
+        # hold dense ids like any other: same run, fewer bytes.
+        src, dst, n, _ = synthetic_edge_arrays("im_sim", scale=0.05, seed=3)
+        edges = [(f"n{u}", f"n{v}") for u, v in zip(src.tolist(), dst.tolist())]
+        full = MemoryEdgeStream(edges)
+        baseline = stream_densest_subgraph(full, epsilon)
+        stream = MemoryEdgeStream(edges)
+        compacted = stream_densest_subgraph(stream, epsilon, compaction=MEMORY_SINK)
+        _assert_same_run(baseline, compacted)
+        assert stream.bytes_scanned < full.bytes_scanned
+
     @pytest.mark.parametrize("epsilon", [0.1, 0.5])
     def test_atleast_k(self, tmp_path, epsilon):
         store = _store(tmp_path, directed=False, weighted=True)
@@ -152,18 +165,6 @@ class TestSketchParity:
         # The sketch scan must feed the trigger real kept counts: a
         # compacted run scans strictly fewer bytes than the rescan.
         assert compacted_stream.bytes_scanned < full.bytes_scanned
-
-    def test_python_engine_routes_chunks(self, tmp_path):
-        # Satellite: the record-loop engine pulls chunk-offering streams
-        # through the vectorized chunk protocol, identical results.
-        store = _store(tmp_path, directed=False, weighted=False)
-        auto = sketch_densest_subgraph(ShardEdgeStream(store), 0.5, seed=11)
-        stream = ShardEdgeStream(store)
-        python = sketch_densest_subgraph(stream, 0.5, seed=11, engine="python")
-        _assert_same_run(auto, python)
-        # The routed scan must not have fallen back to per-record pulls:
-        # chunk passes stream whole shards, counted in pass accounting.
-        assert stream.passes_made == python.passes
 
 
 class TestTruncationParity:

@@ -679,25 +679,15 @@ class TestBackendEngineOption:
         assert get_backend("mapreduce").capabilities().engines == ("numpy",)
         assert "numpy" in get_backend("sketch").capabilities().engines
 
-    def test_sketch_engine_parity(self, social):
+    def test_sketch_engine_option_rejected(self, social):
+        """The sketch has one scan path: ``engine`` fails like any other
+        unknown option, and the engine function takes no such keyword."""
+        from repro.api import DensestSubgraph, solve
+        from repro.errors import SolverError
         from repro.streaming.sketch_engine import sketch_densest_subgraph
         from repro.streaming.stream import GraphEdgeStream
 
-        python = sketch_densest_subgraph(
-            GraphEdgeStream(social), 0.5, buckets=256, seed=11, engine="python"
-        )
-        vectorized = sketch_densest_subgraph(
-            GraphEdgeStream(social), 0.5, buckets=256, seed=11, engine="numpy"
-        )
-        assert python.nodes == vectorized.nodes
-        assert python.density == pytest.approx(vectorized.density)
-        assert python.passes == vectorized.passes
-
-    def test_sketch_numpy_engine_needs_int_labels(self):
-        from repro.errors import StreamError
-        from repro.streaming.sketch_engine import sketch_densest_subgraph
-        from repro.streaming.stream import MemoryEdgeStream
-
-        stream = MemoryEdgeStream([("a", "b"), ("b", "c")])
-        with pytest.raises(StreamError, match="int-labeled"):
-            sketch_densest_subgraph(stream, 0.5, engine="numpy")
+        with pytest.raises(SolverError, match=r"unsupported options \['engine'\]"):
+            solve(DensestSubgraph(social, epsilon=0.5), backend="sketch", engine="numpy")
+        with pytest.raises(TypeError):
+            sketch_densest_subgraph(GraphEdgeStream(social), 0.5, engine="python")

@@ -13,7 +13,6 @@ from repro.graph.undirected import UndirectedGraph
 from repro.kernels import CSRDigraph, CSRGraph
 from repro.mapreduce.columnar import stable_hash_int64
 from repro.store import SHARD_DTYPE, ShardWriter, ShardedEdgeStore, write_edge_list_store
-from repro.streaming import engine as streaming_engine
 from repro.streaming.stream import GraphEdgeStream, ShardEdgeStream
 from repro.streaming.engine import (
     stream_densest_subgraph,
@@ -375,17 +374,6 @@ class TestShardEdgeStream:
         assert ref.nodes == got.nodes
         assert ref.trace == got.trace
         assert ref.passes == got.passes
-
-    def test_python_scan_parity(self, tmp_path):
-        """The honest per-triple path agrees with the chunked memmap path."""
-        _, store = self._graph_and_store(tmp_path)
-        fast = stream_densest_subgraph(ShardEdgeStream(store), 0.3)
-        streaming_engine.FORCE_PYTHON_SCAN = True
-        try:
-            slow = stream_densest_subgraph(ShardEdgeStream(store), 0.3)
-        finally:
-            streaming_engine.FORCE_PYTHON_SCAN = False
-        assert fast.nodes == slow.nodes and fast.trace == slow.trace
 
     def test_atleast_k_parity(self, tmp_path):
         graph, store = self._graph_and_store(tmp_path)
