@@ -11,8 +11,8 @@ The execution substrate end-to-end (DESIGN.md §8–§9):
    every pass, then with *pass compaction* (survivors are rewritten
    once the working set shrinks, so later passes scan geometrically
    fewer bytes — identical answer, cheaper scan);
-3. solve on the store with ``core-csr`` (per-shard bincount CSR build)
-   and with the columnar MapReduce backend on a 4-worker process pool,
+3. solve on the store with ``core`` (per-shard CSR build, then the
+   C peel tier when it loads) and with the columnar MapReduce backend on a 4-worker process pool,
    and check all of them agree.
 
 Run:  python examples/out_of_core.py
@@ -64,8 +64,8 @@ def main() -> None:
 
         # ---- in-memory CSR built shard-by-shard (no dict graph) -------
         t0 = time.perf_counter()
-        csr = solve(problem, backend="core-csr")
-        print(f"core-csr   : rho={csr.density:.3f} |S|={csr.size} "
+        csr = solve(problem, backend="core")
+        print(f"core       : rho={csr.density:.3f} |S|={csr.size} "
               f"({time.perf_counter() - t0:.2f}s)")
 
         # ---- columnar MapReduce on a 4-worker process pool ------------
@@ -73,7 +73,6 @@ def main() -> None:
         parallel = solve(
             problem,
             backend="mapreduce",
-            engine="numpy",
             context=ExecutionContext(workers=4),
         )
         print(f"mapreduce-4: rho={parallel.density:.3f} |S|={parallel.size} "

@@ -15,7 +15,7 @@ input mode, and an optional memory budget:
 >>> solution.backend, sorted(solution.nodes), solution.density
 ('core', [0, 1, 2, 3, 4, 5], 2.5)
 >>> sorted(available_backends(DensestSubgraph(g)))
-['core', 'core-csr', 'exact-flow', 'exact-lp', 'greedy', 'mapreduce', 'sketch', 'streaming']
+['core', 'exact-flow', 'exact-lp', 'greedy', 'mapreduce', 'sketch', 'streaming']
 
 Every backend returns the same :class:`Solution` shape (nodes, density,
 certificate trace, cost report), so callers — the CLI, the experiment

@@ -6,13 +6,13 @@ Each backend adapts one execution model of the paper to the
 ========  ==========================================================
 backend   wraps
 ========  ==========================================================
-core      in-memory reference peels (Algorithms 1–3 + ratio sweep);
-          engine="python"|"numpy"|"auto" selects the execution engine
-core-csr  the vectorized CSR kernels (core pinned to engine="numpy")
+core      in-memory peels (Algorithms 1–3 + ratio sweep) on graphs,
+          CSR snapshots and shard stores; engine="python"|"numpy"|
+          "native"|"auto" picks the kernel tier
 streaming semi-streaming engines with O(n) between-pass state
 sketch    Algorithm 1 with Count-Sketch degree counters (§5.1)
 mapreduce the §5.2 MapReduce drivers on the simulated columnar
-          runtime (pinned to engine="numpy", like core-csr)
+          runtime
 exact-lp  Charikar's LP (undirected and directed, scipy/HiGHS)
 exact-flow Goldberg's max-flow exact solver
 greedy    one-node-per-step greedy baselines (Charikar-style)
@@ -188,24 +188,18 @@ def _set_solution(
     )
 
 
-def _require_graph(
-    problem: Problem,
-    backend: str,
-    *,
-    allow_csr: bool = False,
-    allow_shards: bool = False,
-):
+def _require_graph(problem: Problem, backend: str, *, allow_csr: bool = False):
     """The problem's in-memory graph input.
 
-    Backends built on the dict-of-dict graph API get CSR snapshots
-    materialized back into graph objects (``allow_csr=False``); the
-    engine-aware core backends take snapshots as-is.  Backends
-    declaring the shard input mode (``allow_shards=True``) get stores
-    loaded into CSR snapshots via the per-shard bincount builders — no
-    dict graph is ever materialized on that path.
+    Backends built on the dict-of-dict graph API (``allow_csr=False``)
+    get CSR snapshots materialized back into graph objects and refuse
+    shard stores.  The CSR-aware backends (``allow_csr=True``) take
+    snapshots as-is and get stores loaded into CSR snapshots by the
+    per-shard builders — no dict graph is ever materialized on that
+    path.
     """
     if problem.input_mode == MODE_SHARDS:
-        if not allow_shards:
+        if not allow_csr:
             raise SolverError(
                 f"backend {backend!r} does not accept shard-store input"
             )
@@ -234,26 +228,28 @@ def _directed_grid(problem: DirectedDensest) -> list:
 
 
 # ----------------------------------------------------------------------
-# core — the in-memory reference engines
+# core — the in-memory peels on every kernel tier
 # ----------------------------------------------------------------------
+@register
 class CoreSolver:
-    """Algorithms 1–3 on an in-memory graph (the reference peel).
+    """Algorithms 1–3 on an in-memory graph, CSR snapshot or shard store.
 
+    Shard stores are loaded through ``CSRGraph.from_shards`` /
+    ``CSRDigraph.from_shards`` (per-shard passes, no dict graph).
     Accepts an ``engine=`` option (any name in
     :data:`repro.kernels.ENGINES`), forwarded to the core peels;
     ``"auto"`` (the default) lets :func:`repro.kernels.resolve_engine`
-    pick per graph.  ``"native"`` requests the compiled C kernels and
-    degrades (with a warning) to numpy when they cannot be loaded.
+    walk the python → numpy → native ladder per input.  ``"native"``
+    requests the compiled C kernels and degrades (with a warning) to
+    numpy when they cannot be loaded.
     """
 
     name = "core"
-    _engine = "auto"
-    _accepts_shards = False
 
     def capabilities(self) -> Capabilities:
         return Capabilities(
             problems=_ALL_KINDS,
-            input_modes=frozenset({MODE_GRAPH}),
+            input_modes=frozenset({MODE_GRAPH, MODE_SHARDS}),
             exact=False,
             memory_class=MEM_EDGES,
             semantics="batch-peel",
@@ -264,17 +260,9 @@ class CoreSolver:
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
         graph = problem.input
-        return 2 * graph.num_edges + 3 * graph.num_nodes
-
-    def _engine_option(self, options: dict) -> str:
-        engine = options.pop("engine", self._engine)
-        allowed = self.capabilities().engines + ("auto",)
-        if engine not in allowed:
-            raise SolverError(
-                f"backend {self.name!r} supports engine= of {sorted(allowed)}, "
-                f"got {engine!r}"
-            )
-        return engine
+        # Symmetric CSR: 2m int32 indices + 2m float64 weights (~3m
+        # words) + indptr/degrees/masks (~3n words).
+        return 3 * graph.num_edges + 3 * graph.num_nodes
 
     def solve(self, problem: Problem, **options) -> Solution:
         from ..core.atleast_k import densest_subgraph_atleast_k
@@ -282,10 +270,14 @@ class CoreSolver:
         from ..core.undirected import densest_subgraph
 
         _pop_context(options)
-        engine = self._engine_option(options)
-        graph = _require_graph(
-            problem, self.name, allow_csr=True, allow_shards=self._accepts_shards
-        )
+        engine = options.pop("engine", "auto")
+        allowed = self.capabilities().engines + ("auto",)
+        if engine not in allowed:
+            raise SolverError(
+                f"backend {self.name!r} supports engine= of {sorted(allowed)}, "
+                f"got {engine!r}"
+            )
+        graph = _require_graph(problem, self.name, allow_csr=True)
         if isinstance(problem, DensestSubgraph):
             _reject_options(self.name, options)
             result = densest_subgraph(
@@ -315,57 +307,6 @@ class CoreSolver:
             )
             return _directed_solution(result, backend=self.name, problem=problem)
         raise SolverError(f"backend {self.name!r} cannot solve {problem.kind!r}")
-
-
-register(CoreSolver)
-
-
-# ----------------------------------------------------------------------
-# core-csr — the vectorized CSR kernel engine, pinned to numpy
-# ----------------------------------------------------------------------
-class CoreCSRSolver(CoreSolver):
-    """Algorithms 1–3 on the vectorized CSR kernels (numpy, always).
-
-    Functionally identical to ``core`` with ``engine="numpy"`` — same
-    node sets, same traces — but pinned to the kernel layer so callers
-    (and dispatch tables) can name the vectorized engine explicitly.
-    Prefers CSR snapshot inputs, which skip the per-solve conversion
-    entirely; plain graphs are snapshotted on entry, and shard stores
-    are loaded through ``CSRGraph.from_shards`` (per-shard bincount
-    passes, no dict graph).
-    """
-
-    name = "core-csr"
-    _engine = "numpy"
-    _accepts_shards = True
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities(
-            problems=_ALL_KINDS,
-            input_modes=frozenset({MODE_GRAPH, MODE_SHARDS}),
-            exact=False,
-            memory_class=MEM_EDGES,
-            semantics="batch-peel",
-            engines=("numpy",),
-        )
-
-    def estimated_memory_words(self, problem: Problem) -> Optional[int]:
-        graph = problem.input
-        # Symmetric CSR: 2m int32 indices + 2m float64 weights (~3m
-        # words) + indptr/degrees/masks (~3n words).
-        return 3 * graph.num_edges + 3 * graph.num_nodes
-
-    def _engine_option(self, options: dict) -> str:
-        engine = options.pop("engine", "numpy")
-        if engine not in ("numpy", "auto"):
-            raise SolverError(
-                f"backend 'core-csr' is pinned to the numpy engine; "
-                f"got engine={engine!r} (use backend='core' instead)"
-            )
-        return "numpy"
-
-
-register(CoreCSRSolver)
 
 
 # ----------------------------------------------------------------------
@@ -642,11 +583,10 @@ class SketchSolver:
 class MapReduceSolver:
     """Algorithms 1–3 as metered MapReduce job chains.
 
-    The runtime has one (columnar, numpy) engine, so like ``core-csr``
-    the backend advertises ``engines=("numpy",)`` and accepts only
-    ``engine="numpy"``/``"auto"``.  Graphs with any node labels are
-    accepted (non-int labels are relabelled to dense ids inside the
-    drivers).  CSR snapshots are accepted directly — the drivers read
+    The runtime has one (columnar, numpy) engine, so the backend
+    advertises ``engines=("numpy",)`` and takes no ``engine=`` option.
+    Graphs with any node labels are accepted (non-int labels are
+    relabelled to dense ids inside the drivers).  CSR snapshots are accepted directly — the drivers read
     their edge arrays without materializing a dict graph — and shard
     stores are loaded through the per-shard CSR builders.  An
     :class:`~repro.api.context.ExecutionContext` with ``workers > 1``
@@ -675,12 +615,6 @@ class MapReduceSolver:
 
     def solve(self, problem: Problem, **options) -> Solution:
         context = _pop_context(options)
-        engine = options.pop("engine", "numpy")
-        if engine not in ("numpy", "auto"):
-            raise SolverError(
-                f"backend 'mapreduce' is pinned to the numpy engine; "
-                f"got engine={engine!r}"
-            )
         _reject_options(self.name, options, ("runtime",))
         runtime = options.get("runtime")
         owned_runtime = None
@@ -706,7 +640,7 @@ class MapReduceSolver:
             mr_densest_subgraph_directed,
         )
 
-        graph = _require_graph(problem, self.name, allow_csr=True, allow_shards=True)
+        graph = _require_graph(problem, self.name, allow_csr=True)
         if isinstance(problem, DensestSubgraph):
             report = mr_densest_subgraph(graph, problem.epsilon, runtime=runtime)
             return _undirected_solution(

@@ -110,8 +110,14 @@ _AUTO_PREFERENCE = {
     # out-of-core fallback a memory_budget selects (with pass
     # compaction auto-enabled under that budget), and the sketch the
     # sublinear last resort.
-    MODE_SHARDS: ("core-csr", "streaming", "mapreduce", "sketch"),
+    MODE_SHARDS: ("core", "streaming", "mapreduce", "sketch"),
 }
+
+#: Retired backend names still accepted by :func:`get_backend` (and so
+#: by :func:`solve`).  ``core-csr`` was ``core`` pinned to the numpy
+#: tier with a shard loader; ``core`` now takes shard stores and walks
+#: the whole tier ladder itself.
+_ALIASES = {"core-csr": "core"}
 
 
 def register(cls: Type) -> Type:
@@ -151,7 +157,7 @@ def backend_names() -> List[str]:
 
 
 def get_backend(name: str) -> Solver:
-    """Look up a backend by name.
+    """Look up a backend by name (or a retired alias of one).
 
     Raises
     ------
@@ -159,7 +165,7 @@ def get_backend(name: str) -> Solver:
         If no backend of that name is registered.
     """
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[_ALIASES.get(name, name)]
     except KeyError:
         raise SolverError(
             f"unknown backend {name!r}; registered backends: {', '.join(_REGISTRY)}"

@@ -14,7 +14,7 @@ Solve a densest-subgraph problem on any backend::
     repro-densest densest --dataset twitter_sim --delta 2 --backend streaming
     repro-densest densest --edge-list graph.txt --k 100 --backend core
     repro-densest densest --dataset flickr_sim --engine numpy
-    repro-densest densest --edge-list graph.txt --backend core-csr
+    repro-densest densest --edge-list graph.txt --engine native
     repro-densest densest --dataset grqc_sim --backend exact-flow
 
 Out-of-core pipeline: convert an edge list into a sharded store, then
@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "'python' (interpreted record loops), 'numpy' (vectorized kernels), "
         "'native' (bucket-queue peel in C, degrading to numpy when no C "
         "toolchain is available), or 'auto' (pick per graph; see "
-        "`repro-densest backends --verbose`); core-csr, mapreduce, and "
-        "sketch are pinned to 'numpy'",
+        "`repro-densest backends --verbose`); mapreduce and sketch are "
+        "pinned to 'numpy'",
     )
     p_solve.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument(
@@ -365,17 +365,13 @@ def _load_any(args) -> Union[UndirectedGraph, DirectedGraph]:
     directly.  ``--edge-list`` with ``--spill-dir`` converts the list
     into a store first (one streaming pass under the writer's memory
     budget) and solves on that — the CLI's out-of-core pipeline.  When
-    the run is headed for the vectorized engine anyway (``--engine
-    numpy`` or ``--backend core-csr``), an ``--edge-list`` input is
-    read straight into NumPy arrays and a CSR snapshot — no per-edge
-    dict inserts at all (``duplicates="first"`` matches the dedup
-    semantics of the SNAP readers).
+    the run is headed for a kernel tier anyway (``--engine numpy`` or
+    ``--engine native``), an ``--edge-list`` input is read straight
+    into NumPy arrays and a CSR snapshot — no per-edge dict inserts at
+    all (``duplicates="first"`` matches the dedup semantics of the SNAP
+    readers).
     """
     directed = getattr(args, "directed", False)
-    wants_csr = (
-        getattr(args, "engine", "auto") in ("numpy", "native")
-        or getattr(args, "backend", None) == "core-csr"
-    )
     if getattr(args, "shard_store", None):
         from .store import ShardedEdgeStore
 
@@ -396,16 +392,13 @@ def _load_any(args) -> Union[UndirectedGraph, DirectedGraph]:
             directed=directed,
             num_shards=args.shards,
         )
-    if wants_csr:
-        try:
-            from .graph.io import read_edge_arrays
-            from .kernels import CSRDigraph, CSRGraph
-        except ImportError:
-            pass  # numpy unavailable: fall through to the dict readers
-        else:
-            src, dst, weights = read_edge_arrays(args.edge_list)
-            cls = CSRDigraph if directed else CSRGraph
-            return cls.from_edge_arrays(src, dst, weights, duplicates="first")
+    if getattr(args, "engine", "auto") in ("numpy", "native"):
+        from .graph.io import read_edge_arrays
+        from .kernels import CSRDigraph, CSRGraph
+
+        src, dst, weights = read_edge_arrays(args.edge_list)
+        cls = CSRDigraph if directed else CSRGraph
+        return cls.from_edge_arrays(src, dst, weights, duplicates="first")
     if directed:
         return read_directed(args.edge_list)
     return read_undirected(args.edge_list)
@@ -480,13 +473,11 @@ def _cmd_backends(args) -> int:
 
 
 def _is_directed_input(graph) -> bool:
+    from .kernels import CSRDigraph
+    from .store import ShardedEdgeStore
+
     if isinstance(graph, DirectedGraph):
         return True
-    try:
-        from .kernels import CSRDigraph
-        from .store import ShardedEdgeStore
-    except ImportError:
-        return False
     if isinstance(graph, ShardedEdgeStore):
         return graph.directed
     return isinstance(graph, CSRDigraph)
@@ -538,23 +529,21 @@ def _print_solution(solution: Solution, show_nodes: int = 0) -> None:
 def _cmd_densest(args) -> int:
     graph = _load_any(args)
     problem = _problem_from_args(args, graph)
-    backend = args.backend
+    # Registered name, so the option checks below see aliases resolved.
+    backend = args.backend if args.backend == "auto" else get_backend(args.backend).name
     options = {}
     if args.engine != "auto":
         if backend == "auto":
             backend = "core"  # --engine names a core execution engine
-        if backend not in ("core", "core-csr", "mapreduce", "sketch"):
+        if backend not in ("core", "mapreduce", "sketch"):
             raise ReproError(
-                f"--engine applies to the core/core-csr/mapreduce/sketch "
-                f"backends, not {backend!r}"
+                f"--engine applies to the core/mapreduce/sketch backends, "
+                f"not {backend!r}"
             )
-        if backend in ("core-csr", "mapreduce", "sketch"):
-            if args.engine != "numpy":
-                raise ReproError(
-                    f"backend {backend!r} is pinned to the numpy engine"
-                )
-        else:
+        if backend == "core":
             options["engine"] = args.engine
+        elif args.engine != "numpy":
+            raise ReproError(f"backend {backend!r} is pinned to the numpy engine")
     if args.compaction != "auto" or args.compaction_threshold is not None:
         if backend == "auto":
             backend = "streaming"  # compaction names the streaming engine

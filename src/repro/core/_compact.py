@@ -43,9 +43,11 @@ class CompactUndirected:
         ``weights[i][k]`` is the weight of the edge to ``neighbors[i][k]``.
     total_weight:
         Sum of all edge weights (each edge once).
+    num_edges:
+        Number of edges (each edge once).
     """
 
-    __slots__ = ("labels", "neighbors", "weights", "total_weight")
+    __slots__ = ("labels", "neighbors", "weights", "total_weight", "num_edges")
 
     def __init__(self, graph: UndirectedGraph) -> None:
         self.labels: List[Node] = list(graph.nodes())
@@ -59,6 +61,7 @@ class CompactUndirected:
             self.neighbors[vi].append(ui)
             self.weights[vi].append(w)
         self.total_weight: float = graph.total_weight
+        self.num_edges: int = graph.num_edges
 
     @property
     def num_nodes(self) -> int:

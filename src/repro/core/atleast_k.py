@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, List, Optional
 
-from .._tolerances import THRESHOLD_EPS
+from .._tolerances import peel_cutoff
 from .._validation import check_epsilon, check_positive_int
 from ..errors import EmptyGraphError, ParameterError
 from ..graph.undirected import UndirectedGraph
@@ -109,6 +109,7 @@ def densest_subgraph_atleast_k(
     degrees = compact.initial_degrees()
     remaining_nodes = n
     remaining_weight = compact.total_weight
+    remaining_edges = compact.num_edges
 
     best_nodes = list(range(n))
     best_density = remaining_weight / remaining_nodes
@@ -126,8 +127,9 @@ def densest_subgraph_atleast_k(
         density = remaining_weight / remaining_nodes
         threshold = factor * density
         # Ã(S) ← {i ∈ S : deg_S(i) ≤ 2(1+ε)·ρ(S)} — scan the alive list,
-        # not range(n), so late passes cost O(|S|).
-        cutoff = threshold + THRESHOLD_EPS
+        # not range(n), so late passes cost O(|S|).  Every member of an
+        # edgeless S is a candidate (see peel_cutoff).
+        cutoff = peel_cutoff(threshold, remaining_edges)
         candidates = [i for i in alive_nodes if degrees[i] <= cutoff]
         # A(S) ⊆ Ã(S) with |A(S)| = ε/(1+ε)·|S|: keep the lowest-degree
         # candidates.  Rounding: at most floor(ε/(1+ε)·|S|) per Theorem 9's
@@ -150,6 +152,9 @@ def densest_subgraph_atleast_k(
                 if alive[j]:
                     degrees[j] -= wts[idx]
                     remaining_weight -= wts[idx]
+                    remaining_edges -= 1
+        if remaining_edges == 0:
+            remaining_weight = 0.0
 
         density_after = (
             remaining_weight / remaining_nodes if remaining_nodes > 0 else 0.0

@@ -18,9 +18,16 @@ Two interchangeable execution engines implement the loop:
 * ``engine="numpy"`` — the vectorized CSR kernel
   (:func:`repro.kernels.peel.peel_undirected`), same node sets and
   traces, several times faster at evaluation scales;
+* ``engine="native"`` — the C bucket-queue kernel
+  (:mod:`repro.kernels.native`), same node sets and traces again;
 * ``engine="auto"`` (default) — :func:`repro.kernels.resolve_engine`
-  picks numpy for int-labeled or large graphs and falls back to the
-  Python loop when numpy is unavailable.
+  walks that ladder by input size, keeping small graphs with exotic
+  labels on the Python loop.
+
+Every tier counts the edges S still induces as an integer: once it is
+0 the weight is reset to 0.0 and the next pass removes all of S
+(:func:`repro._tolerances.peel_cutoff`), so float residue from
+non-dyadic weights cannot stall the loop on an edgeless S.
 
 Weighted graphs are handled transparently by using weighted degrees and
 edge weights throughout, which is the generalization Lemma 6 relies on.
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional
 
-from .._tolerances import THRESHOLD_EPS
+from .._tolerances import peel_cutoff
 from .._validation import check_epsilon
 from ..errors import EmptyGraphError
 from ..graph.undirected import UndirectedGraph
@@ -129,6 +136,7 @@ def densest_subgraph(
     degrees = compact.initial_degrees()
     remaining_nodes = n
     remaining_weight = compact.total_weight
+    remaining_edges = compact.num_edges
 
     # S̃ ← V (paper line 1).
     best_nodes = list(range(n))
@@ -147,8 +155,9 @@ def densest_subgraph(
         threshold = factor * density
         # A(S) ← {i ∈ S : deg_S(i) ≤ 2(1+ε)·ρ(S)}.  Scanning the
         # maintained alive list (not range(n)) keeps late passes
-        # proportional to |S|, not the original node count.
-        cutoff = threshold + THRESHOLD_EPS
+        # proportional to |S|, not the original node count.  An
+        # edgeless S is removed whole (see peel_cutoff).
+        cutoff = peel_cutoff(threshold, remaining_edges)
         to_remove = []
         survivors = []
         for i in alive_nodes:
@@ -173,6 +182,9 @@ def densest_subgraph(
                 if alive[j]:
                     degrees[j] -= wts[k]
                     remaining_weight -= wts[k]
+                    remaining_edges -= 1
+        if remaining_edges == 0:
+            remaining_weight = 0.0
 
         density_after = (
             remaining_weight / remaining_nodes if remaining_nodes > 0 else 0.0

@@ -18,10 +18,7 @@ algorithms, arranged as a tier ladder:
 
 All tiers return identical node sets, traces, and pass counts;
 ``engine="auto"`` walks the ladder by input size (native > numpy >
-python).  NumPy is a hard dependency of the package, but every
-import of this layer from the algorithm modules is guarded so a
-stripped environment degrades to the pure-Python engine instead of
-failing at import time.
+python).
 """
 
 from __future__ import annotations
@@ -30,24 +27,15 @@ import warnings
 from typing import Dict, Optional
 
 from ..errors import ParameterError
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-if HAVE_NUMPY:
-    from .csr import CSRDigraph, CSRGraph
-    from .peel import (
-        DirectedPeelOutcome,
-        PeelOutcome,
-        peel_atleast_k,
-        peel_directed,
-        peel_directed_sweep,
-        peel_undirected,
-    )
+from .csr import CSRDigraph, CSRGraph
+from .peel import (
+    DirectedPeelOutcome,
+    PeelOutcome,
+    peel_atleast_k,
+    peel_directed,
+    peel_directed_sweep,
+    peel_undirected,
+)
 
 #: Engine names accepted by the ``engine=`` parameter of the core peels.
 ENGINES = ("auto", "python", "numpy", "native")
@@ -79,8 +67,6 @@ def native_backend() -> Optional[str]:
     The first call probes (compiling the C library if needed); the
     result is memoized by :mod:`repro.kernels.native`.
     """
-    if not HAVE_NUMPY:
-        return None
     from . import native
 
     return native.available_backend()
@@ -88,9 +74,7 @@ def native_backend() -> Optional[str]:
 
 def auto_tier(num_nodes: int) -> str:
     """The tier ``engine="auto"`` picks for an int-labeled input of
-    ``num_nodes`` nodes (assuming numpy is importable)."""
-    if not HAVE_NUMPY:
-        return "python"
+    ``num_nodes`` nodes."""
     if num_nodes >= NATIVE_SIZE_CUTOFF and native_backend() is not None:
         return "native"
     return "numpy"
@@ -106,7 +90,7 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
     backend = native_backend()
     report: Dict[str, object] = {
         "python": True,
-        "numpy": HAVE_NUMPY,
+        "numpy": True,
         "native": backend is not None,
         "native_backend": backend,
         "auto_ladder": {
@@ -139,8 +123,7 @@ def peel_functions(tier: str):
 def resolve_engine(engine: str, graph=None) -> str:
     """Resolve an ``engine=`` argument to one of :data:`RESOLVED_TIERS`.
 
-    ``"auto"`` picks a vectorized tier when numpy is importable and the
-    graph is int-labeled, already a CSR snapshot, or at least
+    ``"auto"`` picks a vectorized tier when the graph is int-labeled, already a CSR snapshot, or at least
     :data:`AUTO_SIZE_CUTOFF` nodes — then walks the ladder by size
     (native ≥ :data:`NATIVE_SIZE_CUTOFF` when the C backend loads,
     numpy otherwise).  Small exotic-label graphs stay on the Python
@@ -154,28 +137,15 @@ def resolve_engine(engine: str, graph=None) -> str:
     Raises
     ------
     ParameterError
-        On an unknown engine name, or ``engine="numpy"`` without numpy.
+        On an unknown engine name.
     """
     if engine not in ENGINES:
         raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "python":
         return "python"
     if engine == "numpy":
-        if not HAVE_NUMPY:
-            raise ParameterError(
-                "engine='numpy' requires numpy, which is not importable; "
-                "use engine='python'"
-            )
         return "numpy"
     if engine == "native":
-        if not HAVE_NUMPY:
-            warnings.warn(
-                "engine='native' requires numpy, which is not importable; "
-                "falling back to the python engine",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "python"
         if native_backend() is None:
             warnings.warn(
                 "engine='native' requested but no compiled backend is "
@@ -187,8 +157,6 @@ def resolve_engine(engine: str, graph=None) -> str:
             return "numpy"
         return "native"
     # engine == "auto"
-    if not HAVE_NUMPY:
-        return "python"
     if graph is None:
         return "numpy"
     if isinstance(graph, (CSRGraph, CSRDigraph)):
@@ -200,24 +168,20 @@ def resolve_engine(engine: str, graph=None) -> str:
 
 __all__ = [
     "AUTO_SIZE_CUTOFF",
+    "CSRDigraph",
+    "CSRGraph",
+    "DirectedPeelOutcome",
     "ENGINES",
-    "HAVE_NUMPY",
     "NATIVE_SIZE_CUTOFF",
+    "PeelOutcome",
     "RESOLVED_TIERS",
     "auto_tier",
     "native_backend",
+    "peel_atleast_k",
+    "peel_directed",
+    "peel_directed_sweep",
+    "peel_undirected",
     "peel_functions",
     "resolve_engine",
     "tier_report",
 ]
-if HAVE_NUMPY:
-    __all__ += [
-        "CSRDigraph",
-        "CSRGraph",
-        "DirectedPeelOutcome",
-        "PeelOutcome",
-        "peel_atleast_k",
-        "peel_directed",
-        "peel_directed_sweep",
-        "peel_undirected",
-    ]

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._tolerances import THRESHOLD_EPS
+from .._tolerances import THRESHOLD_EPS, peel_cutoff
 from ..core.trace import DirectedPassRecord, PassRecord
 from .csr import CSRDigraph, CSRGraph
 
@@ -75,8 +75,9 @@ def _remove_frontier_undirected(
     remove_mask: np.ndarray,
     alive: np.ndarray,
     degrees: np.ndarray,
-) -> float:
-    """Kill ``removed`` in place; return the edge weight that left S."""
+) -> Tuple[float, int]:
+    """Kill ``removed`` in place; return the edge weight and the edge
+    count that left S."""
     pos = _gather_rows(csr.indptr, removed)
     nbr = csr.indices[pos]
     wts = csr.weights[pos]
@@ -84,6 +85,7 @@ def _remove_frontier_undirected(
     nbr = nbr[live]
     wts = wts[live]
     internal = remove_mask[nbr]
+    num_internal = int(np.count_nonzero(internal))
     removed_weight = float(wts.sum()) - 0.5 * float(wts[internal].sum())
     external = ~internal
     if external.any():
@@ -91,7 +93,7 @@ def _remove_frontier_undirected(
             nbr[external], weights=wts[external], minlength=alive.size
         )
     alive[removed] = False
-    return removed_weight
+    return removed_weight, int(nbr.size) - num_internal // 2
 
 
 def peel_undirected(
@@ -106,6 +108,7 @@ def peel_undirected(
     degrees = csr.degrees.astype(np.float64, copy=True)
     remaining_nodes = n
     remaining_weight = csr.total_weight
+    remaining_edges = csr.num_edges
 
     best_indices = np.arange(n, dtype=np.int64)
     best_density = remaining_weight / remaining_nodes
@@ -125,15 +128,21 @@ def peel_undirected(
         pass_index += 1
         density = remaining_weight / remaining_nodes
         threshold = factor * density
-        np.less_equal(degrees, threshold + THRESHOLD_EPS, out=remove_mask)
+        np.less_equal(
+            degrees, peel_cutoff(threshold, remaining_edges), out=remove_mask
+        )
         remove_mask &= alive
         removed = np.flatnonzero(remove_mask)
         nodes_before = remaining_nodes
         weight_before = remaining_weight
         if removed.size:
-            remaining_weight -= _remove_frontier_undirected(
+            weight, edges = _remove_frontier_undirected(
                 csr, removed, remove_mask, alive, degrees
             )
+            remaining_weight -= weight
+            remaining_edges -= edges
+            if remaining_edges == 0:
+                remaining_weight = 0.0
             remaining_nodes -= int(removed.size)
         density_after = (
             remaining_weight / remaining_nodes if remaining_nodes > 0 else 0.0
@@ -183,6 +192,7 @@ def peel_atleast_k(
     degrees = csr.degrees.astype(np.float64, copy=True)
     remaining_nodes = n
     remaining_weight = csr.total_weight
+    remaining_edges = csr.num_edges
 
     best_indices = np.arange(n, dtype=np.int64)
     best_density = remaining_weight / remaining_nodes
@@ -204,7 +214,9 @@ def peel_atleast_k(
         pass_index += 1
         density = remaining_weight / remaining_nodes
         threshold = factor * density
-        np.less_equal(degrees, threshold + THRESHOLD_EPS, out=candidate_mask)
+        np.less_equal(
+            degrees, peel_cutoff(threshold, remaining_edges), out=candidate_mask
+        )
         candidate_mask &= alive
         candidates = np.flatnonzero(candidate_mask)
         batch_size = max(1, math.floor(batch_fraction * remaining_nodes))
@@ -216,10 +228,14 @@ def peel_atleast_k(
         weight_before = remaining_weight
         if removed.size:
             remove_mask[removed] = True
-            remaining_weight -= _remove_frontier_undirected(
+            weight, edges = _remove_frontier_undirected(
                 csr, removed, remove_mask, alive, degrees
             )
             remove_mask[removed] = False
+            remaining_weight -= weight
+            remaining_edges -= edges
+            if remaining_edges == 0:
+                remaining_weight = 0.0
             remaining_nodes -= int(removed.size)
         density_after = (
             remaining_weight / remaining_nodes if remaining_nodes > 0 else 0.0

@@ -276,6 +276,7 @@ int repro_peel_undirected(
     int32_t *pending = frontier + n;
     int64_t remaining = n;
     double W = total_weight;
+    int64_t E = (int64_t)indptr[n] / 2; /* edges induced by S, exact */
     double best_density = n > 0 ? W / (double)n : 0.0;
     int64_t best_pass = 0;
     int64_t passes = 0;
@@ -290,8 +291,11 @@ int repro_peel_undirected(
         passes++;
         double density = W / (double)remaining;
         double threshold = factor * density;
-        double cutoff = threshold + eps_slack;
-        int64_t bstar = bucket_index(cutoff, inv_width, nb);
+        /* Every member of an edgeless S clears the cutoff (python:
+         * _tolerances.peel_cutoff), so float residue left in deg/W by
+         * non-dyadic weights cannot stall the loop. */
+        double cutoff = E > 0 ? threshold + eps_slack : INFINITY;
+        int64_t bstar = E > 0 ? bucket_index(cutoff, inv_width, nb) : nb - 1;
         int64_t nodes_before = remaining;
         double weight_before = W;
 
@@ -327,6 +331,7 @@ int repro_peel_undirected(
             /* per-node accumulator: keeps the global W update off the
              * per-edge FP dependency chain (dyadic-exact regrouping) */
             double lost = 0.0;
+            int64_t lost_edges = 0;
             for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
                 int32_t j = indices[p];
                 int32_t bj = bucket_of[j];
@@ -334,8 +339,10 @@ int repro_peel_undirected(
                  * contributes exactly 0.0, so the subtraction runs
                  * unconditionally and the poorly-predicted branch
                  * leaves the edge-visit path */
-                double w = weights[p] * (double)(bj != -1);
+                int64_t live = bj != -1;
+                double w = weights[p] * (double)live;
                 lost += w;
+                lost_edges += live;
                 deg[j] -= w;
                 if (bj >= 0) {
                     bucket_of[j] = -2 - bj;
@@ -343,9 +350,12 @@ int repro_peel_undirected(
                 }
             }
             W -= lost;
+            E -= lost_edges;
         }
         flush_pending(deg, pending, pcount, inv_width, nb, head, nxt, prv,
                       bucket_of);
+        if (E == 0)
+            W = 0.0;
         remaining -= r;
         double density_after = remaining > 0 ? W / (double)remaining : 0.0;
         double *row = trace + (passes - 1) * 8;
@@ -385,6 +395,7 @@ int repro_peel_atleast_k(
     int32_t *pending = frontier + n;
     int64_t remaining = n;
     double W = total_weight;
+    int64_t E = (int64_t)indptr[n] / 2; /* edges induced by S, exact */
     double best_density = n > 0 ? W / (double)n : 0.0;
     int64_t best_pass = 0;
     int64_t passes = 0;
@@ -399,8 +410,11 @@ int repro_peel_atleast_k(
         passes++;
         double density = W / (double)remaining;
         double threshold = factor * density;
-        double cutoff = threshold + eps_slack;
-        int64_t bstar = bucket_index(cutoff, inv_width, nb);
+        /* Every member of an edgeless S clears the cutoff (python:
+         * _tolerances.peel_cutoff), so float residue left in deg/W by
+         * non-dyadic weights cannot stall the loop. */
+        double cutoff = E > 0 ? threshold + eps_slack : INFINITY;
+        int64_t bstar = E > 0 ? bucket_index(cutoff, inv_width, nb) : nb - 1;
         int64_t nodes_before = remaining;
         double weight_before = W;
 
@@ -490,6 +504,7 @@ int repro_peel_atleast_k(
             alive[i] = 0;
             bucket_of[i] = -1;
             double lost = 0.0;
+            int64_t lost_edges = 0;
             for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
                 int32_t j = indices[p];
                 int32_t bj = bucket_of[j];
@@ -497,8 +512,10 @@ int repro_peel_atleast_k(
                  * contributes exactly 0.0, so the subtraction runs
                  * unconditionally and the poorly-predicted branch
                  * leaves the edge-visit path */
-                double w = weights[p] * (double)(bj != -1);
+                int64_t live = bj != -1;
+                double w = weights[p] * (double)live;
                 lost += w;
+                lost_edges += live;
                 deg[j] -= w;
                 if (bj >= 0) {
                     bucket_of[j] = -2 - bj;
@@ -506,9 +523,12 @@ int repro_peel_atleast_k(
                 }
             }
             W -= lost;
+            E -= lost_edges;
         }
         flush_pending(deg, pending, pcount, inv_width, nb, head, nxt, prv,
                       bucket_of);
+        if (E == 0)
+            W = 0.0;
         remaining -= batch;
         double density_after = remaining > 0 ? W / (double)remaining : 0.0;
         double *row = trace + (passes - 1) * 8;

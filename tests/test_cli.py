@@ -247,6 +247,7 @@ class TestEdgeListFastPath:
         assert "density : 2.0000" in out
 
     def test_core_csr_backend_on_edge_list(self, tmp_path, capsys):
+        """The retired ``core-csr`` name still resolves, to ``core``."""
         g = disjoint_union([clique(6), star(10, offset=50)])
         path = tmp_path / "g.txt"
         write_undirected(g, path)
@@ -255,7 +256,13 @@ class TestEdgeListFastPath:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend : core-csr" in out and "density : 2.5000" in out
+        assert "backend : core\n" in out and "density : 2.5000" in out
+        code = main(
+            ["densest", "--edge-list", str(path), "--backend", "core-csr",
+             "--engine", "native", "--epsilon", "0.1"]
+        )
+        assert code == 0
+        assert "density : 2.5000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("engine", ["python", "native"])
     def test_mapreduce_engine_is_pinned(self, tmp_path, capsys, engine):
@@ -323,7 +330,7 @@ class TestShardCommand:
         assert main(["shard", "--edge-list", str(path), "--output", str(store_dir)]) == 0
         capsys.readouterr()
         assert main(["densest", "--shard-store", str(store_dir)]) == 0
-        assert "backend : core-csr" in capsys.readouterr().out
+        assert "backend : core\n" in capsys.readouterr().out
 
     def test_spill_dir_pipeline(self, tmp_path, capsys):
         path = self._edge_list(tmp_path)

@@ -251,6 +251,6 @@ class TestSolveWithContext:
     def test_context_ignored_by_other_backends(self):
         graph = _undirected_csr(False)
         ctx = ExecutionContext(workers=4)
-        a = solve(DensestSubgraph(graph, epsilon=0.5), backend="core-csr")
-        b = solve(DensestSubgraph(graph, epsilon=0.5), backend="core-csr", context=ctx)
+        a = solve(DensestSubgraph(graph, epsilon=0.5), backend="core")
+        b = solve(DensestSubgraph(graph, epsilon=0.5), backend="core", context=ctx)
         assert a.nodes == b.nodes and a.density == b.density

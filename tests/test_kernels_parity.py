@@ -319,19 +319,27 @@ class TestBackendParity:
         assert py.density == pytest.approx(np_.density, abs=ABS)
 
     def test_core_csr_backend_matches_core(self):
+        """``core-csr`` is a retired name: it runs (and reports) ``core``."""
         graph = self._graph()
         problem = DensestSubgraph(graph, epsilon=0.2)
         core = solve(problem, backend="core", engine="python")
-        csr = solve(problem, backend="core-csr")
-        assert csr.backend == "core-csr"
+        csr = solve(problem, backend="core-csr", engine="native")
+        assert csr.backend == "core"
         assert core.nodes == csr.nodes
         assert core.density == pytest.approx(csr.density, abs=ABS)
+
+    def test_core_csr_is_a_lookup_alias(self):
+        from repro.api import available_backends, backend_names, get_backend
+
+        assert get_backend("core-csr") is get_backend("core")
+        assert "core-csr" not in backend_names()
+        assert "core-csr" not in available_backends(DensestSubgraph(self._graph()))
 
     def test_core_csr_accepts_snapshot_problems(self):
         graph = self._graph()
         snapshot = CSRGraph.from_undirected(graph)
-        a = solve(DensestSubgraph(graph, epsilon=0.4), backend="core-csr")
-        b = solve(DensestSubgraph(snapshot, epsilon=0.4), backend="core-csr")
+        a = solve(DensestSubgraph(graph, epsilon=0.4), backend="core")
+        b = solve(DensestSubgraph(snapshot, epsilon=0.4), backend="core")
         assert a.nodes == b.nodes
         assert a.density == pytest.approx(b.density, abs=ABS)
 
@@ -340,7 +348,7 @@ class TestBackendParity:
         snapshot = CSRDigraph.from_directed(graph)
         a = solve(DirectedDensest(graph, ratio=1.0, epsilon=0.5), backend="core")
         b = solve(
-            DirectedDensest(snapshot, ratio=1.0, epsilon=0.5), backend="core-csr"
+            DirectedDensest(snapshot, ratio=1.0, epsilon=0.5), backend="core"
         )
         assert a.s_nodes == b.s_nodes
         assert a.t_nodes == b.t_nodes
@@ -351,13 +359,6 @@ class TestBackendParity:
         a = solve(DensestAtLeastK(graph, k=4, epsilon=0.5), backend="greedy")
         b = solve(DensestAtLeastK(snapshot, k=4, epsilon=0.5), backend="greedy")
         assert a.nodes == b.nodes
-
-    def test_core_csr_rejects_python_engine(self):
-        from repro.errors import SolverError
-
-        problem = DensestSubgraph(self._graph())
-        with pytest.raises(SolverError, match="pinned to the numpy engine"):
-            solve(problem, backend="core-csr", engine="python")
 
     def test_streaming_backend_accepts_snapshot(self):
         graph = self._graph()

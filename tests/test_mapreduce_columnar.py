@@ -633,35 +633,6 @@ class TestBatchTaskRetries:
 
 
 class TestBackendEngineOption:
-    def test_solve_engine_parity(self, social):
-        """The mapreduce backend accepts its one engine under both
-        spellings, with identical answers and round counts."""
-        from repro.api import DensestSubgraph, solve
-
-        solutions = [
-            solve(
-                DensestSubgraph(social, epsilon=0.5),
-                backend="mapreduce",
-                runtime=MapReduceRuntime(4, 4, seed=7),
-                **options,
-            )
-            for options in ({}, {"engine": "auto"}, {"engine": "numpy"})
-        ]
-        for other in solutions[1:]:
-            assert other.nodes == solutions[0].nodes
-            assert other.density == solutions[0].density
-            assert other.cost.mapreduce_rounds == solutions[0].cost.mapreduce_rounds
-
-    @pytest.mark.parametrize("engine", ["python", "native"])
-    def test_other_engines_rejected(self, social, engine):
-        from repro.api import DensestSubgraph, solve
-        from repro.errors import SolverError
-
-        with pytest.raises(SolverError, match="pinned to the numpy engine"):
-            solve(
-                DensestSubgraph(social, epsilon=0.5), backend="mapreduce", engine=engine
-            )
-
     def test_fused_option_rejected(self, social):
         """``fused`` is not an option of the backend: it fails like any
         other unknown option, and the drivers take no such keyword."""
@@ -679,15 +650,21 @@ class TestBackendEngineOption:
         assert get_backend("mapreduce").capabilities().engines == ("numpy",)
         assert "numpy" in get_backend("sketch").capabilities().engines
 
-    def test_sketch_engine_option_rejected(self, social):
-        """The sketch has one scan path: ``engine`` fails like any other
-        unknown option, and the engine function takes no such keyword."""
+    @pytest.mark.parametrize("backend", ["mapreduce", "sketch"])
+    @pytest.mark.parametrize("engine", ["auto", "python", "numpy", "native"])
+    def test_engine_option_rejected(self, social, backend, engine):
+        """MapReduce and the sketch each have one engine: ``engine``
+        fails like any other unknown option, and the engine functions
+        take no such keyword."""
         from repro.api import DensestSubgraph, solve
         from repro.errors import SolverError
         from repro.streaming.sketch_engine import sketch_densest_subgraph
         from repro.streaming.stream import GraphEdgeStream
 
         with pytest.raises(SolverError, match=r"unsupported options \['engine'\]"):
-            solve(DensestSubgraph(social, epsilon=0.5), backend="sketch", engine="numpy")
+            solve(DensestSubgraph(social, epsilon=0.5), backend=backend, engine=engine)
         with pytest.raises(TypeError):
-            sketch_densest_subgraph(GraphEdgeStream(social), 0.5, engine="python")
+            if backend == "sketch":
+                sketch_densest_subgraph(GraphEdgeStream(social), 0.5, engine=engine)
+            else:
+                mr_densest_subgraph(social, 0.5, engine=engine)

@@ -115,7 +115,7 @@ class TestAlgorithm1Properties:
             result.nodes
         ) == result.density or abs(graph.density(result.nodes) - result.density) < 1e-9
 
-    @given(graph=undirected_graphs(), epsilon=EPSILONS)
+    @given(graph=st.one_of(undirected_graphs(), weighted_graphs()), epsilon=EPSILONS)
     @settings(max_examples=40, deadline=None)
     def test_progress_and_termination(self, graph, epsilon):
         result = densest_subgraph(graph, epsilon)

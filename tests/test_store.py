@@ -472,7 +472,7 @@ class TestStoreProblems:
         problem = DensestSubgraph(store, epsilon=0.3)
         assert problem.input_mode == "shards"
         assert available_backends(problem) == [
-            "core-csr",
+            "core",
             "streaming",
             "sketch",
             "mapreduce",
@@ -491,7 +491,7 @@ class TestStoreProblems:
     def test_solve_parity_store_vs_csr(self, tmp_path):
         store, (src, dst, w, n) = self._store(tmp_path)
         csr = CSRGraph.from_edge_arrays(src, dst, w, num_nodes=n)
-        for backend in ("core-csr", "streaming", "mapreduce"):
+        for backend in ("core", "streaming", "mapreduce"):
             for eps in (0.0, 0.1, 0.5):
                 a = solve(DensestSubgraph(store, epsilon=eps), backend=backend)
                 b = solve(DensestSubgraph(csr, epsilon=eps), backend=backend)
@@ -502,13 +502,45 @@ class TestStoreProblems:
     def test_auto_dispatch_respects_memory_budget(self, tmp_path):
         store, (_, _, _, n) = self._store(tmp_path)
         problem = DensestSubgraph(store, epsilon=0.5)
-        assert solve(problem).backend == "core-csr"
+        assert solve(problem).backend == "core"
         # A budget below the CSR footprint forces the O(n) streaming engine.
         assert solve(problem, memory_budget=5 * n).backend == "streaming"
         assert (
             solve(problem, context=ExecutionContext(memory_budget=5 * n)).backend
             == "streaming"
         )
+
+    def test_auto_dispatch_runs_native_tier(self, tmp_path, monkeypatch):
+        """A store past the native cutoff runs ``core`` on the C tier,
+        with the numpy tier's nodes, passes and integer trace fields."""
+        from repro.kernels import NATIVE_SIZE_CUTOFF, native, native_backend
+
+        if native_backend() is None:
+            pytest.skip("no compiled kernel backend in this environment")
+        src, dst, w, n = _undirected_arrays(seed=4, n=NATIVE_SIZE_CUTOFF + 500, m=12000)
+        store = ShardedEdgeStore.write(
+            tmp_path / "big", (src, dst, w), directed=False, num_shards=3, num_nodes=n
+        )
+        calls = []
+        real = native.peel_undirected
+        monkeypatch.setattr(
+            native,
+            "peel_undirected",
+            lambda *a, **kw: calls.append(a) or real(*a, **kw),
+        )
+        for eps in (0.1, 0.5):
+            problem = DensestSubgraph(store, epsilon=eps)
+            auto = solve(problem)
+            assert auto.backend == "core"
+            assert len(calls) == 1
+            calls.clear()
+            ref = solve(problem, backend="core", engine="numpy")
+            assert not calls
+            assert auto.nodes == ref.nodes
+            assert auto.cost.passes == ref.cost.passes
+            assert [
+                (p.nodes_before, p.removed, p.nodes_after) for p in auto.certificate
+            ] == [(p.nodes_before, p.removed, p.nodes_after) for p in ref.certificate]
 
 
 class TestSkipSummaries:
