@@ -9,7 +9,9 @@ input.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Type
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -63,3 +65,23 @@ def check_probability(value: Any, name: str) -> float:
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must be in [0, 1], got {value!r}")
     return value
+
+
+def check_edge_weights(weights: Any, error: Type[Exception]) -> None:
+    """Reject edge weights that are not positive finite numbers.
+
+    ``weights`` is one number or an array of them; ``error`` is the
+    caller's typed error class (``GraphError`` for graphs and CSR
+    builders, ``StoreError`` for the store writer).  NaN fails every
+    comparison, so ``0 < w < inf`` rejects it together with ``inf`` and
+    non-positive weights: a NaN weight would otherwise stall the peel
+    thresholds forever, and an ``inf`` one report density ``inf``.
+    """
+    if np.ndim(weights) == 0:
+        bad = None if 0 < weights < math.inf else weights
+    else:
+        weights = np.asarray(weights)
+        rejected = ~((weights > 0) & (weights < math.inf))
+        bad = weights[rejected][0].item() if rejected.any() else None
+    if bad is not None:
+        raise error(f"edge weights must be positive and finite, got {bad!r}")

@@ -39,6 +39,7 @@ from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
 from ..kernels import CSRDigraph, CSRGraph
 from ..store.shards import ShardedEdgeStore
+from ..store.sidecar import csr_snapshot
 from ..streaming.memory import MemoryAccountant
 from ..streaming.stream import (
     DirectedGraphEdgeStream,
@@ -194,9 +195,9 @@ def _require_graph(problem: Problem, backend: str, *, allow_csr: bool = False):
     Backends built on the dict-of-dict graph API (``allow_csr=False``)
     get CSR snapshots materialized back into graph objects and refuse
     shard stores.  The CSR-aware backends (``allow_csr=True``) take
-    snapshots as-is and get stores loaded into CSR snapshots by the
-    per-shard builders — no dict graph is ever materialized on that
-    path.
+    snapshots as-is and map a store's CSR sidecar, which the per-shard
+    builders write on the store's first in-memory solve — no dict graph
+    is ever materialized on that path.
     """
     if problem.input_mode == MODE_SHARDS:
         if not allow_csr:
@@ -204,9 +205,7 @@ def _require_graph(problem: Problem, backend: str, *, allow_csr: bool = False):
                 f"backend {backend!r} does not accept shard-store input"
             )
         store = problem.input
-        if store.directed:
-            return CSRDigraph.from_shards(store)
-        return CSRGraph.from_shards(store)
+        return csr_snapshot(store, CSRDigraph if store.directed else CSRGraph)
     if problem.input_mode != MODE_GRAPH:
         raise SolverError(f"backend {backend!r} needs an in-memory graph input")
     graph = problem.input
@@ -234,8 +233,9 @@ def _directed_grid(problem: DirectedDensest) -> list:
 class CoreSolver:
     """Algorithms 1–3 on an in-memory graph, CSR snapshot or shard store.
 
-    Shard stores are loaded through ``CSRGraph.from_shards`` /
-    ``CSRDigraph.from_shards`` (per-shard passes, no dict graph).
+    Shard stores map their CSR sidecar, built once by
+    ``CSRGraph.from_shards`` / ``CSRDigraph.from_shards`` (per-shard
+    passes, no dict graph) and kept in the store directory.
     Accepts an ``engine=`` option (any name in
     :data:`repro.kernels.ENGINES`), forwarded to the core peels;
     ``"auto"`` (the default) lets :func:`repro.kernels.resolve_engine`

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
+from .._validation import check_edge_weights
 from ..errors import EmptyGraphError, GraphError
 
 Node = Hashable
@@ -74,12 +75,12 @@ class UndirectedGraph:
         Raises
         ------
         GraphError
-            If ``u == v`` (self-loop) or ``weight`` is not positive.
+            If ``u == v`` (self-loop) or ``weight`` is not a positive
+            finite number.
         """
         if u == v:
             raise GraphError(f"self-loops are not allowed (node {u!r})")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight!r}")
+        check_edge_weights(weight, GraphError)
         self.add_node(u)
         self.add_node(v)
         if v in self._adj[u]:

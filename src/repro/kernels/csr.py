@@ -31,6 +31,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._validation import check_edge_weights
 from ..errors import GraphError
 
 Node = Hashable
@@ -63,8 +64,7 @@ def _as_weight_array(weights, num_edges: int) -> np.ndarray:
             f"weights must match the edge arrays ({num_edges} entries), "
             f"got shape {weights.shape}"
         )
-    if num_edges and not (weights > 0).all():
-        raise GraphError("edge weights must be positive")
+    check_edge_weights(weights, GraphError)
     return weights
 
 
@@ -321,12 +321,13 @@ class CSRGraph:
         Sum of all edge weights, each undirected edge counted once.
     """
 
+    #: The arrays that make up a snapshot (what a store's CSR sidecar
+    #: saves, see :mod:`repro.store.sidecar`).
+    ARRAYS = ("indptr", "indices", "weights", "degrees")
+
     # _peel_args caches the contiguity-checked arrays (plus their raw
     # pointers) the native tier passes to the compiled kernels.
-    __slots__ = (
-        "indptr", "indices", "weights", "degrees", "labels", "total_weight",
-        "_peel_args",
-    )
+    __slots__ = ARRAYS + ("labels", "total_weight", "_peel_args")
 
     def __init__(
         self,
@@ -574,19 +575,19 @@ class CSRDigraph:
     and T using in-rows.
     """
 
-    __slots__ = (
+    #: The arrays that make up a snapshot (see :attr:`CSRGraph.ARRAYS`).
+    ARRAYS = (
         "out_indptr",
         "out_indices",
         "out_weights",
+        "out_degrees",
         "in_indptr",
         "in_indices",
         "in_weights",
-        "out_degrees",
         "in_degrees",
-        "labels",
-        "total_weight",
-        "_peel_args",
     )
+
+    __slots__ = ARRAYS + ("labels", "total_weight", "_peel_args")
 
     def __init__(
         self,

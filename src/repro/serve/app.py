@@ -669,6 +669,11 @@ class DensestRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-densest"
+    #: TCP_NODELAY: ``_send_json`` writes headers and body as two
+    #: segments on the unbuffered ``wfile``, and with Nagle on the body
+    #: waits for the client's delayed ACK (~40 ms on Linux) — every
+    #: keep-alive response, catalog hits included.
+    disable_nagle_algorithm = True
 
     #: Max accepted request body (datasets are registered by *path*, so
     #: request bodies are small problem descriptions).

@@ -3,8 +3,9 @@
 The execution substrate's data layer: edge sets partitioned into
 memory-mappable ``.npy`` shards with a JSON manifest, written under a
 memory budget and read back zero-copy.  Every engine family consumes
-it — ``CSRGraph.from_shards`` builds snapshots without dict graphs,
-``ShardEdgeStream`` runs the semi-streaming engines out-of-core, and
+it — ``CSRGraph.from_shards`` builds snapshots without dict graphs
+(kept beside the shards as a memmappable sidecar by
+:mod:`repro.store.sidecar`), ``ShardEdgeStream`` runs the semi-streaming engines out-of-core, and
 the api layer accepts stores as first-class
 :class:`~repro.api.problems.Problem` inputs.
 """

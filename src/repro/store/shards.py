@@ -90,14 +90,16 @@ import base64
 import json
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._validation import check_edge_weights
 from ..errors import StoreCorruptionError, StoreError
 from ..mapreduce.columnar import stable_hash_int64
 
@@ -335,8 +337,7 @@ def _as_shard_records(src, dst, weights) -> np.ndarray:
                 f"weights must match the edge arrays ({src.size} entries), "
                 f"got shape {weights.shape}"
             )
-        if weights.size and not (weights > 0).all():
-            raise StoreError("edge weights must be positive")
+        check_edge_weights(weights, StoreError)
         rec["w"] = weights
     # Store invariant: no self-loop records.
     loops = rec["u"] == rec["v"]
@@ -691,11 +692,28 @@ def _sweep_tmp_debris(path: Path) -> None:
         pass
 
 
+def _atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through a ``*.tmp`` sibling and an atomic rename.
+
+    ``write`` fills the open tmp file.  The tmp name is unique per
+    process and thread, so concurrent writers of one file (two solves
+    racing to cache a fingerprint or a CSR sidecar) never share a tmp
+    file; an interrupted write leaves only ``*.tmp`` debris, which
+    :func:`_sweep_tmp_debris` removes.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via tmp + atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda handle: handle.write(text.encode()))
 
 
 def _payload_crc(path: Path, offset: int = _PREAMBLE_BYTES) -> int:
@@ -928,6 +946,9 @@ class ShardedEdgeStore:
         # first memmap open of each).  A writer that just produced the
         # bytes hands back a fully-trusted reader.
         self._verified = set(range(manifest.num_shards)) if _trusted else set()
+        # The CSR sidecar record this instance wrote or CRC-checked
+        # (repro.store.sidecar); a sidecar matching it maps unchecked.
+        self._csr_record: Optional[dict] = None
 
     # -- construction --------------------------------------------------
     @classmethod

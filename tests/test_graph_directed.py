@@ -31,6 +31,13 @@ class TestConstruction:
         with pytest.raises(GraphError):
             DirectedGraph([(0,)])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
+    def test_non_positive_or_non_finite_weight_rejected(self, weight):
+        g = DirectedGraph()
+        with pytest.raises(GraphError, match="finite"):
+            g.add_edge(0, 1, weight)
+        assert g.num_edges == 0
+
     def test_parallel_accumulate(self):
         g = DirectedGraph([(0, 1, 2.0), (0, 1, 3.0)])
         assert g.num_edges == 1

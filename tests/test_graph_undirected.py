@@ -58,6 +58,19 @@ class TestMutation:
         with pytest.raises(GraphError):
             g.add_edge(0, 1, -1.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        # A NaN weight used to slip past ``weight <= 0`` and hang the
+        # peel of solve(DensestSubgraph(g)); an inf one gave density inf.
+        from repro.api import DensestSubgraph, solve
+
+        g = UndirectedGraph()
+        with pytest.raises(GraphError, match="finite"):
+            g.add_edge(0, 1, weight)
+        g.add_edge(1, 2)
+        assert g.total_weight == 1.0
+        assert solve(DensestSubgraph(g)).density == 0.5
+
     def test_parallel_edges_accumulate_weight(self):
         g = UndirectedGraph()
         g.add_edge(0, 1, 1.0)

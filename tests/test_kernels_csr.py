@@ -185,6 +185,12 @@ class TestFromEdgeArrays:
         with pytest.raises(GraphError, match="positive"):
             CSRGraph.from_edge_arrays([0], [1], [0.0])
 
+    @pytest.mark.parametrize("builder", [CSRGraph, CSRDigraph])
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, builder, weight):
+        with pytest.raises(GraphError, match="finite"):
+            builder.from_edge_arrays([0, 1], [1, 2], [1.0, weight])
+
     def test_bad_duplicates_policy(self):
         with pytest.raises(GraphError, match="duplicates"):
             CSRGraph.from_edge_arrays([0], [1], duplicates="max")

@@ -230,6 +230,35 @@ class TestSolveFlow:
         status, stats = client.get("/stats")
         assert stats["hits"] == 1 and stats["results"] == 1
 
+    def test_keepalive_catalog_hits_skip_the_delayed_ack(self, server):
+        # Headers and body go out as two writes; with Nagle on, the body
+        # waits for the client's delayed ACK (>= 40 ms on Linux loopback).
+        import http.client
+        import statistics
+
+        client = Client(server)
+        _register_synthetic(client)
+        body = json.dumps(
+            {"dataset": "g", "problem": {"kind": "densest_subgraph"}, "wait": 60}
+        )
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        latencies = []
+        try:
+            for i in range(21):
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/solve", body, {"Content-Type": "application/json"}
+                )
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                assert resp.status == 200 and payload["cached"] is (i > 0)
+                if i:
+                    latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
     def test_job_polling_flow(self, server):
         client = Client(server)
         _register_synthetic(client)

@@ -61,6 +61,16 @@ class TestShardWriter:
         assert np.sort(u2 * n + v2).tolist() == (src * n + dst).tolist()
         assert w2.sum() == pytest.approx(w.sum())
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        with pytest.raises(StoreError, match="finite"):
+            ShardedEdgeStore.write(
+                tmp_path / "st",
+                (np.array([0, 1]), np.array([1, 2]), np.array([1.0, weight])),
+                directed=False,
+            )
+        assert not (tmp_path / "st" / "manifest.json").exists()
+
     def test_shard_assignment_is_stable_hash(self, tmp_path):
         src, dst, w, n = _undirected_arrays()
         store = ShardedEdgeStore.write(
@@ -732,3 +742,78 @@ class TestFingerprint:
 
         manifest = json.loads((tmp_path / "st" / "manifest.json").read_text())
         assert "fingerprint" not in manifest
+
+
+class TestCsrSidecar:
+    """The CSR snapshot a store keeps beside its shards answers bit for
+    bit like a fresh ``from_shards`` build."""
+
+    @staticmethod
+    def _problem(store, epsilon):
+        from repro.api import DirectedDensest
+
+        if store.directed:
+            return DirectedDensest(store, epsilon=epsilon, ratio_grid=(0.5, 1.0, 2.0))
+        return DensestSubgraph(store, epsilon=epsilon)
+
+    @staticmethod
+    def _answer(solution):
+        return (
+            solution.nodes,
+            solution.s_nodes,
+            solution.t_nodes,
+            solution.density,
+            solution.cost.passes,
+            solution.certificate,
+        )
+
+    @pytest.mark.parametrize("backend", ["core", "mapreduce"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_absent_written_and_reopened_answer_identically(
+        self, tmp_path, monkeypatch, backend, directed
+    ):
+        from repro.store.sidecar import SIDECAR_NAME
+
+        src, dst, w, n = _parallel_duplicate_arrays(seed=11)
+        root = tmp_path / "st"
+        store = ShardedEdgeStore.write(
+            root, (src, dst, w), directed=directed, num_shards=3, num_nodes=n
+        )
+        assert not (root / SIDECAR_NAME).exists()
+        built = [
+            self._answer(solve(self._problem(store, eps), backend=backend))
+            for eps in (0.1, 0.5)
+        ]
+        assert (root / SIDECAR_NAME).exists()
+
+        def no_rebuild(cls, store):
+            raise AssertionError("solve rebuilt the CSR instead of mapping it")
+
+        cls = CSRDigraph if directed else CSRGraph
+        monkeypatch.setattr(cls, "from_shards", classmethod(no_rebuild))
+        for handle in (store, ShardedEdgeStore.open(root)):
+            mapped = [
+                self._answer(solve(self._problem(handle, eps), backend=backend))
+                for eps in (0.1, 0.5)
+            ]
+            assert mapped == built
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_mapped_arrays_equal_the_build_and_are_read_only(self, tmp_path, directed):
+        from repro.store.sidecar import csr_snapshot
+
+        src, dst, w, n = _parallel_duplicate_arrays(seed=12)
+        store = ShardedEdgeStore.write(
+            tmp_path / "st", (src, dst, w), directed=directed, num_shards=4, num_nodes=n
+        )
+        cls = CSRDigraph if directed else CSRGraph
+        built = csr_snapshot(store, cls)  # absent: builds and writes
+        mapped = csr_snapshot(ShardedEdgeStore.open(tmp_path / "st"), cls)
+        assert isinstance(mapped, cls)
+        assert mapped.labels == built.labels == list(range(n))
+        assert mapped.total_weight == built.total_weight
+        for name in cls.ARRAYS:
+            array = getattr(mapped, name)
+            assert isinstance(array, np.memmap) and not array.flags.writeable
+            assert array.dtype == getattr(built, name).dtype
+            assert np.array_equal(array, getattr(built, name))

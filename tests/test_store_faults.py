@@ -4,15 +4,21 @@ The store's robustness contract: a crashed writer leaves no readable
 half-store behind (the manifest is the commit record), and bit rot in
 a shard payload surfaces as a typed :class:`StoreCorruptionError` on
 first read — never as silently wrong edges.  ``verify``/``repair``
-turn a damaged store into an explicitly quarantined one.
+turn a damaged store into an explicitly quarantined one.  A damaged or
+stale CSR sidecar is never served: the solve rebuilds it.
 """
+
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from repro.api import DensestSubgraph, solve
 from repro.errors import InjectedFaultError, StoreError, StoreCorruptionError
 from repro.faults import FaultPlan, corrupt_shard
-from repro.store import ShardWriter, ShardedEdgeStore
+from repro.kernels import CSRGraph
+from repro.store import ShardWriter, ShardedEdgeStore, shards, sidecar
 from repro.store.shards import MANIFEST_NAME, _PREAMBLE_BYTES
 
 
@@ -171,3 +177,178 @@ class TestFaultPlanSemantics:
         off_a = corrupt_shard(tmp_path / "a", shard=1, seed=9)
         off_b = corrupt_shard(tmp_path / "b", shard=1, seed=9)
         assert off_a == off_b >= _PREAMBLE_BYTES
+
+
+# ----------------------------------------------------------------------
+# CSR sidecar
+# ----------------------------------------------------------------------
+def _solve(source):
+    solution = solve(DensestSubgraph(source, epsilon=0.3), backend="core")
+    return solution.nodes, solution.density, solution.certificate
+
+
+def _reference(store):
+    """The answer on a CSR built straight from the shards."""
+    return _solve(CSRGraph.from_shards(store))
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    real = CSRGraph.from_shards.__func__
+
+    def counting(cls, store):
+        calls.append(store)
+        return real(cls, store)
+
+    monkeypatch.setattr(CSRGraph, "from_shards", classmethod(counting))
+    return calls
+
+
+def _maps_valid_sidecar(root) -> bool:
+    """Whether a fresh handle maps (CRC-checks) the sidecar unrebuilt."""
+    csr = sidecar.csr_snapshot(ShardedEdgeStore.open(root), CSRGraph)
+    return all(isinstance(getattr(csr, name), np.memmap) for name in CSRGraph.ARRAYS)
+
+
+def _flip_last_byte(path):
+    with open(path, "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(bytes((byte[0] ^ 0xFF,)))
+
+
+class TestCsrSidecarFaults:
+    def test_flipped_payload_byte_rebuilds_and_rewrites(self, tmp_path, monkeypatch):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        expected = _reference(store)
+        assert _solve(store) == expected  # writes the sidecar
+        _flip_last_byte(root / "csr-weights.npy")
+        builds = _count_builds(monkeypatch)
+        assert _solve(ShardedEdgeStore.open(root)) == expected
+        assert len(builds) == 1
+        assert _maps_valid_sidecar(root)
+        assert len(builds) == 1
+
+    def test_truncated_array_rebuilds(self, tmp_path, monkeypatch):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        expected = _reference(store)
+        _solve(store)
+        path = root / "csr-indices.npy"
+        with open(path, "r+b") as handle:
+            handle.truncate(path.stat().st_size - 4)
+        builds = _count_builds(monkeypatch)
+        assert _solve(ShardedEdgeStore.open(root)) == expected
+        assert len(builds) == 1
+        assert _maps_valid_sidecar(root)
+
+    @pytest.mark.parametrize(
+        "seed, num_shards",
+        [(1, 4), (0, 5)],
+        ids=["new-edges", "same-edges-new-layout"],
+    )
+    def test_store_rewritten_in_place_rebuilds(
+        self, tmp_path, monkeypatch, seed, num_shards
+    ):
+        # Same edges in a new shard layout keep the fingerprint but can
+        # reorder parallel entries inside a CSR row: the shard CRCs in
+        # the content key catch that.
+        root = tmp_path / "st"
+        original = _write_store(root, seed=0)
+        _solve(original)
+        for path in root.glob("shard-*.npy"):
+            path.unlink()
+        (root / MANIFEST_NAME).unlink()
+        rewritten = _write_store(root, seed=seed, num_shards=num_shards)
+        assert (rewritten.fingerprint() == original.fingerprint()) is (seed == 0)
+        expected = _reference(rewritten)
+        builds = _count_builds(monkeypatch)
+        assert _solve(rewritten) == expected
+        assert len(builds) == 1
+        assert _maps_valid_sidecar(root)
+
+    def test_open_sweeps_sidecar_tmp_debris(self, tmp_path, monkeypatch):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        expected = _solve(store)
+        debris = [root / "csr-indices.npy.4242-17.tmp", root / "csr.json.4242-17.tmp"]
+        for path in debris:
+            path.write_bytes(b"leftover")
+        reopened = ShardedEdgeStore.open(root)
+        assert not any(path.exists() for path in debris)
+        builds = _count_builds(monkeypatch)
+        assert _solve(reopened) == expected
+        assert builds == []
+
+    def test_read_only_store_solves_without_writing(self, tmp_path, monkeypatch):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        store.fingerprint()  # cached while the directory is writable
+        expected = _reference(store)
+        root.chmod(0o555)
+        try:
+            if os.access(root, os.W_OK):  # root ignores directory modes
+
+                def read_only(path, mode="r", *args, **kwargs):
+                    if "w" in mode:
+                        raise PermissionError(13, "Permission denied", str(path))
+                    return open(path, mode, *args, **kwargs)
+
+                monkeypatch.setattr(shards, "open", read_only, raising=False)
+            assert _solve(store) == expected
+            assert _solve(ShardedEdgeStore.open(root)) == expected
+        finally:
+            root.chmod(0o755)
+        assert not list(root.glob("csr*"))
+        assert not list(root.glob("*.tmp"))
+
+    def test_deleted_shard_fails_typed_despite_sidecar(self, tmp_path):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        _solve(store)
+        store.shard_path(1).unlink()
+        with pytest.raises(StoreCorruptionError, match="shard 1 file .* is missing"):
+            _solve(ShardedEdgeStore.open(root))
+
+    def test_quarantined_shard_fails_typed_despite_sidecar(self, tmp_path):
+        root = tmp_path / "st"
+        store = _write_store(root)
+        _solve(store)
+        corrupt_shard(root, shard=2)
+        ShardedEdgeStore.open(root).repair()
+        with pytest.raises(StoreCorruptionError, match="quarantined"):
+            _solve(ShardedEdgeStore.open(root))
+
+    def test_racing_first_solves_leave_one_valid_sidecar(self, tmp_path):
+        import sys
+
+        root = tmp_path / "st"
+        store = _write_store(root, n=3000, m=40000)
+        expected = _reference(store)
+        racers = 4  # more threads than CI cores
+        barrier = threading.Barrier(racers)
+        answers = [None] * racers
+
+        def first_solve(slot):
+            barrier.wait(timeout=30)
+            answers[slot] = _solve(store)
+
+        threads = [
+            threading.Thread(target=first_solve, args=(i,)) for i in range(racers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * racers
+        assert not list(root.glob("*.tmp"))
+        assert _maps_valid_sidecar(root)
+        assert _solve(ShardedEdgeStore.open(root)) == expected
