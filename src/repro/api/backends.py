@@ -478,6 +478,7 @@ class StreamingSolver:
                     accountant=accountant,
                     compaction=compaction,
                     scan_threads=scan_threads,
+                    control=control,
                 )
                 return _sweep_solution(
                     sweep,
@@ -544,6 +545,7 @@ class SketchSolver:
         )
 
     def solve(self, problem: Problem, **options) -> Solution:
+        from ..faults import RunControl
         from ..streaming.sketch_engine import sketch_densest_subgraph
 
         if not isinstance(problem, DensestSubgraph):
@@ -567,6 +569,7 @@ class SketchSolver:
             max_passes=problem.max_passes,
             accountant=accountant,
             compaction=compaction,
+            control=RunControl.from_context(context),
         )
         return _undirected_solution(
             result,

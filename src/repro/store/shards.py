@@ -1247,35 +1247,6 @@ class ShardedEdgeStore:
         for shard in shards:
             yield self.shard_arrays(shard)
 
-    def shard_chunk_readers(
-        self,
-        alive: Optional[np.ndarray] = None,
-        dst_alive: Optional[np.ndarray] = None,
-    ) -> List[Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Zero-arg callables, one per shard, each returning its arrays.
-
-        The task-shaped sibling of :meth:`iter_shard_arrays`: the same
-        shard selection (skip summaries applied when ``alive`` is
-        given), but deferred — each callable opens its own memmap when
-        invoked, so independent shards can be read and processed by
-        concurrent threads (the memmap page-in and the numpy work both
-        release the GIL).  Callables are independent and thread-safe;
-        invocation order is up to the caller, who must merge results in
-        list order to stay bit-identical with the sequential scan.
-        """
-        if alive is None:
-            shards: Iterable[int] = range(self.num_shards)
-        else:
-            shards = self.alive_shards(alive, dst_alive)
-
-        def reader(shard: int):
-            def read() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-                return self.shard_arrays(shard)
-
-            return read
-
-        return [reader(shard) for shard in shards]
-
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The whole edge set as contiguous in-memory arrays.
 

@@ -257,14 +257,16 @@ class _SpillSink:
 class Compactor:
     """Trigger state and spill lifecycle for one engine run.
 
-    The engines drive it around each vectorized scan::
+    The engines drive it through one helper around each scan
+    (:func:`~repro.streaming.engine._compacting_scan`): a sink when
+    :meth:`due`, then :meth:`finish` to swap the scan source, or
+    :meth:`observe` to update the trigger.
 
-        sink = compactor.open_sink() if compactor.due() else None
-        ... scan, passing every surviving chunk to sink.append ...
-        if sink is not None:
-            stream = compactor.finish(sink)      # swap the scan source
-        else:
-            compactor.observe(scanned, kept)     # update the trigger
+    ``num_nodes`` is the dense universe size rewrites are written in.
+    ``source_nodes`` sets the node-trigger baseline when the engine's
+    alive accounting uses different units than the universe size (the
+    directed engine counts S and T memberships separately, so its
+    baseline is 2n).
 
     ``close()`` (engines call it in a ``finally``) removes every spill
     directory the run created; a rewrite that supersedes an earlier
@@ -273,32 +275,27 @@ class Compactor:
     """
 
     def __init__(
-        self, policy: CompactionPolicy, stream: EdgeStream, *, directed: bool
+        self,
+        policy: CompactionPolicy,
+        stream: EdgeStream,
+        *,
+        directed: bool,
+        num_nodes: int,
+        source_nodes: Optional[int] = None,
     ) -> None:
         self.policy = policy
         self.accounting = stream.accounting
         self.directed = directed
-        self.num_nodes: Optional[int] = None  # bound by the engine state
+        self.num_nodes = num_nodes
         try:
             self._source_len: Optional[int] = len(stream)  # type: ignore[arg-type]
         except TypeError:
             self._source_len = None  # unsized source: learn it from scan 1
         self._last_kept: Optional[int] = None
-        self._source_nodes: Optional[int] = None
+        self._source_nodes = source_nodes if source_nodes is not None else num_nodes
         self._alive_nodes: Optional[int] = None
         self._owned_dirs: List[str] = []
         self.compactions = 0
-
-    def bind(self, num_nodes: int, source_nodes: Optional[int] = None) -> None:
-        """Declare the dense universe size rewrites are written in.
-
-        ``source_nodes`` sets the node-trigger baseline when the
-        engine's alive accounting uses different units than the
-        universe size (the directed engine counts S and T memberships
-        separately, so its baseline is 2n).
-        """
-        self.num_nodes = num_nodes
-        self._source_nodes = source_nodes if source_nodes is not None else num_nodes
 
     def note_nodes(self, alive_count: int) -> None:
         """Record the engine's alive-node count after a removal.
@@ -332,7 +329,6 @@ class Compactor:
             return True
         return (
             self._alive_nodes is not None
-            and self._source_nodes is not None
             and self._alive_nodes <= threshold * self._source_nodes
         )
 
@@ -354,8 +350,6 @@ class Compactor:
         past ``policy.memory_edges`` — the survivor count is unknown
         until the scan runs.
         """
-        if self.num_nodes is None:
-            raise ParameterError("Compactor.bind() must run before open_sink()")
         return _MemorySink(
             limit=self.policy.memory_edges, spill_factory=self._new_spill
         )

@@ -18,42 +18,53 @@ in :mod:`repro.core`.  The test suite asserts the engines return
 identical sets and traces to the reference implementations.
 
 The per-pass degree recomputation runs through the same
-``np.bincount`` kernel as the in-memory CSR engine: edges are pulled
-in bounded chunks (so the between-pass state stays O(n) + O(chunk)),
-endpoint labels are mapped to dense indices — a vectorized
-``searchsorted`` for integer ids, one dict lookup per endpoint for any
-other hashable label — and the surviving edges update all counters at
-once.  The scan is the same code for every label type: a relabelled
-input gives the same node sets, traces, and densities (bit-identical
-float sums whenever both runs see the same chunk boundaries, and
-always for dyadic weights).  Threshold scans are one vectorized mask
-over the maintained alive bitmap.
+``np.bincount`` kernel as the in-memory CSR engine.  Every engine —
+the three here and the sketch engine — scans through one loop,
+:meth:`_StreamScanner.scan`: edges are pulled in bounded chunks (so
+the between-pass state stays O(n) + O(chunk)), and one per-chunk body
+maps endpoint labels to dense indices — a vectorized ``searchsorted``
+for integer ids, one dict lookup per endpoint for any other hashable
+label — masks dead endpoints, and reduces the survivors (two
+bincounts here, one sketch update in the sketch engine).  The body
+runs inline, or on a thread pool for shard stores with
+``scan_threads > 1``; the calling thread merges chunk results in
+stream order either way, so threaded and inline scans are bit for
+bit the same.  A relabelled input gives the same node sets, traces,
+and densities (bit-identical float sums whenever both runs see the
+same chunk boundaries, and always for dyadic weights).  Threshold
+scans are one vectorized mask over the maintained alive bitmap.
 
 All three engines additionally accept a ``compaction=`` control (see
 :mod:`repro.streaming.compaction`): when the surviving-edge fraction
 drops below the policy threshold, the next scan fuses a survivor
 rewrite and later passes read only the rewritten source — identical
 node sets, traces, and pass counts, with total bytes scanned bounded
-by a geometric series instead of O(m) per pass.
+by a geometric series instead of O(m) per pass.  One helper,
+:func:`_compacting_scan`, opens, aborts and finishes that rewrite for
+every engine.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as _np
 
 from .._tolerances import THRESHOLD_EPS
-from .._validation import check_epsilon, check_positive_float, check_positive_int
+from .._validation import (
+    check_edge_weights,
+    check_epsilon,
+    check_positive_float,
+    check_positive_int,
+)
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
-Node = Hashable
 
 #: Edges pulled from the stream per vectorized batch.  Bounds the
 #: transient memory of a scan at O(chunk) on top of the O(n) counters.
@@ -85,8 +96,9 @@ class _StreamScanner:
 
     Scans may fuse a *compaction sink*: every surviving chunk is also
     appended to the sink (in dense index space), so the rewrite costs
-    zero extra read passes.  ``last_scanned``/``last_kept`` record the
-    most recent scan's record counts for the compaction trigger.
+    zero extra read passes (:func:`_compacting_scan` owns the sink's
+    lifecycle).  ``last_scanned``/``last_kept`` record the most recent
+    scan's record counts for the compaction trigger.
     """
 
     def __init__(self, labels, threads: int = 1) -> None:
@@ -144,7 +156,12 @@ class _StreamScanner:
         return lookup_indices(self._order, self._sorted, ids, self._missing)
 
     def _chunks(self, stream: EdgeStream, alive=None, dst_alive=None):
-        """Mapped ``(ui, vi, w)`` chunk triples of one counted pass.
+        """One counted pass as ``(chunks, needs_map)``.
+
+        ``chunks`` iterates raw ``(u, v, w)`` triples; ``needs_map``
+        says whether their ids are labels for :meth:`_map` (False for
+        ``dense_ids`` rewrites and for dict-relabelled records, which
+        already carry dense indices).
 
         ``alive``/``dst_alive`` (dense-index masks) are forwarded to
         chunk-serving streams as skip hints whenever dense indices and
@@ -158,49 +175,32 @@ class _StreamScanner:
             # Compaction rewrites of such streams hold dense ids and
             # take the array paths below.
             position = self._position
-            yield from self._record_chunks(
-                ((position[u], position[v], w) for u, v, w in stream.edges()),
-                relabelled=True,
-            )
-            return
-        chunks = None
+            records = ((position[u], position[v], w) for u, v, w in stream.edges())
+            return self._record_chunks(records), False
         if stream.has_array_chunks():
+            # Shard-backed pass: one bounded array triple per shard, so
+            # the scan runs out-of-core (O(n) counters + O(shard)).
             if alive is not None and (dense or self._identity):
                 chunks = stream.edge_array_chunks(alive=alive, dst_alive=dst_alive)
             else:
                 chunks = stream.edge_array_chunks()
-        if chunks is not None:
-            # Shard-backed pass: one bounded array triple per shard, so
-            # the scan runs out-of-core (O(n) counters + O(shard)).
-            for u, v, w in chunks:
-                u = _np.asarray(u, dtype=_np.int64)
-                v = _np.asarray(v, dtype=_np.int64)
-                if not dense:
-                    u = self._map(u)
-                    v = self._map(v)
-                yield u, v, _np.asarray(w, dtype=_np.float64)
-            return
+            return chunks, not dense
+        # Map labels per pass rather than caching the O(m) mapped
+        # arrays: the engines' between-pass state must stay O(n) (one
+        # vectorized searchsorted per pass is cheap).
         arrays = stream.edge_arrays()
         if arrays is not None:
-            # Map labels per pass rather than caching the O(m) mapped
-            # arrays: the engines' between-pass state must stay O(n)
-            # (one vectorized searchsorted per pass is cheap).
-            u, v, w = arrays
-            u = _np.asarray(u, dtype=_np.int64)
-            v = _np.asarray(v, dtype=_np.int64)
-            if not dense:
-                u = self._map(u)
-                v = self._map(v)
-            yield u, v, _np.asarray(w, dtype=_np.float64)
-            return
-        yield from self._record_chunks(stream.edges())
+            return (arrays,), not dense
+        return self._record_chunks(stream.edges()), not dense
 
-    def _record_chunks(self, records, relabelled: bool = False):
-        """``(ui, vi, w)`` chunks of a record iterator.
+    def _record_chunks(self, records):
+        """``(u, v, w)`` array chunks of a record iterator.
 
-        ``relabelled`` records already carry dense indices (mapped
-        through the label dict); others carry int labels for
-        :meth:`_map`.
+        Record streams (files, generators) are the one input no writer
+        has validated, so each chunk is checked here: a non-finite or
+        non-positive weight raises :class:`StreamError`, and self-loops
+        are dropped, as the store writer and the edge-list readers
+        drop them.
         """
         while True:
             try:
@@ -210,54 +210,36 @@ class _StreamScanner:
             except KeyError as exc:  # a non-int endpoint outside the universe
                 raise self._missing(exc.args[0]) from None
             if arr.size:
-                if relabelled:
-                    yield arr["u"], arr["v"], arr["w"]
-                else:
-                    yield self._map(arr["u"]), self._map(arr["v"]), arr["w"]
+                check_edge_weights(arr["w"], StreamError)
+                loops = arr["u"] == arr["v"]
+                kept = arr[~loops] if loops.any() else arr
+                yield kept["u"], kept["v"], kept["w"]
             if arr.size < _SCAN_CHUNK:
                 return
 
-    def _chunk_tasks(self, stream: EdgeStream, alive=None, dst_alive=None):
-        """A task-shaped pass for the threaded scan, or None.
+    def _run_ordered(self, chunks, body):
+        """Yield ``body(*chunk)`` for every chunk, in stream order.
 
-        Eligible only when this scanner has a thread pool to feed
-        (``threads > 1``), the chunks need no dict relabel (int labels
-        or a ``dense_ids`` rewrite), and the stream serves
-        :meth:`~repro.streaming.stream.EdgeStream.edge_array_chunk_tasks`.
-        Skip hints follow the same rule as :meth:`_chunks`: forwarded
-        only when dense indices and node ids coincide.
-        """
-        dense = getattr(stream, "dense_ids", False)
-        if self.threads <= 1 or (self._position is not None and not dense):
-            return None
-        if alive is not None and (dense or self._identity):
-            return stream.edge_array_chunk_tasks(alive=alive, dst_alive=dst_alive)
-        return stream.edge_array_chunk_tasks()
-
-    def _run_ordered(self, tasks, process):
-        """Yield ``process(*task())`` for every task, in task order.
-
-        A sized thread pool (``self.threads`` workers) runs the tasks
+        A sized thread pool (``self.threads`` workers) runs the bodies
         concurrently — the shard memmap page-in and the numpy chunk
         work both release the GIL — while a bounded in-flight window
-        (2× the pool) caps transient memory at O(window · chunk).
+        (2× the pool) caps transient memory at O(window · chunk).  The
+        chunk iterator itself is advanced on the calling thread.
         Results are consumed strictly in submission order, which is
-        what keeps the caller's merge bit-identical to the sequential
-        scan.
+        what keeps the caller's merge bit-identical to the inline scan.
         """
         from collections import deque
         from concurrent.futures import ThreadPoolExecutor
 
         pending = deque()
-        task_iter = iter(tasks)
+        chunks = iter(chunks)
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
 
             def submit_next() -> bool:
-                try:
-                    task = next(task_iter)
-                except StopIteration:
+                chunk = next(chunks, None)
+                if chunk is None:
                     return False
-                pending.append(pool.submit(lambda t=task: process(*t())))
+                pending.append(pool.submit(body, *chunk))
                 return True
 
             for _ in range(self.threads * 2):
@@ -268,106 +250,69 @@ class _StreamScanner:
                 submit_next()
                 yield result
 
-    def _scan_undirected_parallel(self, pass_obj, alive, sink, dense):
-        """The threaded body of :meth:`scan_undirected`.
+    def scan(
+        self, stream: EdgeStream, src, dst, reduce=None, merge=None, sink=None
+    ) -> float:
+        """One counted pass over the edges ``u -> v`` with ``src[u] & dst[v]``.
 
-        Workers map, mask, and bincount whole chunks; the main thread
-        merges the partial counters in shard order — arithmetic
-        identical to the sequential per-chunk loop, which accumulates
-        in exactly that order.
+        Every chunk runs one body: map ids, mask dead endpoints, then
+        ``reduce(u, v, w)`` on the survivors.  The body runs inline,
+        or on a thread pool when ``threads > 1`` and the stream serves
+        array chunks (shard stores).  Either way the calling thread
+        consumes the chunk results in stream order, doing
+        ``merge(reduce's result)``, the weight sum, the record counts
+        (``last_scanned``/``last_kept``), and ``sink.append`` of the
+        survivors (dense index space) — so a threaded scan is bit for
+        bit the inline one.  Undirected scans pass ``src is dst``.
+
+        Returns the surviving edge weight.
         """
-        degrees = _np.zeros(self.n, dtype=_np.float64)
+        chunks, needs_map = self._chunks(stream, src, None if dst is src else dst)
+        # Pass 1 (and any scan before the first removal) keeps every
+        # edge: one O(n) check here skips the O(edges) endpoint gather
+        # and mask per chunk.
+        all_alive = bool(src.all()) and (dst is src or bool(dst.all()))
+
+        def body(u, v, w):
+            u = _np.asarray(u, dtype=_np.int64)
+            v = _np.asarray(v, dtype=_np.int64)
+            w = _np.asarray(w, dtype=_np.float64)
+            if needs_map:
+                u = self._map(u)
+                v = self._map(v)
+            records = int(u.size)
+            if not all_alive:
+                keep = src[u] & dst[v]
+                # A whole surviving chunk skips the masked
+                # re-extraction — three O(chunk) copies.
+                if not keep.all():
+                    if not keep.any():
+                        return records, None
+                    u, v, w = u[keep], v[keep], w[keep]
+            partial = None if reduce is None else reduce(u, v, w)
+            return records, (u, v, w, float(w.sum()), partial)
+
+        if self.threads > 1 and stream.has_array_chunks():
+            results = self._run_ordered(chunks, body)
+        else:
+            results = (body(*chunk) for chunk in chunks)
         weight = 0.0
         scanned = 0
         kept_edges = 0
-        all_alive = bool(alive.all())
-
-        def process(u, v, w):
-            ui = _np.asarray(u, dtype=_np.int64)
-            vi = _np.asarray(v, dtype=_np.int64)
-            wf = _np.asarray(w, dtype=_np.float64)
-            if not dense:
-                ui = self._map(ui)
-                vi = self._map(vi)
-            n_records = int(ui.size)
-            if all_alive:
-                kui, kvi, kept = ui, vi, wf
-            else:
-                keep = alive[ui] & alive[vi]
-                if keep.all():
-                    kui, kvi, kept = ui, vi, wf
-                elif keep.any():
-                    kui = ui[keep]
-                    kvi = vi[keep]
-                    kept = wf[keep]
-                else:
-                    return n_records, None, None, None, None, None, 0.0
-            bu = _np.bincount(kui, weights=kept)
-            bv = _np.bincount(kvi, weights=kept)
-            return n_records, kui, kvi, kept, bu, bv, float(kept.sum())
-
-        for n_records, kui, kvi, kept, bu, bv, chunk_weight in self._run_ordered(
-            pass_obj.tasks, process
-        ):
-            pass_obj.count(n_records)
-            scanned += n_records
-            if kui is None:
+        for records, survivors in results:
+            scanned += records
+            if survivors is None:
                 continue
-            kept_edges += int(kui.size)
-            degrees[: bu.size] += bu
-            degrees[: bv.size] += bv
+            u, v, w, chunk_weight, partial = survivors
+            kept_edges += int(u.size)
+            if merge is not None:
+                merge(partial)
             weight += chunk_weight
             if sink is not None:
-                sink.append(kui, kvi, kept)
+                sink.append(u, v, w)
         self.last_scanned = scanned
         self.last_kept = kept_edges
-        return degrees, weight
-
-    def _scan_directed_parallel(self, pass_obj, in_s, in_t, sink, dense):
-        """The threaded body of :meth:`scan_directed` (same merge rule)."""
-        out_to_t = _np.zeros(self.n, dtype=_np.float64)
-        in_from_s = _np.zeros(self.n, dtype=_np.float64)
-        weight = 0.0
-        scanned = 0
-        kept_edges = 0
-
-        def process(u, v, w):
-            ui = _np.asarray(u, dtype=_np.int64)
-            vi = _np.asarray(v, dtype=_np.int64)
-            wf = _np.asarray(w, dtype=_np.float64)
-            if not dense:
-                ui = self._map(ui)
-                vi = self._map(vi)
-            n_records = int(ui.size)
-            keep = in_s[ui] & in_t[vi]
-            if keep.all():
-                kui, kvi, kept = ui, vi, wf
-            elif keep.any():
-                kui = ui[keep]
-                kvi = vi[keep]
-                kept = wf[keep]
-            else:
-                return n_records, None, None, None, None, None, 0.0
-            bu = _np.bincount(kui, weights=kept)
-            bv = _np.bincount(kvi, weights=kept)
-            return n_records, kui, kvi, kept, bu, bv, float(kept.sum())
-
-        for n_records, kui, kvi, kept, bu, bv, chunk_weight in self._run_ordered(
-            pass_obj.tasks, process
-        ):
-            pass_obj.count(n_records)
-            scanned += n_records
-            if kui is None:
-                continue
-            kept_edges += int(kui.size)
-            out_to_t[: bu.size] += bu
-            in_from_s[: bv.size] += bv
-            weight += chunk_weight
-            if sink is not None:
-                sink.append(kui, kvi, kept)
-        self.last_scanned = scanned
-        self.last_kept = kept_edges
-        return out_to_t, in_from_s, weight
+        return weight
 
     def scan_undirected(
         self, stream: EdgeStream, alive, sink=None
@@ -376,101 +321,66 @@ class _StreamScanner:
 
         With a ``sink``, every surviving record is also appended to it
         (dense index space) — the fused compaction write.
-
-        With ``threads > 1`` and a task-serving stream (shard stores),
-        the per-chunk work fans out to a thread pool; results and
-        accounting are bit-identical to the sequential scan.
         """
-        pass_obj = self._chunk_tasks(stream, alive=alive)
-        if pass_obj is not None:
-            return self._scan_undirected_parallel(
-                pass_obj, alive, sink, getattr(stream, "dense_ids", False)
-            )
         degrees = _np.zeros(self.n, dtype=_np.float64)
-        weight = 0.0
-        scanned = 0
-        kept_edges = 0
-        # Pass 1 (and any scan before the first removal) keeps every
-        # edge: one O(n) check here skips the O(edges) endpoint gather
-        # and mask per chunk.
-        all_alive = bool(alive.all())
-        for ui, vi, w in self._chunks(stream, alive=alive):
-            scanned += int(ui.size)
-            if all_alive:
-                kui, kvi, kept = ui, vi, _np.asarray(w, dtype=_np.float64)
-                kept_edges += int(kui.size)
-                b = _np.bincount(kui, weights=kept)
-                degrees[: b.size] += b
-                b = _np.bincount(kvi, weights=kept)
-                degrees[: b.size] += b
-                weight += float(kept.sum())
-                if sink is not None:
-                    sink.append(kui, kvi, kept)
-                continue
-            keep = alive[ui] & alive[vi]
-            if keep.all():
-                # Whole chunk survives (typically pass 1): skip the
-                # masked re-extraction — three O(chunk) copies.
-                kui, kvi, kept = ui, vi, _np.asarray(w, dtype=_np.float64)
-            elif keep.any():
-                kui = ui[keep]
-                kvi = vi[keep]
-                kept = w[keep]
-            else:
-                continue
-            kept_edges += int(kui.size)
-            # bincount without minlength: the per-chunk accumulate
-            # costs O(max surviving id), not O(n) — the dominant
-            # constant once compaction shrinks chunks far below the
-            # universe size.  Slice-adding is bit-identical to the
-            # padded add (the padding would add exact zeros).
-            b = _np.bincount(kui, weights=kept)
-            degrees[: b.size] += b
-            b = _np.bincount(kvi, weights=kept)
-            degrees[: b.size] += b
-            weight += float(kept.sum())
-            if sink is not None:
-                sink.append(kui, kvi, kept)
-        self.last_scanned = scanned
-        self.last_kept = kept_edges
-        return degrees, weight
+        return degrees, self._degree_scan(stream, alive, alive, degrees, degrees, sink)
 
     def scan_directed(
         self, stream: EdgeStream, in_s, in_t, sink=None
     ) -> Tuple["_np.ndarray", "_np.ndarray", float]:
         """w(E(i,T)), w(E(S,j)), and w(E(S,T)), one stream pass."""
-        pass_obj = self._chunk_tasks(stream, alive=in_s, dst_alive=in_t)
-        if pass_obj is not None:
-            return self._scan_directed_parallel(
-                pass_obj, in_s, in_t, sink, getattr(stream, "dense_ids", False)
-            )
         out_to_t = _np.zeros(self.n, dtype=_np.float64)
         in_from_s = _np.zeros(self.n, dtype=_np.float64)
-        weight = 0.0
-        scanned = 0
-        kept_edges = 0
-        for ui, vi, w in self._chunks(stream, alive=in_s, dst_alive=in_t):
-            scanned += int(ui.size)
-            keep = in_s[ui] & in_t[vi]
-            if keep.all():
-                kui, kvi, kept = ui, vi, _np.asarray(w, dtype=_np.float64)
-            elif keep.any():
-                kui = ui[keep]
-                kvi = vi[keep]
-                kept = w[keep]
-            else:
-                continue
-            kept_edges += int(kui.size)
-            b = _np.bincount(kui, weights=kept)
-            out_to_t[: b.size] += b
-            b = _np.bincount(kvi, weights=kept)
-            in_from_s[: b.size] += b
-            weight += float(kept.sum())
-            if sink is not None:
-                sink.append(kui, kvi, kept)
-        self.last_scanned = scanned
-        self.last_kept = kept_edges
+        weight = self._degree_scan(stream, in_s, in_t, out_to_t, in_from_s, sink)
         return out_to_t, in_from_s, weight
+
+    def _degree_scan(self, stream, src, dst, out_deg, in_deg, sink) -> float:
+        """:meth:`scan` adding the survivors' weighted degrees, source
+        endpoints into ``out_deg`` and destinations into ``in_deg``
+        (one array for undirected scans, source first as always).
+
+        ``bincount`` without ``minlength``: the per-chunk accumulate
+        costs O(max surviving id), not O(n) — the dominant constant
+        once compaction shrinks chunks far below the universe size.
+        Slice-adding is bit-identical to the padded add (the padding
+        would add exact zeros).
+        """
+
+        def reduce(u, v, w):
+            return _np.bincount(u, weights=w), _np.bincount(v, weights=w)
+
+        def merge(partial):
+            bu, bv = partial
+            out_deg[: bu.size] += bu
+            in_deg[: bv.size] += bv
+
+        return self.scan(stream, src, dst, reduce, merge, sink)
+
+
+def _compacting_scan(compactor, scanner, stream, scan, compact: bool = True):
+    """Run ``scan(stream, sink)`` under the pass-compaction lifecycle.
+
+    Opens a sink when the compactor is due (and ``compact`` allows a
+    rewrite), aborts it if the scan is interrupted — a fault, cancel or
+    I/O error must not leak a half-written spill store — and then
+    either switches to the finished rewrite or reports the scan's
+    record counts to the trigger.  Returns ``(result, next_stream)``.
+    """
+    sink = None
+    if compact and compactor is not None and compactor.due():
+        sink = compactor.open_sink()
+    try:
+        result = scan(stream, sink)
+    except BaseException:
+        if sink is not None:
+            sink.abort()
+        raise
+    if compactor is not None:
+        if sink is not None:
+            stream = compactor.finish(sink)
+        else:
+            compactor.observe(scanner.last_scanned, scanner.last_kept)
+    return result, stream
 
 
 def _charge_exact_memory(accountant: Optional[MemoryAccountant], n: int) -> None:
@@ -522,8 +432,9 @@ class _UndirectedPassState:
         if compaction is not None:
             from .compaction import Compactor
 
-            self._compactor = Compactor(compaction, stream, directed=False)
-            self._compactor.bind(self.n)
+            self._compactor = Compactor(
+                compaction, stream, directed=False, num_nodes=self.n
+            )
 
     def scan(self, compact: bool = True):
         """One stream pass: degrees of alive nodes and surviving weight.
@@ -532,27 +443,28 @@ class _UndirectedPassState:
         terminal valuation scans whose result stream would be thrown
         away with the run.
         """
-        sink = None
-        if compact and self._compactor is not None and self._compactor.due():
-            sink = self._compactor.open_sink()
-        try:
-            degrees, weight = self._scanner.scan_undirected(
-                self.stream, self._alive_arr, sink=sink
-            )
-        except BaseException:
-            # A scan interrupted mid-pass (fault, cancel, I/O error)
-            # must not leak the sink's half-written spill store.
-            if sink is not None:
-                sink.abort()
-            raise
-        if self._compactor is not None:
-            if sink is not None:
-                self.stream = self._compactor.finish(sink)
-            else:
-                self._compactor.observe(
-                    self._scanner.last_scanned, self._scanner.last_kept
-                )
-        return degrees, weight
+        alive = self._alive_arr
+        return self._compacting(
+            lambda stream, sink: self._scanner.scan_undirected(stream, alive, sink),
+            compact,
+        )
+
+    def scan_weight(self, reduce=None, merge=None, compact: bool = True) -> float:
+        """One stream pass with a caller's per-chunk ``reduce``/``merge``
+        (see :meth:`_StreamScanner.scan`); returns the surviving weight."""
+        alive = self._alive_arr
+        return self._compacting(
+            lambda stream, sink: self._scanner.scan(
+                stream, alive, alive, reduce, merge, sink
+            ),
+            compact,
+        )
+
+    def _compacting(self, scan, compact: bool):
+        result, self.stream = _compacting_scan(
+            self._compactor, self._scanner, self.stream, scan, compact
+        )
+        return result
 
     def threshold_candidates(self, degrees, cutoff: float) -> List[int]:
         """Alive indices with degree <= cutoff, ascending."""
@@ -986,10 +898,11 @@ def stream_densest_subgraph_directed(
     if policy is not None:
         from .compaction import Compactor
 
-        compactor = Compactor(policy, stream, directed=True)
-        # note_nodes reports s_size + t_size, so the trigger
-        # baseline is in membership units (2n), not nodes.
-        compactor.bind(n, source_nodes=2 * n)
+        # note_nodes reports s_size + t_size, so the trigger baseline
+        # is in membership units (2n), not nodes.
+        compactor = Compactor(
+            policy, stream, directed=True, num_nodes=n, source_nodes=2 * n
+        )
 
     scan_stream = stream
     try:
@@ -997,22 +910,12 @@ def stream_densest_subgraph_directed(
             if control is not None:
                 control.check_pass(pass_index + 1)
             pass_index += 1
-            sink = None
-            if compactor is not None and compactor.due():
-                sink = compactor.open_sink()
-            try:
-                out_to_t, in_from_s, weight = scanner.scan_directed(
-                    scan_stream, in_s, in_t, sink=sink
-                )
-            except BaseException:
-                if sink is not None:
-                    sink.abort()
-                raise
-            if compactor is not None:
-                if sink is not None:
-                    scan_stream = compactor.finish(sink)
-                else:
-                    compactor.observe(scanner.last_scanned, scanner.last_kept)
+            (out_to_t, in_from_s, weight), scan_stream = _compacting_scan(
+                compactor,
+                scanner,
+                scan_stream,
+                lambda stream, sink: scanner.scan_directed(stream, in_s, in_t, sink),
+            )
             density = weight / math.sqrt(s_size * t_size)
             if pending is not None:
                 trace.append(

@@ -13,21 +13,17 @@ those are exactly the nodes that must survive; a few low-degree nodes
 surviving spuriously barely moves the density.  Table 4 measures the
 resulting quality/space trade-off.
 
-The per-pass edge scan is the exact engines' chunked scan
-(:class:`~repro.streaming.engine._StreamScanner`): each chunk is mapped
-to dense indices, dead endpoints are masked out, and whole
-surviving-edge arrays feed :meth:`CountSketch.add_many` at once.
-
-The sketch engine also honors the ``compaction=`` control of the exact
-engines (see :mod:`repro.streaming.compaction`): the chunked scan can
-fuse a survivor rewrite, so later passes of a shrinking peel scan only
-the surviving edges.  Removal decisions are unchanged — the sketch
-state per pass is built from exactly the same surviving records.
+The sketch engine shares the exact engines' per-pass state
+(:class:`~repro.streaming.engine._UndirectedPassState`): the same
+chunked scan, whose surviving-edge arrays feed
+:meth:`CountSketch.add_many` at once, and the same ``compaction=`` and
+``control=`` options.  Removal decisions are unchanged by compaction:
+each pass's sketch is built from exactly the same surviving records.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -35,13 +31,15 @@ from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_int
 from ..core.result import DensestSubgraphResult
 from ..core.trace import PassRecord
-from ..errors import StreamError
 from .countsketch import CountSketch
-from .engine import _StreamScanner
+from .engine import _UndirectedPassState
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
-Node = Hashable
+
+def _endpoint_pairs(u, v, w):
+    """Both endpoints of every surviving edge, as one sketch update."""
+    return np.concatenate([u, v]), np.concatenate([w, w])
 
 
 def sketch_densest_subgraph(
@@ -54,6 +52,7 @@ def sketch_densest_subgraph(
     max_passes: Optional[int] = None,
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
+    control=None,
 ) -> DensestSubgraphResult:
     """Algorithm 1 with sketched degrees.
 
@@ -74,6 +73,10 @@ def sketch_densest_subgraph(
     compaction:
         Pass-compaction control (``None``/bool/threshold/policy), as in
         :func:`~repro.streaming.engine.stream_densest_subgraph`.
+    control:
+        Optional :class:`~repro.faults.RunControl` checked at each pass
+        boundary — cooperative cancellation, wall-clock deadline, and
+        fault injection — as in the exact engines.
 
     Returns
     -------
@@ -84,18 +87,10 @@ def sketch_densest_subgraph(
     epsilon = check_epsilon(epsilon)
     check_positive_int(buckets, "buckets")
     check_positive_int(tables, "tables")
-    labels = stream.node_universe()
-    if not labels:
-        raise StreamError("stream has an empty node universe")
-    n = len(labels)
-    scanner = _StreamScanner(labels)
-    from .compaction import Compactor, CompactionPolicy
+    from .compaction import CompactionPolicy
 
-    policy = CompactionPolicy.coerce(compaction)
-    compactor = None
-    if policy is not None:
-        compactor = Compactor(policy, stream, directed=False)
-        compactor.bind(n)
+    state = _UndirectedPassState(stream, CompactionPolicy.coerce(compaction))
+    n = state.n
     sketch = CountSketch(tables=tables, buckets=buckets, seed=seed)
     if accountant is not None:
         accountant.charge_words("sketch", sketch.words)
@@ -106,12 +101,6 @@ def sketch_densest_subgraph(
         # between-pass footprint — the sketch's memory claim is about
         # the degree counters.
 
-    alive_arr = np.ones(n, dtype=bool)
-
-    def alive_indices() -> list:
-        return np.flatnonzero(alive_arr).tolist()
-
-    remaining = n
     best_set = list(range(n))
     best_density: Optional[float] = None
     best_pass = 0
@@ -119,48 +108,13 @@ def sketch_densest_subgraph(
     pending: Optional[dict] = None
     trace: List[PassRecord] = []
     pass_index = 0
-    scan_stream = stream
-
-    def _sketch_pass(sketch: Optional[CountSketch], sink=None) -> float:
-        """One chunked scan: mask dead endpoints per chunk, one batched
-        update per chunk for both endpoints of every surviving edge;
-        surviving records also feed the compaction sink when one rides
-        along.  With ``sketch=None`` only the surviving weight is
-        summed (the truncation valuation pass).  Updates the scanner's
-        ``last_scanned``/``last_kept`` record counts — the compaction
-        trigger reads them."""
-        weight = 0.0
-        scanned = 0
-        kept_edges = 0
-        for ui, vi, w in scanner._chunks(scan_stream, alive=alive_arr):
-            scanned += int(ui.size)
-            keep = alive_arr[ui] & alive_arr[vi]
-            if keep.all():
-                # Whole chunk survives: skip the masked re-extraction.
-                kui, kvi, kept_w = ui, vi, np.asarray(w, dtype=np.float64)
-            elif keep.any():
-                kui = ui[keep]
-                kvi = vi[keep]
-                kept_w = w[keep]
-            else:
-                continue
-            kept_edges += int(kui.size)
-            if sketch is not None:
-                sketch.add_many(
-                    np.concatenate([kui, kvi]),
-                    np.concatenate([kept_w, kept_w]),
-                )
-            weight += float(kept_w.sum())
-            if sink is not None:
-                sink.append(kui, kvi, kept_w)
-        scanner.last_scanned = scanned
-        scanner.last_kept = kept_edges
-        return weight
 
     try:
-        while remaining > 0:
+        while state.remaining > 0:
             if max_passes is not None and pass_index >= max_passes:
                 break
+            if control is not None:
+                control.check_pass(pass_index + 1)
             pass_index += 1
             # A fresh set of hash functions is drawn every pass (seeded,
             # so runs stay deterministic).  With *fixed* hashes a pass
@@ -172,15 +126,10 @@ def sketch_densest_subgraph(
             sketch = CountSketch(
                 tables=tables, buckets=buckets, seed=seed + pass_index
             )
-            sink = None
-            if compactor is not None and compactor.due():
-                sink = compactor.open_sink()
-            weight = _sketch_pass(sketch, sink=sink)
-            if compactor is not None:
-                if sink is not None:
-                    scan_stream = compactor.finish(sink)
-                else:
-                    compactor.observe(scanner.last_scanned, scanner.last_kept)
+            weight = state.scan_weight(
+                _endpoint_pairs, lambda pairs: sketch.add_many(*pairs)
+            )
+            remaining = state.remaining
             density = weight / remaining
             if pending is not None:
                 trace.append(
@@ -188,12 +137,12 @@ def sketch_densest_subgraph(
                 )
                 if density > best_density:  # type: ignore[operator]
                     best_density = density
-                    best_set = alive_indices()
+                    best_set = state.alive_indices()
                     best_pass = pending["pass_index"]
             if best_density is None:
                 best_density = density
             threshold = factor * density
-            alive_ids = alive_indices()
+            alive_ids = state.alive_indices()
             estimates = sketch.estimate_many(alive_ids)
             to_remove = [
                 i
@@ -220,24 +169,19 @@ def sketch_densest_subgraph(
                 "removed": len(to_remove),
                 "nodes_after": remaining - len(to_remove),
             }
-            if to_remove:
-                alive_arr[to_remove] = False
-            remaining -= len(to_remove)
-            if compactor is not None:
-                compactor.note_nodes(remaining)
+            state.kill(to_remove)
 
         if pending is not None:
-            if remaining == 0:
+            if state.remaining == 0:
                 edges_after, density_after = 0.0, 0.0
             else:
                 # Truncation valuation: one counted pass summing the
-                # surviving weight.
-                weight = _sketch_pass(None)
-                edges_after = weight
-                density_after = weight / remaining
+                # surviving weight (no rewrite — the run ends here).
+                edges_after = state.scan_weight(compact=False)
+                density_after = edges_after / state.remaining
                 if density_after > (best_density or 0.0):
                     best_density = density_after
-                    best_set = alive_indices()
+                    best_set = state.alive_indices()
                     best_pass = pending["pass_index"]
             trace.append(
                 PassRecord(
@@ -245,11 +189,10 @@ def sketch_densest_subgraph(
                 )
             )
     finally:
-        if compactor is not None:
-            compactor.close()
+        state.close()
 
     return DensestSubgraphResult(
-        nodes=frozenset(labels[i] for i in best_set),
+        nodes=frozenset(state.labels[i] for i in best_set),
         density=best_density if best_density is not None else 0.0,
         passes=pass_index,
         epsilon=epsilon,

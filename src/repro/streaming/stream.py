@@ -25,6 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Seque
 
 import numpy as np
 
+from .._validation import check_edge_weights
 from ..errors import StreamError
 from ..graph.directed import DirectedGraph
 from ..graph.io import iter_edge_list
@@ -77,24 +78,6 @@ class StreamAccounting:
             self.pass_bytes[-1] += nbytes
 
 
-class ChunkTaskPass:
-    """One counted pass served as independently-runnable chunk tasks.
-
-    ``tasks`` is a list of zero-arg callables, each returning one
-    ``(u, v, w)`` array triple; they are thread-safe and may be invoked
-    concurrently.  ``count`` must be called exactly once per completed
-    chunk — with its record count, from a single thread — which is how
-    the pass's edge/byte accounting happens (task invocation itself
-    does not count).
-    """
-
-    __slots__ = ("tasks", "count")
-
-    def __init__(self, tasks, count: Callable[[int], None]) -> None:
-        self.tasks = tasks
-        self.count = count
-
-
 def _alive_test(alive) -> Callable[[Node], bool]:
     """A membership predicate from a set-like or bool-array ``alive``."""
     getitem = getattr(alive, "__getitem__", None)
@@ -123,7 +106,18 @@ class EdgeStream(ABC):
     """Abstract multi-pass edge stream.
 
     Subclasses implement :meth:`_generate` (one pass worth of edges);
-    the base class wraps it with pass/edge/byte accounting.
+    the base class wraps it with pass/edge/byte accounting.  The
+    protocol is four calls, each costing one counted pass:
+
+    * :meth:`edges` — ``(u, v, weight)`` records (every stream);
+    * :meth:`edge_arrays` — the pass as one array triple (in-memory
+      data);
+    * :meth:`edge_array_chunks` — the pass as bounded array chunks
+      (shard stores, out-of-core);
+    * :meth:`compact` — a new stream over the surviving edges.
+
+    The engines' scanner reads each pass through the first of
+    chunks → arrays → records that the stream serves.
     """
 
     #: Whether this stream's node ids are already dense engine indices
@@ -214,22 +208,6 @@ class EdgeStream(ABC):
         """
         return None
 
-    def edge_array_chunk_tasks(self, alive=None, dst_alive=None):
-        """One counted pass as independently-runnable chunk tasks, or None.
-
-        The thread-parallel sibling of :meth:`edge_array_chunks`: a
-        :class:`ChunkTaskPass` whose ``tasks`` are zero-arg callables
-        each returning one ``(u, v, w)`` array triple.  Tasks are
-        thread-safe and may run concurrently; the consumer must merge
-        their results in list order (and call ``count`` once per
-        completed chunk, from a single thread) so results and
-        accounting stay bit-identical with the sequential chunk scan.
-        ``alive``/``dst_alive`` are the same skip hints as
-        :meth:`edge_array_chunks`.  The base implementation returns
-        None (no task-shaped pass available).
-        """
-        return None
-
     def compact(self, alive, dst_alive=None):
         """One counted pass rewriting the surviving edges, or None.
 
@@ -250,13 +228,15 @@ class EdgeStream(ABC):
         """The node universe (semi-streaming assumption: known up front).
 
         If the stream was built without an explicit node list, a
-        *counted* discovery pass collects the endpoints.
+        *counted* discovery pass collects the endpoints (of non-loop
+        edges: the scan drops self-loops, as the edge-list readers do).
         """
         if self._nodes is None:
             discovered: dict = {}
             for u, v, _ in self.edges():
-                discovered.setdefault(u)
-                discovered.setdefault(v)
+                if u != v:
+                    discovered.setdefault(u)
+                    discovered.setdefault(v)
             self._nodes = list(discovered)
         return list(self._nodes)
 
@@ -298,14 +278,21 @@ class MemoryEdgeStream(EdgeStream):
         accounting: Optional[StreamAccounting] = None,
     ) -> None:
         super().__init__(nodes, accounting=accounting)
-        self._edges: List[EdgeTriple] = []
+        triples: List[EdgeTriple] = []
         for edge in edges:
             if len(edge) == 2:
-                self._edges.append((edge[0], edge[1], 1.0))
+                triples.append((edge[0], edge[1], 1.0))
             elif len(edge) == 3:
-                self._edges.append((edge[0], edge[1], float(edge[2])))
+                triples.append((edge[0], edge[1], float(edge[2])))
             else:
                 raise StreamError(f"edges must be 2- or 3-tuples, got {edge!r}")
+        # Checked like every other ingest path: a bad weight is a typed
+        # error, and self-loops are dropped as the store writer drops them.
+        check_edge_weights(
+            np.fromiter((w for _, _, w in triples), np.float64, len(triples)),
+            StreamError,
+        )
+        self._edges = [t for t in triples if t[0] != t[1]]
 
     def _generate(self) -> Iterator[EdgeTriple]:
         return iter(self._edges)
@@ -477,22 +464,6 @@ class ShardEdgeStream(EdgeStream):
 
         return chunks()
 
-    def edge_array_chunk_tasks(self, alive=None, dst_alive=None):
-        """One counted pass as per-shard reader tasks (see base class).
-
-        Shard selection (including skip-summary elision under an
-        ``alive`` mask) matches :meth:`edge_array_chunks` exactly, so a
-        task-shaped pass scans the same records and bytes as the
-        sequential one.
-        """
-        acct = self.accounting
-        acct.begin_pass()
-
-        def count(records: int) -> None:
-            acct.count(int(records), int(records) * TRIPLE_BYTES)
-
-        return ChunkTaskPass(self.store.shard_chunk_readers(alive, dst_alive), count)
-
     def compact(
         self,
         alive,
@@ -579,6 +550,15 @@ class ArrayEdgeStream(EdgeStream):
                     f"weights must match the edge arrays ({u.size} entries), "
                     f"got shape {w.shape}"
                 )
+        if not dense_ids:
+            # Checked like every other ingest path (``dense_ids``
+            # rewrites come from already-checked scans): a bad weight is
+            # a typed error, and self-loops are dropped as the store
+            # writer drops them.
+            check_edge_weights(w, StreamError)
+            loops = u == v
+            if loops.any():
+                u, v, w = u[~loops], v[~loops], w[~loops]
         if num_nodes is None:
             num_nodes = int(max(u.max(), v.max())) + 1 if u.size else 0
         super().__init__(range(num_nodes), accounting=accounting)
@@ -604,8 +584,6 @@ class ArrayEdgeStream(EdgeStream):
         ``alive``/``dst_alive`` are boolean masks over the node ids;
         the result shares the universe size and accounting.
         """
-        import numpy as np
-
         src_alive = np.asarray(alive, dtype=bool)
         dst = src_alive if dst_alive is None else np.asarray(dst_alive, dtype=bool)
         u, v, w = self.edge_arrays()

@@ -30,6 +30,7 @@ def stream_ratio_sweep(
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
     scan_threads: Optional[int] = None,
+    control=None,
 ) -> RatioSweepResult:
     """Search over c with the streaming engine (§4.3 in-model).
 
@@ -59,6 +60,10 @@ def stream_ratio_sweep(
     scan_threads:
         Thread count for per-shard degree scans, forwarded to every
         per-ratio run (see :func:`~repro.streaming.engine.stream_densest_subgraph`).
+    control:
+        Optional :class:`~repro.faults.RunControl`, forwarded to every
+        per-ratio run: cancellation and the deadline are checked at
+        each pass boundary of the whole sweep.
 
     Returns
     -------
@@ -83,6 +88,7 @@ def stream_ratio_sweep(
             accountant=accountant if i == 0 else None,
             compaction=compaction,
             scan_threads=scan_threads,
+            control=control,
         )
         for i, c in enumerate(grid)
     ]

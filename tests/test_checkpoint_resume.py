@@ -239,3 +239,27 @@ class TestSolveApiWiring:
                 backend="streaming",
                 context=ExecutionContext(deadline_seconds=1e-9),
             )
+
+    def test_context_deadline_reaches_sketch(self):
+        src, dst = nested_core_edge_arrays(N, seed=3)
+        with pytest.raises(DeadlineExceededError):
+            solve(
+                DensestSubgraph(
+                    ArrayEdgeStream(src, dst, num_nodes=N), epsilon=EPS
+                ),
+                backend="sketch",
+                context=ExecutionContext(deadline_seconds=1e-9),
+            )
+
+    def test_context_deadline_reaches_directed_sweep(self):
+        from repro.api import DirectedDensest
+
+        src, dst = nested_core_edge_arrays(N, seed=3)
+        with pytest.raises(DeadlineExceededError):
+            solve(
+                DirectedDensest(
+                    ArrayEdgeStream(src, dst, num_nodes=N), epsilon=EPS
+                ),
+                backend="streaming",
+                context=ExecutionContext(deadline_seconds=1e-9),
+            )

@@ -343,7 +343,9 @@ class TestTierReport:
 # ----------------------------------------------------------------------
 # Threaded shard scans
 # ----------------------------------------------------------------------
-def _write_store(tmp_path, *, directed, seed=7, n=400, m=6000, shards=5):
+def _write_store(
+    tmp_path, *, directed, weights="unit", seed=7, n=400, m=6000, shards=5
+):
     from repro.store import ShardedEdgeStore
 
     rng = np.random.default_rng(seed)
@@ -351,77 +353,117 @@ def _write_store(tmp_path, *, directed, seed=7, n=400, m=6000, shards=5):
     v = rng.integers(0, n, size=m, dtype=np.int64)
     keep = u != v
     u, v = u[keep], v[keep]
-    w = np.ones(u.size, dtype=np.float64)
+    if weights == "unit":
+        w = np.ones(u.size, dtype=np.float64)
+    else:  # non-dyadic: float sums depend on accumulation order
+        w = rng.uniform(0.1, 3.1, size=u.size)
     return ShardedEdgeStore.write(
         str(tmp_path), (u, v, w), directed=directed, num_shards=shards, num_nodes=n
     )
 
 
+def assert_identical(a, b, directed=False):
+    """Bit-for-bit equal results: nodes, density, passes, every trace field."""
+    if directed:
+        assert a.s_nodes == b.s_nodes
+        assert a.t_nodes == b.t_nodes
+    else:
+        assert a.nodes == b.nodes
+    assert a.density == b.density
+    assert a.passes == b.passes
+    assert a.best_pass == b.best_pass
+    assert a.trace == b.trace
+
+
+#: Unit weights and non-dyadic U[0.1, 3.1) weights, whose float sums
+#: would expose any change in accumulation order.
+SCAN_WEIGHTS = ("unit", "uniform")
+
+
 class TestThreadedShardScans:
+    """Threaded scans are bit-identical to sequential (DESIGN §11), on
+    non-dyadic weights too, with and without compaction.  Weights and
+    compaction are looped inside each test so the test ids stay stable."""
+
     @pytest.mark.parametrize("compaction", [None, True])
     def test_undirected_threaded_matches_sequential(self, tmp_path, compaction):
         from repro.streaming.engine import stream_densest_subgraph
         from repro.streaming.stream import ShardEdgeStream
 
-        store = _write_store(tmp_path / "a", directed=False)
-        s1 = ShardEdgeStream(store)
-        s2 = ShardEdgeStream(store)
-        seq = stream_densest_subgraph(s1, 0.3, compaction=compaction)
-        par = stream_densest_subgraph(
-            s2, 0.3, compaction=compaction, scan_threads=3
-        )
-        assert_result_parity(seq, par)
-        assert s1.accounting.passes_made == s2.accounting.passes_made
-        assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-        assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
+        for weights in SCAN_WEIGHTS:
+            store = _write_store(tmp_path / weights, directed=False, weights=weights)
+            s1 = ShardEdgeStream(store)
+            s2 = ShardEdgeStream(store)
+            seq = stream_densest_subgraph(s1, 0.3, compaction=compaction)
+            par = stream_densest_subgraph(
+                s2, 0.3, compaction=compaction, scan_threads=3
+            )
+            assert_identical(seq, par)
+            assert s1.accounting.passes_made == s2.accounting.passes_made
+            assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+            assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
     def test_atleast_k_threaded_matches_sequential(self, tmp_path):
         from repro.streaming.engine import stream_densest_subgraph_atleast_k
         from repro.streaming.stream import ShardEdgeStream
 
-        store = _write_store(tmp_path / "a", directed=False)
-        s1 = ShardEdgeStream(store)
-        s2 = ShardEdgeStream(store)
-        seq = stream_densest_subgraph_atleast_k(s1, 25, 0.3)
-        par = stream_densest_subgraph_atleast_k(s2, 25, 0.3, scan_threads=2)
-        assert_result_parity(seq, par)
-        assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+        for weights in SCAN_WEIGHTS:
+            store = _write_store(tmp_path / weights, directed=False, weights=weights)
+            for compaction in (None, True):
+                s1 = ShardEdgeStream(store)
+                s2 = ShardEdgeStream(store)
+                seq = stream_densest_subgraph_atleast_k(
+                    s1, 25, 0.3, compaction=compaction
+                )
+                par = stream_densest_subgraph_atleast_k(
+                    s2, 25, 0.3, compaction=compaction, scan_threads=2
+                )
+                assert_identical(seq, par)
+                assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+                assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
     def test_directed_threaded_matches_sequential(self, tmp_path):
         from repro.streaming.engine import stream_densest_subgraph_directed
         from repro.streaming.stream import ShardEdgeStream
 
-        store = _write_store(tmp_path / "a", directed=True)
-        s1 = ShardEdgeStream(store)
-        s2 = ShardEdgeStream(store)
-        seq = stream_densest_subgraph_directed(s1, 1.0, 0.3)
-        par = stream_densest_subgraph_directed(s2, 1.0, 0.3, scan_threads=3)
-        assert_result_parity(seq, par, directed=True)
-        assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-        assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
+        for weights in SCAN_WEIGHTS:
+            store = _write_store(tmp_path / weights, directed=True, weights=weights)
+            s1 = ShardEdgeStream(store)
+            s2 = ShardEdgeStream(store)
+            seq = stream_densest_subgraph_directed(s1, 1.0, 0.3)
+            par = stream_densest_subgraph_directed(s2, 1.0, 0.3, scan_threads=3)
+            assert_identical(seq, par, directed=True)
+            assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+            assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
     def test_sweep_threaded_matches_sequential(self, tmp_path):
         from repro.streaming.stream import ShardEdgeStream
         from repro.streaming.sweep import stream_ratio_sweep
 
-        store = _write_store(tmp_path / "a", directed=True)
-        s1 = ShardEdgeStream(store)
-        s2 = ShardEdgeStream(store)
-        seq = stream_ratio_sweep(s1, 0.5, ratios=[0.5, 1.0, 2.0])
-        par = stream_ratio_sweep(s2, 0.5, ratios=[0.5, 1.0, 2.0], scan_threads=2)
-        for a, b in zip(seq.by_ratio, par.by_ratio):
-            assert_result_parity(a, b, directed=True)
-        assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+        ratios = [0.5, 1.0, 2.0]
+        for weights in SCAN_WEIGHTS:
+            store = _write_store(tmp_path / weights, directed=True, weights=weights)
+            for compaction in (None, True):
+                s1 = ShardEdgeStream(store)
+                s2 = ShardEdgeStream(store)
+                seq = stream_ratio_sweep(s1, 0.5, ratios=ratios, compaction=compaction)
+                par = stream_ratio_sweep(
+                    s2, 0.5, ratios=ratios, compaction=compaction, scan_threads=2
+                )
+                for a, b in zip(seq.by_ratio, par.by_ratio):
+                    assert_identical(a, b, directed=True)
+                assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
+                assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
     def test_context_workers_enables_threads_via_solve(self, tmp_path):
-        store = _write_store(tmp_path / "a", directed=False)
+        store = _write_store(tmp_path / "a", directed=False, weights="uniform")
         problem = DensestSubgraph(store, epsilon=0.4)
         seq = solve(problem, backend="streaming")
         par = solve(
             problem, backend="streaming", context=ExecutionContext(workers=3)
         )
         assert seq.nodes == par.nodes
-        assert seq.density == pytest.approx(par.density, abs=ABS)
+        assert seq.density == par.density
         assert seq.cost.edges_streamed == par.cost.edges_streamed
         assert seq.cost.bytes_scanned == par.cost.bytes_scanned
 
@@ -432,4 +474,4 @@ class TestThreadedShardScans:
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
         seq = stream_densest_subgraph(MemoryEdgeStream(edges), 0.5)
         par = stream_densest_subgraph(MemoryEdgeStream(edges), 0.5, scan_threads=4)
-        assert_result_parity(seq, par)
+        assert_identical(seq, par)

@@ -148,3 +148,67 @@ class TestMemoryAccounting:
             a.charge_words("x", -1)
         with pytest.raises(ValueError):
             a.ratio_to(MemoryAccountant())
+
+
+class TestInterruptedCompactionScan:
+    """A scan that fails mid-pass aborts its compaction sink, in every
+    engine (one shared compaction helper)."""
+
+    @pytest.mark.parametrize("engine", ["algorithm1", "directed", "sketch"])
+    def test_sink_aborted(self, tmp_path, monkeypatch, engine):
+        import numpy as np
+
+        from repro.store import ShardedEdgeStore
+        from repro.streaming import compaction
+        from repro.streaming.sketch_engine import sketch_densest_subgraph
+        from repro.streaming.stream import ShardEdgeStream
+
+        class FailingShardStream(ShardEdgeStream):
+            """Raises after two chunks of its second pass — the
+            first pass that carries a compaction sink."""
+
+            def edge_array_chunks(self, alive=None, dst_alive=None):
+                chunks = super().edge_array_chunks(alive, dst_alive)
+                if self.accounting.passes_made < 2:
+                    return chunks
+
+                def failing():
+                    for i, chunk in enumerate(chunks):
+                        if i == 2:
+                            raise OSError("shard read failed")
+                        yield chunk
+
+                return failing()
+
+        aborted = []
+        original_abort = compaction._MemorySink.abort
+
+        def recording_abort(sink):
+            aborted.append(sink.edges_written)
+            original_abort(sink)
+
+        monkeypatch.setattr(compaction._MemorySink, "abort", recording_abort)
+        rng = np.random.default_rng(4)
+        u = rng.integers(0, 300, 4000)
+        v = rng.integers(0, 300, 4000)
+        store = ShardedEdgeStore.write(
+            str(tmp_path / "store"), (u, v), directed=engine == "directed",
+            num_shards=4,
+        )
+        spill_root = tmp_path / "spill"
+        spill_root.mkdir()
+        # threshold 1.0: compaction is due from pass 2 on; memory_edges=0
+        # makes the sink spill to disk at its first append.
+        policy = compaction.CompactionPolicy(
+            threshold=1.0, min_edges=0, memory_edges=0, spill_dir=str(spill_root)
+        )
+        stream = FailingShardStream(store)
+        with pytest.raises(OSError, match="shard read failed"):
+            if engine == "algorithm1":
+                stream_densest_subgraph(stream, 0.05, compaction=policy)
+            elif engine == "directed":
+                stream_densest_subgraph_directed(stream, 1.0, 0.05, compaction=policy)
+            else:
+                sketch_densest_subgraph(stream, 0.05, compaction=policy)
+        assert len(aborted) == 1 and aborted[0] > 0
+        assert list(spill_root.iterdir()) == []

@@ -233,3 +233,77 @@ class TestShardStreamCompact:
             compacted.store.shard_summary(i) is not None
             for i in range(compacted.store.num_shards)
         )
+
+
+# ----------------------------------------------------------------------
+# Stream inputs are checked like every other ingest path: bad weights
+# raise StreamError, self-loops are dropped.
+# ----------------------------------------------------------------------
+def _stream_of(kind, triples, tmp_path):
+    """One stream class over ``triples`` (int node ids)."""
+    import numpy as np
+
+    from repro.streaming.stream import ArrayEdgeStream
+
+    if kind == "array":
+        u, v, w = (np.array(col) for col in zip(*triples))
+        return ArrayEdgeStream(u, v, w)
+    if kind == "memory":
+        return MemoryEdgeStream(triples)
+    if kind == "generator":
+        return GeneratorEdgeStream(lambda: iter(triples))
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in triples))
+    return FileEdgeStream(path)
+
+
+STREAM_KINDS = ["array", "memory", "file", "generator"]
+
+
+class TestStreamInputValidation:
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_nan_weight_raises_instead_of_hanging(self, kind, tmp_path):
+        from repro.api import DensestSubgraph, solve
+
+        triples = [(0, 1, float("nan")), (1, 2, 1.0), (0, 2, 1.0)]
+        # max_passes bounds the solve, so a regression fails, not hangs.
+        with pytest.raises(StreamError, match="positive and finite"):
+            solve(
+                DensestSubgraph(_stream_of(kind, triples, tmp_path), max_passes=3),
+                backend="streaming",
+            )
+
+    @pytest.mark.parametrize("backend", ["streaming", "sketch"])
+    @pytest.mark.parametrize("bad", [float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_non_finite_or_non_positive_weight_raises(
+        self, kind, bad, backend, tmp_path
+    ):
+        from repro.api import DensestSubgraph, solve
+
+        triples = [(0, 1, 1.0), (1, 2, bad), (0, 2, 1.0)]
+        with pytest.raises(StreamError, match="positive and finite"):
+            solve(
+                DensestSubgraph(_stream_of(kind, triples, tmp_path), max_passes=3),
+                backend=backend,
+            )
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_self_loops_dropped_like_the_store(self, kind, tmp_path):
+        import numpy as np
+
+        from repro.api import DensestSubgraph, solve
+        from repro.store import ShardedEdgeStore
+
+        triples = [(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)]
+        u, v, w = (np.array(col) for col in zip(*triples))
+        store = ShardedEdgeStore.write(
+            str(tmp_path / "store"), (u, v, w), directed=False, num_shards=2
+        )
+        from_store = solve(DensestSubgraph(store), backend="streaming")
+        from_stream = solve(
+            DensestSubgraph(_stream_of(kind, triples, tmp_path)), backend="streaming"
+        )
+        assert from_store.density == pytest.approx(2 / 3)
+        assert from_stream.density == from_store.density
+        assert from_stream.nodes == from_store.nodes
