@@ -877,11 +877,11 @@ def run_kernels_benches(scale_factor: float, repeats: int):
       ``CSRGraph.from_shards``, then peeled by the numpy and native
       tiers — a wall-clock comparison on a real out-of-core-sized
       input; the driver asserts the native tier wins wall-clock
-      (>1x) outright.  Plus one ``stream_scan_threads`` row timing a
-      threaded shard-scan pass (4 threads vs sequential) with
+      (>1x) outright.  Plus one ``stream_scan`` row timing one full
+      semi-streaming degree pass over the store with the C chunk scan
+      and with its numpy fallback (``REPRO_NATIVE=off``), with
       bit-exact degree/weight asserts; its speedup is reported but
-      not gated — on a single-core box (see ``cpu_count`` in the
-      report) no thread win is physically possible.
+      not gated.
 
     Every tier-bench row (shallow and deep) first asserts identical
     node sets, pass counts, and densities across all importable tiers.
@@ -1059,40 +1059,53 @@ def run_kernels_benches(scale_factor: float, repeats: int):
             line += f"   native {big_medians['native']:7.2f}s   x{ratio:5.2f}"
         print(line)
 
-        # One full shard-scan pass, sequential vs 4 worker threads —
-        # the threaded path must produce bit-identical counters.
+        # One full shard-scan pass, C chunk scan vs its numpy fallback —
+        # both add edges in stream order, so the counters are bit-exact.
         import numpy as _np
 
+        from repro.kernels import native
         from repro.streaming.engine import _StreamScanner
         from repro.streaming.stream import ShardEdgeStream
 
         alive = _np.ones(store.num_nodes, dtype=bool)
-        threads = 4
 
-        def scan(thread_count):
-            scanner = _StreamScanner(range(store.num_nodes), threads=thread_count)
+        def scan():
+            scanner = _StreamScanner(range(store.num_nodes))
             return scanner.scan_undirected(ShardEdgeStream(store), alive)
 
-        deg_seq, w_seq = scan(1)
-        deg_par, w_par = scan(threads)
-        assert w_seq == w_par, "threaded scan diverged on total weight"
-        assert _np.array_equal(deg_seq, deg_par), "threaded scan diverged"
-        seq_s = _median_seconds(lambda: scan(1), reps)
-        par_s = _median_seconds(lambda: scan(threads), reps)
-        records.append(
-            {
-                "bench": "stream_scan_threads",
-                "fixture": fixture,
-                "engine": f"threads-{threads}",
-                "median_seconds": par_s,
-                "sequential_seconds": seq_s,
-                "speedup": seq_s / par_s if par_s > 0 else None,
-                "edges": store.num_edges,
-            }
-        )
-        print(f"{'stream_scan_threads':28s} seq {seq_s:7.2f}s   "
-              f"threads-{threads} {par_s:7.2f}s   x{seq_s / par_s:5.2f} "
-              f"(cpu_count={os.cpu_count()})")
+        def on_tier(mode, fn):
+            saved = os.environ.get("REPRO_NATIVE")
+            os.environ["REPRO_NATIVE"] = mode
+            native.reset_backend_cache()
+            try:
+                return fn()
+            finally:
+                if saved is None:
+                    os.environ.pop("REPRO_NATIVE", None)
+                else:
+                    os.environ["REPRO_NATIVE"] = saved
+                native.reset_backend_cache()
+
+        if on_tier("auto", native.available_backend) == "c":
+            deg_c, w_c = on_tier("auto", scan)
+            deg_np, w_np = on_tier("off", scan)
+            assert w_c == w_np, "C chunk scan diverged on total weight"
+            assert _np.array_equal(deg_c, deg_np), "C chunk scan diverged"
+            c_s = on_tier("auto", lambda: _median_seconds(scan, reps))
+            np_s = on_tier("off", lambda: _median_seconds(scan, reps))
+            records.append(
+                {
+                    "bench": "stream_scan",
+                    "fixture": fixture,
+                    "engine": "native",
+                    "median_seconds": c_s,
+                    "numpy_seconds": np_s,
+                    "speedup": np_s / c_s if c_s > 0 else None,
+                    "edges": store.num_edges,
+                }
+            )
+            print(f"{'stream_scan':28s} numpy {np_s:7.2f}s   "
+                  f"native {c_s:7.2f}s   x{np_s / c_s:5.2f}")
     return records
 
 
@@ -1696,8 +1709,8 @@ SUITES = {
         # Gate the native tier's deep-peel rows (the many-pass regime
         # the bucket queue exists for; shallow 3–6 pass rows are
         # context).  The big-store wall-clock win (>1x) is asserted
-        # in-driver; stream_scan_threads is reported ungated (a
-        # thread win needs >1 core — check cpu_count in the report).
+        # in-driver; stream_scan (C chunk scan vs its numpy fallback)
+        # is reported ungated.
         "gate": {
             "atleastk_deep_flickr",
             "atleastk_deep_livejournal",

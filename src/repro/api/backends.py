@@ -419,9 +419,6 @@ class StreamingSolver:
         _reject_options(self.name, options, ("accountant", "compaction"))
         compaction = _compaction_policy(options, context, problem)
         accountant = options.get("accountant")
-        # context.workers > 1 turns on thread-parallel per-shard degree
-        # scans (honored by shard-backed streams; identical results).
-        scan_threads = context.workers if context.workers > 1 else None
         # Robustness knobs: checkpoint/resume for the undirected peels,
         # cooperative cancel/deadline/fault checks for every peel.
         control = RunControl.from_context(context)
@@ -434,16 +431,14 @@ class StreamingSolver:
         )
         stream = _as_stream(problem)
         meter = _StreamMeter(stream)
+        controls = dict(accountant=accountant, compaction=compaction, control=control)
         if isinstance(problem, DensestSubgraph):
             result = stream_densest_subgraph(
                 stream,
                 problem.epsilon,
                 max_passes=problem.max_passes,
-                accountant=accountant,
-                compaction=compaction,
-                scan_threads=scan_threads,
                 checkpoint=checkpoint,
-                control=control,
+                **controls,
             )
             return _undirected_solution(
                 result,
@@ -456,11 +451,8 @@ class StreamingSolver:
                 stream,
                 problem.k,
                 problem.epsilon,
-                accountant=accountant,
-                compaction=compaction,
-                scan_threads=scan_threads,
                 checkpoint=checkpoint,
-                control=control,
+                **controls,
             )
             return _undirected_solution(
                 result,
@@ -475,10 +467,7 @@ class StreamingSolver:
                     problem.epsilon,
                     delta=problem.delta,
                     ratios=problem.ratio_grid,
-                    accountant=accountant,
-                    compaction=compaction,
-                    scan_threads=scan_threads,
-                    control=control,
+                    **controls,
                 )
                 return _sweep_solution(
                     sweep,
@@ -487,13 +476,7 @@ class StreamingSolver:
                     cost=meter.cost(sweep.total_passes(), accountant),
                 )
             result = stream_densest_subgraph_directed(
-                stream,
-                problem.ratio,
-                problem.epsilon,
-                accountant=accountant,
-                compaction=compaction,
-                scan_threads=scan_threads,
-                control=control,
+                stream, problem.ratio, problem.epsilon, **controls
             )
             return _directed_solution(
                 result,

@@ -10,10 +10,7 @@ not apply to its execution model:
 field       honored by
 ========== ==========================================================
 workers     ``mapreduce`` — ``workers > 1`` runs the columnar runtime
-            on a spawned process pool (``executor="process"``);
-            ``streaming`` — ``workers > 1`` turns on thread-parallel
-            per-shard degree scans (shard-store inputs; results and
-            accounting are identical to the sequential scan)
+            on a spawned process pool (``executor="process"``)
 memory_     ``backend="auto"`` dispatch — same unit (words) and
 budget      semantics as ``solve(memory_budget=...)``
 spill_dir   callers converting edge sources into shard stores (the

@@ -4,8 +4,9 @@ The compiled tier needs nothing but a system C toolchain.  ``load()``
 compiles ``peel_kernels.c`` with ``$CC``/``cc``/``gcc``/``clang`` into
 a per-user cache directory (keyed by a hash of the source, so edits
 invalidate stale builds) and returns a :class:`ctypes.CDLL` with the
-kernel entry points declared: the three peels and the three stable
-sorts (shuffle argsort, shard CSR fill, CSR row sort).  Any failure — no compiler, a
+kernel entry points declared: the three peels, the three stable
+sorts (shuffle argsort, shard CSR fill, CSR row sort) and the
+semi-streaming chunk scan.  Any failure — no compiler, a
 compile error, a load error — raises; :mod:`repro.kernels.native`
 catches it and falls back to the numpy kernels.
 
@@ -178,6 +179,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_csr_sort_rows.argtypes = [
         _P, _I64, _P, _P,              # indptr, n, indices, data
         _P, _P,                        # tmp_idx, tmp_val
+    ]
+    lib.repro_scan_edges.restype = _I64
+    lib.repro_scan_edges.argtypes = [
+        _P, _I64, _P, _I64, _P, _I64,  # u, v, w + byte strides
+        _I64, _I64, _P, _P, _P, _P,    # len, n, src, dst, out, in
+        _PF64, _P,                     # weight (in/out), keep mask
     ]
 
 

@@ -15,7 +15,8 @@ actually use.
 The same library backs three stable O(m) sorts, each with a wrapper
 here: :func:`stable_argsort` (the MapReduce shuffle partition and
 group-by), :func:`csr_fill` and :func:`csr_sort_rows` (the shard CSR
-build in :meth:`~repro.kernels.csr.CSRGraph.from_shards`).  Their
+build in :meth:`~repro.kernels.csr.CSRGraph.from_shards`), and the
+semi-streaming engines' chunk scan, :func:`scan_edges`.  Their
 results are bit-identical to the numpy code each wrapper runs when the
 library is absent.
 
@@ -565,3 +566,70 @@ def csr_sort_rows(
         data.ctypes.data, tmp_idx.ctypes.data, tmp_val.ctypes.data,
     )
     return indices, data
+
+
+# ----------------------------------------------------------------------
+# The semi-streaming degree pass: one chunk of edges, in stream order.
+# ----------------------------------------------------------------------
+
+
+def first_bad_edge(u: np.ndarray, v: np.ndarray, n: int) -> int:
+    """``-(i + 1)`` for the first edge i with ``u[i]`` or ``v[i]``
+    outside ``[0, n)``, else 0 (the chunk scan's bad-id status)."""
+    if u.size and (u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n):
+        return -(int(((u < 0) | (u >= n) | (v < 0) | (v >= n)).argmax()) + 1)
+    return 0
+
+
+def scan_edges(out, in_, u, v, w, src, dst, weight, keep=None) -> Tuple[int, float]:
+    """Add one chunk's surviving edges into degree counters, in stream order.
+
+    Edge i survives when ``src[u[i]] and dst[v[i]]`` (bool masks of
+    length n, or both None while every node is alive).  Each survivor,
+    in chunk order, does ``out[u] += w; in_[v] += w; weight += w``;
+    undirected scans pass ``out is in_``.  One addition per edge in the
+    order the edges are read makes every sum independent of the chunk
+    boundaries, and the C loop and the numpy code give the same bits.
+    ``u``/``v``/``w`` are read in place (strided record fields too);
+    ``out``/``in_`` are contiguous float64.  With masks, a uint8
+    ``keep`` buffer receives the survivor mask.  Returns ``(kept,
+    weight)``, or :func:`first_bad_edge`'s status as ``kept`` for an id
+    outside ``[0, n)`` (the counters are then partly updated).
+    """
+    n = out.size
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    lib = get_backend()
+    if not (u.ndim == 1 and u.shape == v.shape == w.shape and in_.size == n):
+        raise GraphError("scan_edges: u/v/w and out/in_ must match in length")
+    if lib is None:
+        bad = first_bad_edge(u, v, n)
+        if bad:
+            return bad, weight
+        if src is not None:
+            live = src[u] & dst[v]
+            if keep is not None:
+                keep[: live.size] = live
+            if not live.all():
+                u, v, w = u[live], v[live], w[live]
+        if out is in_:
+            np.add.at(out, np.column_stack((u, v)).ravel(), np.repeat(w, 2))
+        else:
+            np.add.at(out, u, w)
+            np.add.at(in_, v, w)
+        return int(u.size), float(np.add.accumulate(np.r_[weight, w])[-1])
+    for a, dtype, size in ((out, np.float64, n), (in_, np.float64, n),
+                           (src, np.bool_, n), (dst, np.bool_, n),
+                           (keep, np.uint8, u.size)):
+        if a is not None and not (a.dtype == dtype and a.flags.c_contiguous
+                                  and a.size >= size):
+            raise GraphError(f"scan_edges: expects contiguous {dtype.__name__} arrays")
+    total = ctypes.c_double(weight)
+    kept = lib.repro_scan_edges(
+        u.ctypes.data, u.strides[0], v.ctypes.data, v.strides[0],
+        w.ctypes.data, w.strides[0], u.size, n,
+        *(None if a is None else a.ctypes.data for a in (src, dst, out, in_)),
+        ctypes.byref(total), None if keep is None else keep.ctypes.data,
+    )
+    return int(kept), total.value

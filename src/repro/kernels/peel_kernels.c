@@ -12,11 +12,13 @@
  *
  * The same library holds the stable O(m) sorts behind the MapReduce
  * shuffle/group-by and the shard CSR fill (stable_argsort_i64,
- * csr_fill, csr_sort_rows; see their section at the end).
+ * csr_fill, csr_sort_rows; see their section near the end) and the
+ * semi-streaming engines' per-chunk degree scan (scan_edges, last).
  *
  * Every function returns 0 on success; the peels return 1 when the
  * caller-provided trace buffer is too small (the caller doubles it and
- * reruns), the sorts and fills the status codes documented there.
+ * reruns), the sorts and fills the status codes documented there, the
+ * chunk scan a kept count.
  * Scratch arrays (bucket links, frontier, sort buffers) are allocated
  * by the caller so the kernels perform no allocation at all.  The
  * frontier array must hold 2n int32 entries: the first n are the pass
@@ -940,4 +942,46 @@ int repro_csr_sort_rows(const int32_t *indptr, int64_t n, int32_t *indices,
         merge_sort_entries(idx, val, len, tmp_idx, tmp_val);
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Semi-streaming degree pass: one chunk of edges, in stream order.    */
+/* ------------------------------------------------------------------ */
+
+/* Adds the chunk's surviving edges u -> v (src[u] && dst[v]; NULL
+ * masks mean all alive) one at a time, in the order they are read:
+ * out[u] += w, in[v] += w, *weight += w.  Undirected scans pass
+ * out == in and src == dst, so no pointer is restrict.  Additions only
+ * (nothing to contract into an FMA), so the numpy fallback (np.add.at)
+ * gives the same bits and no sum depends on the chunking.  us/vs/ws
+ * are read through byte strides; keep, when non-NULL, receives the
+ * survivor mask.  Returns the survivor count, or -(i + 1) when u[i] or
+ * v[i] is the first id outside [0, n) (the caller discards the pass). */
+int64_t repro_scan_edges(const char *us, int64_t u_stride, const char *vs,
+                         int64_t v_stride, const char *ws, int64_t w_stride,
+                         int64_t len, int64_t n, const uint8_t *src,
+                         const uint8_t *dst, double *out, double *in,
+                         double *weight, uint8_t *keep) {
+    double total = *weight;
+    int64_t kept = 0;
+    for (int64_t i = 0; i < len; i++) {
+        int64_t a = *(const int64_t *)(us + i * u_stride);
+        int64_t b = *(const int64_t *)(vs + i * v_stride);
+        if (a < 0 || a >= n || b < 0 || b >= n) {
+            *weight = total;
+            return -(i + 1);
+        }
+        int live = (!src || src[a]) && (!dst || dst[b]);
+        if (keep)
+            keep[i] = (uint8_t)live;
+        if (!live)
+            continue;
+        double w = *(const double *)(ws + i * w_stride);
+        out[a] += w;
+        in[b] += w;
+        total += w;
+        kept++;
+    }
+    *weight = total;
+    return kept;
 }

@@ -39,9 +39,9 @@ so pass/edge/byte counters describe the logical input end-to-end.
 Parity is exact by construction: a rewrite stores the same surviving
 multiset of edges the filtering scan would have kept, and the engines'
 alive masks still filter every scanned record — compaction changes
-where bytes come from, never which edges are counted.  (As with the
-columnar engines, float degree *sums* are bit-identical when weights
-are dyadic; chunk boundaries differ between sources.)
+where bytes come from, never which edges are counted.  Float degree
+*sums* are bit-identical on any weights with the memory sink (it keeps
+stream order), only on dyadic ones with the spill sink (hash re-shard).
 """
 
 from __future__ import annotations

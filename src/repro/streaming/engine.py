@@ -17,22 +17,20 @@ happens — the same values, one pass later, as the in-memory reference
 in :mod:`repro.core`.  The test suite asserts the engines return
 identical sets and traces to the reference implementations.
 
-The per-pass degree recomputation runs through the same
-``np.bincount`` kernel as the in-memory CSR engine.  Every engine —
-the three here and the sketch engine — scans through one loop,
-:meth:`_StreamScanner.scan`: edges are pulled in bounded chunks (so
-the between-pass state stays O(n) + O(chunk)), and one per-chunk body
-maps endpoint labels to dense indices — a vectorized ``searchsorted``
-for integer ids, one dict lookup per endpoint for any other hashable
-label — masks dead endpoints, and reduces the survivors (two
-bincounts here, one sketch update in the sketch engine).  The body
-runs inline, or on a thread pool for shard stores with
-``scan_threads > 1``; the calling thread merges chunk results in
-stream order either way, so threaded and inline scans are bit for
-bit the same.  A relabelled input gives the same node sets, traces,
-and densities (bit-identical float sums whenever both runs see the
-same chunk boundaries, and always for dyadic weights).  Threshold
-scans are one vectorized mask over the maintained alive bitmap.
+Every engine — the three here and the sketch engine — scans through
+one loop, :meth:`_StreamScanner.scan`: edges are pulled in bounded
+chunks (so the between-pass state stays O(n) + O(chunk)), endpoint
+labels are mapped to dense indices — a vectorized ``searchsorted`` for
+integer ids, one dict lookup per endpoint for any other hashable label
+— and one per-chunk body accumulates the survivors.  The exact engines'
+body is a C loop (numpy fallback, same bits) that bounds-checks every
+id, tests the alive masks and adds each surviving edge's weight to its
+degree counters and the running weight one edge at a time, in stream
+order.  Every float sum is therefore the same sequence of additions
+whatever the chunk boundaries: a relabelled input, a memory-compacted
+pass and a one-chunk array pass give bit-identical node sets, traces
+and densities on any weights.  Threshold scans are one vectorized mask
+over the maintained alive bitmap.
 
 All three engines additionally accept a ``compaction=`` control (see
 :mod:`repro.streaming.compaction`): when the surviving-edge fraction
@@ -47,6 +45,7 @@ every engine.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import islice
 from typing import List, Optional, Tuple
 
@@ -62,6 +61,7 @@ from .._validation import (
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
+from ..kernels.native import first_bad_edge, scan_edges
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
@@ -72,27 +72,16 @@ _SCAN_CHUNK = 1 << 16
 
 
 class _StreamScanner:
-    """Vectorized per-pass counter recomputation over any edge stream.
+    """Per-pass counter recomputation over any edge stream, chunk by chunk.
 
-    Every chunk of edges is mapped to dense int64 indices, after which
-    the degree updates are single ``np.bincount`` calls — the same
-    kernel the in-memory CSR engine uses on its removal frontier.  The
-    label → index map is O(n) words in one of two shapes:
-
-    * int64-range labels keep the sorted universe and its permutation,
-      and each chunk maps via ``searchsorted`` (array chunks and record
-      chunks alike);
-    * any other hashable labels (strings, tuples, huge ints) keep a
-      ``{label: index}`` dict and are read as record chunks, each
-      endpoint mapped through the dict.
-
-    Two cached shortcuts keep per-pass work off the map:
-
-    * A label universe that *is* the dense identity range (shard
-      stores) is detected once; ``_map`` then degrades to a bounds
-      check with no ``searchsorted``/gather per chunk.
-    * Streams flagged ``dense_ids`` (compaction rewrites, which store
-      dense indices directly) bypass the map entirely.
+    Each chunk's endpoint labels are mapped to dense int64 indices
+    through an O(n)-word map: int64-range labels keep the sorted
+    universe and its permutation (one ``searchsorted`` per chunk, array
+    and record chunks alike); any other hashable labels (strings,
+    tuples, huge ints) keep a ``{label: index}`` dict and are read as
+    record chunks.  Identity universes (shard stores, detected once)
+    and ``dense_ids`` rewrites are not mapped at all; the per-chunk
+    body bounds-checks their ids.
 
     Scans may fuse a *compaction sink*: every surviving chunk is also
     appended to the sink (in dense index space), so the rewrite costs
@@ -101,10 +90,9 @@ class _StreamScanner:
     scan's record counts for the compaction trigger.
     """
 
-    def __init__(self, labels, threads: int = 1) -> None:
+    def __init__(self, labels) -> None:
         from ..kernels.csr import _all_int_labels, build_label_index
 
-        self.threads = max(1, int(threads))
         self.n = len(labels)
         self._position = None
         self._identity = False
@@ -145,23 +133,8 @@ class _StreamScanner:
             f"stream edge endpoint {label!r} outside the node universe"
         )
 
-    def _map(self, ids):
-        from ..kernels.csr import lookup_indices
-
-        if self._identity:
-            if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self.n):
-                bad = ids[(ids < 0) | (ids >= self.n)][0]
-                raise self._missing(bad)
-            return ids
-        return lookup_indices(self._order, self._sorted, ids, self._missing)
-
     def _chunks(self, stream: EdgeStream, alive=None, dst_alive=None):
-        """One counted pass as ``(chunks, needs_map)``.
-
-        ``chunks`` iterates raw ``(u, v, w)`` triples; ``needs_map``
-        says whether their ids are labels for :meth:`_map` (False for
-        ``dense_ids`` rewrites and for dict-relabelled records, which
-        already carry dense indices).
+        """One counted pass: an iterator of raw ``(u, v, w)`` triples.
 
         ``alive``/``dst_alive`` (dense-index masks) are forwarded to
         chunk-serving streams as skip hints whenever dense indices and
@@ -176,22 +149,20 @@ class _StreamScanner:
             # take the array paths below.
             position = self._position
             records = ((position[u], position[v], w) for u, v, w in stream.edges())
-            return self._record_chunks(records), False
+            return self._record_chunks(records)
         if stream.has_array_chunks():
             # Shard-backed pass: one bounded array triple per shard, so
             # the scan runs out-of-core (O(n) counters + O(shard)).
             if alive is not None and (dense or self._identity):
-                chunks = stream.edge_array_chunks(alive=alive, dst_alive=dst_alive)
-            else:
-                chunks = stream.edge_array_chunks()
-            return chunks, not dense
+                return stream.edge_array_chunks(alive=alive, dst_alive=dst_alive)
+            return stream.edge_array_chunks()
         # Map labels per pass rather than caching the O(m) mapped
         # arrays: the engines' between-pass state must stay O(n) (one
         # vectorized searchsorted per pass is cheap).
         arrays = stream.edge_arrays()
         if arrays is not None:
-            return (arrays,), not dense
-        return self._record_chunks(stream.edges()), not dense
+            return (arrays,)
+        return self._record_chunks(stream.edges())
 
     def _record_chunks(self, records):
         """``(u, v, w)`` array chunks of a record iterator.
@@ -217,98 +188,54 @@ class _StreamScanner:
             if arr.size < _SCAN_CHUNK:
                 return
 
-    def _run_ordered(self, chunks, body):
-        """Yield ``body(*chunk)`` for every chunk, in stream order.
-
-        A sized thread pool (``self.threads`` workers) runs the bodies
-        concurrently — the shard memmap page-in and the numpy chunk
-        work both release the GIL — while a bounded in-flight window
-        (2× the pool) caps transient memory at O(window · chunk).  The
-        chunk iterator itself is advanced on the calling thread.
-        Results are consumed strictly in submission order, which is
-        what keeps the caller's merge bit-identical to the inline scan.
-        """
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-
-        pending = deque()
-        chunks = iter(chunks)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-
-            def submit_next() -> bool:
-                chunk = next(chunks, None)
-                if chunk is None:
-                    return False
-                pending.append(pool.submit(body, *chunk))
-                return True
-
-            for _ in range(self.threads * 2):
-                if not submit_next():
-                    break
-            while pending:
-                result = pending.popleft().result()
-                submit_next()
-                yield result
-
-    def scan(
-        self, stream: EdgeStream, src, dst, reduce=None, merge=None, sink=None
-    ) -> float:
+    def scan(self, stream: EdgeStream, src, dst, body, sink=None) -> float:
         """One counted pass over the edges ``u -> v`` with ``src[u] & dst[v]``.
 
-        Every chunk runs one body: map ids, mask dead endpoints, then
-        ``reduce(u, v, w)`` on the survivors.  The body runs inline,
-        or on a thread pool when ``threads > 1`` and the stream serves
-        array chunks (shard stores).  Either way the calling thread
-        consumes the chunk results in stream order, doing
-        ``merge(reduce's result)``, the weight sum, the record counts
-        (``last_scanned``/``last_kept``), and ``sink.append`` of the
-        survivors (dense index space) — so a threaded scan is bit for
-        bit the inline one.  Undirected scans pass ``src is dst``.
-
+        Each chunk's int labels are mapped unless they are already dense
+        (the body bounds-checks those), then ``body(u, v, w, src, dst,
+        weight, keep)`` accumulates the survivors and returns ``(kept,
+        weight)``: the survivor count (``-(i + 1)`` for a bad id at index
+        i) and the running weight.  The masks reach the body as None
+        while every node is alive.  With a ``sink`` and a dead node,
+        ``keep`` is a uint8 buffer for the body's survivor mask; the
+        survivors (dense index space) go to the sink, the chunk itself
+        when all of it survives.  Undirected scans pass ``src is dst``.
         Returns the surviving edge weight.
         """
-        chunks, needs_map = self._chunks(stream, src, None if dst is src else dst)
-        # Pass 1 (and any scan before the first removal) keeps every
-        # edge: one O(n) check here skips the O(edges) endpoint gather
-        # and mask per chunk.
-        all_alive = bool(src.all()) and (dst is src or bool(dst.all()))
+        from ..kernels.csr import lookup_indices
 
-        def body(u, v, w):
+        chunks = self._chunks(stream, src, None if dst is src else dst)
+        map_ids = not (
+            self._identity
+            or self._position is not None
+            or getattr(stream, "dense_ids", False)
+        )
+        # Pass 1 (and any scan before the first removal) keeps every
+        # edge: one O(n) check here spares the body the mask.
+        if bool(src.all()) and (dst is src or bool(dst.all())):
+            src = dst = None
+        weight = 0.0
+        scanned = kept_edges = 0
+        for u, v, w in chunks:
             u = _np.asarray(u, dtype=_np.int64)
             v = _np.asarray(v, dtype=_np.int64)
             w = _np.asarray(w, dtype=_np.float64)
-            if needs_map:
-                u = self._map(u)
-                v = self._map(v)
-            records = int(u.size)
-            if not all_alive:
-                keep = src[u] & dst[v]
-                # A whole surviving chunk skips the masked
-                # re-extraction — three O(chunk) copies.
-                if not keep.all():
-                    if not keep.any():
-                        return records, None
+            if map_ids:
+                u = lookup_indices(self._order, self._sorted, u, self._missing)
+                v = lookup_indices(self._order, self._sorted, v, self._missing)
+            keep = None
+            if sink is not None and src is not None:
+                keep = _np.empty(u.size, dtype=_np.uint8)
+            kept, weight = body(u, v, w, src, dst, weight, keep)
+            if kept < 0:
+                i = -kept - 1
+                raise self._missing(u[i] if not 0 <= u[i] < self.n else v[i])
+            scanned += int(u.size)
+            kept_edges += kept
+            if sink is not None and kept:
+                if kept < u.size:
+                    keep = keep.view(bool)
                     u, v, w = u[keep], v[keep], w[keep]
-            partial = None if reduce is None else reduce(u, v, w)
-            return records, (u, v, w, float(w.sum()), partial)
-
-        if self.threads > 1 and stream.has_array_chunks():
-            results = self._run_ordered(chunks, body)
-        else:
-            results = (body(*chunk) for chunk in chunks)
-        weight = 0.0
-        scanned = 0
-        kept_edges = 0
-        for records, survivors in results:
-            scanned += records
-            if survivors is None:
-                continue
-            u, v, w, chunk_weight, partial = survivors
-            kept_edges += int(u.size)
-            if merge is not None:
-                merge(partial)
-            weight += chunk_weight
-            if sink is not None:
                 sink.append(u, v, w)
         self.last_scanned = scanned
         self.last_kept = kept_edges
@@ -317,13 +244,15 @@ class _StreamScanner:
     def scan_undirected(
         self, stream: EdgeStream, alive, sink=None
     ) -> Tuple["_np.ndarray", float]:
-        """Degrees of alive nodes and surviving weight, one stream pass.
-
-        With a ``sink``, every surviving record is also appended to it
-        (dense index space) — the fused compaction write.
+        """Degrees of alive nodes and surviving weight, one stream pass
+        of the C chunk scan (:func:`~repro.kernels.native.scan_edges`:
+        edge by edge in stream order, so no sum depends on the chunk
+        boundaries).  With a ``sink``, every surviving record is also
+        appended to it (dense index space) — the fused compaction write.
         """
         degrees = _np.zeros(self.n, dtype=_np.float64)
-        return degrees, self._degree_scan(stream, alive, alive, degrees, degrees, sink)
+        body = partial(scan_edges, degrees, degrees)
+        return degrees, self.scan(stream, alive, alive, body, sink)
 
     def scan_directed(
         self, stream: EdgeStream, in_s, in_t, sink=None
@@ -331,30 +260,8 @@ class _StreamScanner:
         """w(E(i,T)), w(E(S,j)), and w(E(S,T)), one stream pass."""
         out_to_t = _np.zeros(self.n, dtype=_np.float64)
         in_from_s = _np.zeros(self.n, dtype=_np.float64)
-        weight = self._degree_scan(stream, in_s, in_t, out_to_t, in_from_s, sink)
-        return out_to_t, in_from_s, weight
-
-    def _degree_scan(self, stream, src, dst, out_deg, in_deg, sink) -> float:
-        """:meth:`scan` adding the survivors' weighted degrees, source
-        endpoints into ``out_deg`` and destinations into ``in_deg``
-        (one array for undirected scans, source first as always).
-
-        ``bincount`` without ``minlength``: the per-chunk accumulate
-        costs O(max surviving id), not O(n) — the dominant constant
-        once compaction shrinks chunks far below the universe size.
-        Slice-adding is bit-identical to the padded add (the padding
-        would add exact zeros).
-        """
-
-        def reduce(u, v, w):
-            return _np.bincount(u, weights=w), _np.bincount(v, weights=w)
-
-        def merge(partial):
-            bu, bv = partial
-            out_deg[: bu.size] += bu
-            in_deg[: bv.size] += bv
-
-        return self.scan(stream, src, dst, reduce, merge, sink)
+        body = partial(scan_edges, out_to_t, in_from_s)
+        return out_to_t, in_from_s, self.scan(stream, in_s, in_t, body, sink)
 
 
 def _compacting_scan(compactor, scanner, stream, scan, compact: bool = True):
@@ -414,19 +321,14 @@ class _UndirectedPassState:
     invoke :meth:`close` (in a ``finally``) to reap spill directories.
     """
 
-    def __init__(
-        self,
-        stream: EdgeStream,
-        compaction=None,
-        scan_threads: Optional[int] = None,
-    ) -> None:
+    def __init__(self, stream: EdgeStream, compaction=None) -> None:
         self.stream = stream
         self.labels = stream.node_universe()
         if not self.labels:
             raise StreamError("stream has an empty node universe")
         self.n = len(self.labels)
         self.remaining = self.n
-        self._scanner = _StreamScanner(self.labels, threads=scan_threads or 1)
+        self._scanner = _StreamScanner(self.labels)
         self._alive_arr = _np.ones(self.n, dtype=bool)
         self._compactor = None
         if compaction is not None:
@@ -450,13 +352,28 @@ class _UndirectedPassState:
         )
 
     def scan_weight(self, reduce=None, merge=None, compact: bool = True) -> float:
-        """One stream pass with a caller's per-chunk ``reduce``/``merge``
-        (see :meth:`_StreamScanner.scan`); returns the surviving weight."""
+        """One stream pass running numpy ``reduce(u, v, w)`` on each
+        chunk's survivors and ``merge``-ing its result (the sketch
+        engine); returns the surviving weight, one ``w.sum()`` added
+        per chunk."""
         alive = self._alive_arr
+
+        def body(u, v, w, src, dst, weight, keep):
+            bad = first_bad_edge(u, v, self.n)
+            if bad:
+                return bad, weight
+            if src is not None:
+                live = src[u] & dst[v]
+                if keep is not None:
+                    keep[:] = live
+                if not live.all():  # a whole surviving chunk is not copied
+                    u, v, w = u[live], v[live], w[live]
+            if reduce is not None:
+                merge(reduce(u, v, w))
+            return int(u.size), weight + float(w.sum())
+
         return self._compacting(
-            lambda stream, sink: self._scanner.scan(
-                stream, alive, alive, reduce, merge, sink
-            ),
+            lambda stream, sink: self._scanner.scan(stream, alive, alive, body, sink),
             compact,
         )
 
@@ -549,7 +466,6 @@ def stream_densest_subgraph(
     max_passes: Optional[int] = None,
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
-    scan_threads: Optional[int] = None,
     checkpoint=None,
     control=None,
 ) -> DensestSubgraphResult:
@@ -574,10 +490,6 @@ def stream_densest_subgraph(
         scanned, the next scan also rewrites the survivors into a fresh
         sink and later passes scan only those — same node sets, traces,
         and pass counts, geometrically fewer bytes.
-    scan_threads:
-        Thread count for per-shard degree scans (default 1, sequential).
-        Honored only by shard-backed streams; results and accounting
-        are bit-identical to sequential.
     checkpoint:
         ``None`` (off), a directory path, or a
         :class:`~repro.streaming.checkpoint.CheckpointConfig`: persist
@@ -599,9 +511,7 @@ def stream_densest_subgraph(
     from .compaction import CompactionPolicy
 
     checkpoint = CheckpointConfig.coerce(checkpoint)
-    state = _UndirectedPassState(
-        stream, CompactionPolicy.coerce(compaction), scan_threads=scan_threads
-    )
+    state = _UndirectedPassState(stream, CompactionPolicy.coerce(compaction))
     _charge_exact_memory(accountant, state.n)
 
     best_set = None  # None = the full universe (no improvement yet)
@@ -712,7 +622,6 @@ def stream_densest_subgraph_atleast_k(
     *,
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
-    scan_threads: Optional[int] = None,
     checkpoint=None,
     control=None,
 ) -> DensestSubgraphResult:
@@ -721,8 +630,8 @@ def stream_densest_subgraph_atleast_k(
     Mirrors :func:`repro.core.densest_subgraph_atleast_k`: per pass the
     ε/(1+ε)·|S| lowest-degree members of the threshold set are removed,
     and peeling stops when |S| < k (Lemma 11's pass bound).
-    ``compaction``, ``scan_threads``, ``checkpoint``, and ``control``
-    are the same controls as :func:`stream_densest_subgraph`'s — deep
+    ``compaction``, ``checkpoint``, and ``control`` are the same
+    controls as :func:`stream_densest_subgraph`'s — deep
     at-least-k peels (small ε, hundreds of passes) are checkpointing's
     motivating case.
     """
@@ -732,9 +641,7 @@ def stream_densest_subgraph_atleast_k(
     from .compaction import CompactionPolicy
 
     checkpoint = CheckpointConfig.coerce(checkpoint)
-    state = _UndirectedPassState(
-        stream, CompactionPolicy.coerce(compaction), scan_threads=scan_threads
-    )
+    state = _UndirectedPassState(stream, CompactionPolicy.coerce(compaction))
     if k > state.n:
         raise ParameterError(f"k={k} exceeds the universe of {state.n} nodes")
     _charge_exact_memory(accountant, state.n)
@@ -847,17 +754,16 @@ def stream_densest_subgraph_directed(
     *,
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
-    scan_threads: Optional[int] = None,
     control=None,
 ) -> DirectedDensestSubgraphResult:
     """Algorithm 3 in the semi-streaming model at a fixed ratio c.
 
     Keeps two O(n) counter arrays — w(E(i, T)) and w(E(S, j)) — plus the
     two alive bitmaps; one stream pass per peeling pass recomputes them.
-    ``compaction``, ``scan_threads``, and ``control`` are the same
-    controls as :func:`stream_densest_subgraph`'s — here an edge
-    survives (and is rewritten) while its source is still in S *and*
-    its destination still in T.
+    ``compaction`` and ``control`` are the same controls as
+    :func:`stream_densest_subgraph`'s — here an edge survives (and is
+    rewritten) while its source is still in S *and* its destination
+    still in T.
     """
     epsilon = check_epsilon(epsilon)
     check_positive_float(ratio, "ratio")
@@ -868,7 +774,7 @@ def stream_densest_subgraph_directed(
     if not labels:
         raise StreamError("stream has an empty node universe")
     n = len(labels)
-    scanner = _StreamScanner(labels, threads=scan_threads or 1)
+    scanner = _StreamScanner(labels)
     if accountant is not None:
         accountant.charge_words("out_counters", n)
         accountant.charge_words("in_counters", n)

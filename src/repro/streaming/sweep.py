@@ -29,7 +29,6 @@ def stream_ratio_sweep(
     ratios: Optional[Iterable[float]] = None,
     accountant: Optional[MemoryAccountant] = None,
     compaction=None,
-    scan_threads: Optional[int] = None,
     control=None,
 ) -> RatioSweepResult:
     """Search over c with the streaming engine (§4.3 in-model).
@@ -57,9 +56,6 @@ def stream_ratio_sweep(
         :func:`~repro.streaming.engine.stream_densest_subgraph`).  Each
         run compacts independently — different ratios peel different
         subgraphs — against the same base stream.
-    scan_threads:
-        Thread count for per-shard degree scans, forwarded to every
-        per-ratio run (see :func:`~repro.streaming.engine.stream_densest_subgraph`).
     control:
         Optional :class:`~repro.faults.RunControl`, forwarded to every
         per-ratio run: cancellation and the deadline are checked at
@@ -87,7 +83,6 @@ def stream_ratio_sweep(
             epsilon=epsilon,
             accountant=accountant if i == 0 else None,
             compaction=compaction,
-            scan_threads=scan_threads,
             control=control,
         )
         for i, c in enumerate(grid)

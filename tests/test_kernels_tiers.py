@@ -1,5 +1,5 @@
 """Kernel tier ladder: the compiled engine, its fallback, and the
-threaded shard-scan path.
+semi-streaming chunk scan on both tiers.
 
 Three contracts:
 
@@ -10,8 +10,9 @@ Three contracts:
 * Requesting the native engine without a loadable C backend degrades
   to numpy with a :class:`RuntimeWarning` instead of raising; the
   answer is identical.
-* ``scan_threads > 1`` on the streaming engines is bit-identical to the
-  sequential scan, including the stream's edge/byte accounting.
+* The streaming engines on shard stores give bit-identical answers,
+  traces and edge/byte accounting with the C chunk scan and without it
+  (``REPRO_NATIVE=off``), on non-dyadic weights too.
 """
 
 import dataclasses
@@ -341,7 +342,7 @@ class TestTierReport:
 
 
 # ----------------------------------------------------------------------
-# Threaded shard scans
+# Shard scans on both tiers
 # ----------------------------------------------------------------------
 def _write_store(
     tmp_path, *, directed, weights="unit", seed=7, n=400, m=6000, shards=5
@@ -380,63 +381,80 @@ def assert_identical(a, b, directed=False):
 SCAN_WEIGHTS = ("unit", "uniform")
 
 
-class TestThreadedShardScans:
-    """Threaded scans are bit-identical to sequential (DESIGN §11), on
-    non-dyadic weights too, with and without compaction.  Weights and
-    compaction are looped inside each test so the test ids stay stable."""
+def _on_both_tiers(monkeypatch, run):
+    """``run()`` — one engine call on a fresh stream, returning
+    ``(result, stream accounting)`` — with the C chunk scan, then
+    without it; asserts equal accounting and returns both results."""
+    from repro.kernels import native
+
+    outcomes = []
+    for mode in ("auto", "off"):
+        monkeypatch.setenv("REPRO_NATIVE", mode)
+        native.reset_backend_cache()
+        if mode == "auto" and native.available_backend() != "c":
+            pytest.skip("C kernel backend unavailable (no compiler)")
+        outcomes.append(run())
+    native.reset_backend_cache()
+    (a, sa), (b, sb) = outcomes
+    assert sa.passes_made == sb.passes_made
+    assert sa.edges_streamed == sb.edges_streamed
+    assert sa.bytes_scanned == sb.bytes_scanned
+    return a, b
+
+
+class TestShardScanTiers:
+    """The C chunk scan and its numpy fallback add every edge in stream
+    order, so engine answers are bit-identical on both tiers (DESIGN
+    §11), on non-dyadic weights too, with and without compaction.
+    Weights and compaction are looped inside each test so the test ids
+    stay stable."""
 
     @pytest.mark.parametrize("compaction", [None, True])
-    def test_undirected_threaded_matches_sequential(self, tmp_path, compaction):
+    def test_undirected_c_matches_numpy(self, tmp_path, monkeypatch, compaction):
         from repro.streaming.engine import stream_densest_subgraph
         from repro.streaming.stream import ShardEdgeStream
 
         for weights in SCAN_WEIGHTS:
             store = _write_store(tmp_path / weights, directed=False, weights=weights)
-            s1 = ShardEdgeStream(store)
-            s2 = ShardEdgeStream(store)
-            seq = stream_densest_subgraph(s1, 0.3, compaction=compaction)
-            par = stream_densest_subgraph(
-                s2, 0.3, compaction=compaction, scan_threads=3
-            )
-            assert_identical(seq, par)
-            assert s1.accounting.passes_made == s2.accounting.passes_made
-            assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-            assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
-    def test_atleast_k_threaded_matches_sequential(self, tmp_path):
+            def run():
+                s = ShardEdgeStream(store)
+                result = stream_densest_subgraph(s, 0.3, compaction=compaction)
+                return result, s.accounting
+
+            assert_identical(*_on_both_tiers(monkeypatch, run))
+
+    def test_atleast_k_c_matches_numpy(self, tmp_path, monkeypatch):
         from repro.streaming.engine import stream_densest_subgraph_atleast_k
         from repro.streaming.stream import ShardEdgeStream
 
         for weights in SCAN_WEIGHTS:
             store = _write_store(tmp_path / weights, directed=False, weights=weights)
             for compaction in (None, True):
-                s1 = ShardEdgeStream(store)
-                s2 = ShardEdgeStream(store)
-                seq = stream_densest_subgraph_atleast_k(
-                    s1, 25, 0.3, compaction=compaction
-                )
-                par = stream_densest_subgraph_atleast_k(
-                    s2, 25, 0.3, compaction=compaction, scan_threads=2
-                )
-                assert_identical(seq, par)
-                assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-                assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
-    def test_directed_threaded_matches_sequential(self, tmp_path):
+                def run():
+                    s = ShardEdgeStream(store)
+                    result = stream_densest_subgraph_atleast_k(
+                        s, 25, 0.3, compaction=compaction
+                    )
+                    return result, s.accounting
+
+                assert_identical(*_on_both_tiers(monkeypatch, run))
+
+    def test_directed_c_matches_numpy(self, tmp_path, monkeypatch):
         from repro.streaming.engine import stream_densest_subgraph_directed
         from repro.streaming.stream import ShardEdgeStream
 
         for weights in SCAN_WEIGHTS:
             store = _write_store(tmp_path / weights, directed=True, weights=weights)
-            s1 = ShardEdgeStream(store)
-            s2 = ShardEdgeStream(store)
-            seq = stream_densest_subgraph_directed(s1, 1.0, 0.3)
-            par = stream_densest_subgraph_directed(s2, 1.0, 0.3, scan_threads=3)
-            assert_identical(seq, par, directed=True)
-            assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-            assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
-    def test_sweep_threaded_matches_sequential(self, tmp_path):
+            def run():
+                s = ShardEdgeStream(store)
+                return stream_densest_subgraph_directed(s, 1.0, 0.3), s.accounting
+
+            assert_identical(*_on_both_tiers(monkeypatch, run), directed=True)
+
+    def test_sweep_c_matches_numpy(self, tmp_path, monkeypatch):
         from repro.streaming.stream import ShardEdgeStream
         from repro.streaming.sweep import stream_ratio_sweep
 
@@ -444,18 +462,21 @@ class TestThreadedShardScans:
         for weights in SCAN_WEIGHTS:
             store = _write_store(tmp_path / weights, directed=True, weights=weights)
             for compaction in (None, True):
-                s1 = ShardEdgeStream(store)
-                s2 = ShardEdgeStream(store)
-                seq = stream_ratio_sweep(s1, 0.5, ratios=ratios, compaction=compaction)
-                par = stream_ratio_sweep(
-                    s2, 0.5, ratios=ratios, compaction=compaction, scan_threads=2
-                )
+
+                def run():
+                    s = ShardEdgeStream(store)
+                    sweep = stream_ratio_sweep(
+                        s, 0.5, ratios=ratios, compaction=compaction
+                    )
+                    return sweep, s.accounting
+
+                seq, par = _on_both_tiers(monkeypatch, run)
                 for a, b in zip(seq.by_ratio, par.by_ratio):
                     assert_identical(a, b, directed=True)
-                assert s1.accounting.edges_streamed == s2.accounting.edges_streamed
-                assert s1.accounting.bytes_scanned == s2.accounting.bytes_scanned
 
-    def test_context_workers_enables_threads_via_solve(self, tmp_path):
+    def test_context_workers_leave_streaming_unchanged(self, tmp_path):
+        """``ExecutionContext.workers`` sizes MapReduce pools; the
+        streaming scan is one sequential loop whatever it says."""
         store = _write_store(tmp_path / "a", directed=False, weights="uniform")
         problem = DensestSubgraph(store, epsilon=0.4)
         seq = solve(problem, backend="streaming")
@@ -466,12 +487,3 @@ class TestThreadedShardScans:
         assert seq.density == par.density
         assert seq.cost.edges_streamed == par.cost.edges_streamed
         assert seq.cost.bytes_scanned == par.cost.bytes_scanned
-
-    def test_non_shard_streams_ignore_scan_threads(self):
-        from repro.streaming.engine import stream_densest_subgraph
-        from repro.streaming.stream import MemoryEdgeStream
-
-        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
-        seq = stream_densest_subgraph(MemoryEdgeStream(edges), 0.5)
-        par = stream_densest_subgraph(MemoryEdgeStream(edges), 0.5, scan_threads=4)
-        assert_identical(seq, par)
