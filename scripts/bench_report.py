@@ -46,8 +46,11 @@ Three suites, selected with ``--suite``:
 * ``kernels`` times the kernel tier ladder and writes
   ``BENCH_kernels.json``: numpy vs native (C) peels on
   the BENCH_core fixtures and on the ≈18M-edge nested-core store
-  (CSR-loaded; wall-clock, not a bytes proxy), plus one threaded
-  shard-scan pass (4 threads vs sequential, bit-exact counters).  The
+  (CSR-loaded; wall-clock, not a bytes proxy), plus one
+  semi-streaming degree pass over that store, C chunk scan vs its
+  numpy fallback, with every node alive (``stream_scan``) and with
+  ~45% of the edges alive and a compaction sink open
+  (``stream_scan_sink``; bit-exact counters and survivors).  The
   driver asserts cross-tier result parity before recording any row;
   ``--min-speedup`` gates the native rows on the core fixtures.
 * ``faults`` prices the robustness machinery and writes
@@ -77,9 +80,10 @@ Three suites, selected with ``--suite``:
   answer is labeled, and every *unlabeled* 200 is byte-identical to a
   clean offline solve of the same problem.
 
-Both reports are machine-readable so successive PRs can track the
+Every report is machine-readable so successive PRs can track the
 trajectory of the hot paths instead of eyeballing pytest-benchmark
-tables.
+tables, and records the ``cpu_count`` and ``environment`` (Python and
+numpy versions, machine, kernel tier) it was measured on.
 
 Methodology
 -----------
@@ -877,11 +881,13 @@ def run_kernels_benches(scale_factor: float, repeats: int):
       ``CSRGraph.from_shards``, then peeled by the numpy and native
       tiers — a wall-clock comparison on a real out-of-core-sized
       input; the driver asserts the native tier wins wall-clock
-      (>1x) outright.  Plus one ``stream_scan`` row timing one full
-      semi-streaming degree pass over the store with the C chunk scan
-      and with its numpy fallback (``REPRO_NATIVE=off``), with
-      bit-exact degree/weight asserts; its speedup is reported but
-      not gated.
+      (>1x) outright.  Plus two rows timing one full semi-streaming
+      degree pass over the store with the C chunk scan and with its
+      numpy fallback (``REPRO_NATIVE=off``): ``stream_scan`` with every
+      node alive, ``stream_scan_sink`` with ~45% of the edges alive
+      and a compaction sink taking the survivors.  Both assert
+      bit-exact degrees and weight (and survivors); their speedups are
+      reported but not gated.
 
     Every tier-bench row (shallow and deep) first asserts identical
     node sets, pass counts, and densities across all importable tiers.
@@ -1060,18 +1066,39 @@ def run_kernels_benches(scale_factor: float, repeats: int):
         print(line)
 
         # One full shard-scan pass, C chunk scan vs its numpy fallback —
-        # both add edges in stream order, so the counters are bit-exact.
+        # both add edges in stream order, so the counters are bit-exact —
+        # with every node alive, and with ~45% of the edges alive and a
+        # compaction sink open (the emit path: survivors written into
+        # the sink's buffer inside the scan).
         import numpy as _np
 
         from repro.kernels import native
+        from repro.streaming.compaction import CompactionPolicy, Compactor
         from repro.streaming.engine import _StreamScanner
         from repro.streaming.stream import ShardEdgeStream
 
         alive = _np.ones(store.num_nodes, dtype=bool)
+        # An edge survives when both endpoints do: 0.67^2 ≈ 0.45.
+        sink_alive = _np.random.default_rng(7).random(store.num_nodes) < 0.67
+        # A memory sink large enough to hold every survivor, so the row
+        # times the in-scan write and never a spill to disk.
+        policy = CompactionPolicy(memory_edges=store.num_edges)
 
         def scan():
             scanner = _StreamScanner(range(store.num_nodes))
             return scanner.scan_undirected(ShardEdgeStream(store), alive)
+
+        def scan_sink():
+            stream = ShardEdgeStream(store)
+            compactor = Compactor(
+                policy, stream, directed=False, num_nodes=store.num_nodes
+            )
+            sink = compactor.open_sink()
+            scanner = _StreamScanner(range(store.num_nodes))
+            degrees, weight = scanner.scan_undirected(stream, sink_alive, sink)
+            survivors = compactor.finish(sink).edge_arrays()
+            compactor.close()
+            return degrees, weight, survivors
 
         def on_tier(mode, fn):
             saved = os.environ.get("REPRO_NATIVE")
@@ -1091,21 +1118,35 @@ def run_kernels_benches(scale_factor: float, repeats: int):
             deg_np, w_np = on_tier("off", scan)
             assert w_c == w_np, "C chunk scan diverged on total weight"
             assert _np.array_equal(deg_c, deg_np), "C chunk scan diverged"
-            c_s = on_tier("auto", lambda: _median_seconds(scan, reps))
-            np_s = on_tier("off", lambda: _median_seconds(scan, reps))
-            records.append(
-                {
-                    "bench": "stream_scan",
-                    "fixture": fixture,
-                    "engine": "native",
-                    "median_seconds": c_s,
-                    "numpy_seconds": np_s,
-                    "speedup": np_s / c_s if c_s > 0 else None,
-                    "edges": store.num_edges,
-                }
-            )
-            print(f"{'stream_scan':28s} numpy {np_s:7.2f}s   "
-                  f"native {c_s:7.2f}s   x{np_s / c_s:5.2f}")
+            c_run, np_run = on_tier("auto", scan_sink), on_tier("off", scan_sink)
+            assert c_run[1] == np_run[1], "C sink scan diverged on total weight"
+            assert _np.array_equal(c_run[0], np_run[0]), "C sink scan diverged"
+            for a, b in zip(c_run[2], np_run[2]):
+                assert a.dtype == b.dtype and _np.array_equal(a, b), (
+                    "C sink scan emitted different survivors"
+                )
+            kept_fraction = c_run[2][0].size / store.num_edges
+            del c_run, np_run
+            for bench, fn, extra in (
+                ("stream_scan", scan, {}),
+                ("stream_scan_sink", scan_sink, {"kept_fraction": kept_fraction}),
+            ):
+                c_s = on_tier("auto", lambda: _median_seconds(fn, reps))
+                np_s = on_tier("off", lambda: _median_seconds(fn, reps))
+                records.append(
+                    {
+                        "bench": bench,
+                        "fixture": fixture,
+                        "engine": "native",
+                        "median_seconds": c_s,
+                        "numpy_seconds": np_s,
+                        "speedup": np_s / c_s if c_s > 0 else None,
+                        "edges": store.num_edges,
+                        **extra,
+                    }
+                )
+                print(f"{bench:28s} numpy {np_s:7.2f}s   "
+                      f"native {c_s:7.2f}s   x{np_s / c_s:5.2f}")
     return records
 
 
@@ -1709,8 +1750,8 @@ SUITES = {
         # Gate the native tier's deep-peel rows (the many-pass regime
         # the bucket queue exists for; shallow 3–6 pass rows are
         # context).  The big-store wall-clock win (>1x) is asserted
-        # in-driver; stream_scan (C chunk scan vs its numpy fallback)
-        # is reported ungated.
+        # in-driver; stream_scan and stream_scan_sink (C chunk scan vs
+        # its numpy fallback) are reported ungated.
         "gate": {
             "atleastk_deep_flickr",
             "atleastk_deep_livejournal",
@@ -1763,11 +1804,24 @@ def main(argv=None) -> int:
 
     import os
 
+    import platform
+
+    import numpy
+
+    from repro.kernels import native
+
     report = {
         "suite": args.suite,
         "scale_factor": scale_factor,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "kernel_tier": native.available_backend() or "numpy",
+        },
         "benches": records,
     }
     Path(output).write_text(json.dumps(report, indent=2) + "\n")

@@ -184,7 +184,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_scan_edges.argtypes = [
         _P, _I64, _P, _I64, _P, _I64,  # u, v, w + byte strides
         _I64, _I64, _P, _P, _P, _P,    # len, n, src, dst, out, in
-        _PF64, _P,                     # weight (in/out), keep mask
+        _PF64, _P, _P, _P,             # weight (in/out), emit u, v, w
     ]
 
 

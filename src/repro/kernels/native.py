@@ -16,7 +16,8 @@ The same library backs three stable O(m) sorts, each with a wrapper
 here: :func:`stable_argsort` (the MapReduce shuffle partition and
 group-by), :func:`csr_fill` and :func:`csr_sort_rows` (the shard CSR
 build in :meth:`~repro.kernels.csr.CSRGraph.from_shards`), and the
-semi-streaming engines' chunk scan, :func:`scan_edges`.  Their
+semi-streaming engines' chunk scan, :func:`scan_edges`, which also
+writes a compaction pass's survivors into the sink's buffer.  Their
 results are bit-identical to the numpy code each wrapper runs when the
 library is absent.
 
@@ -575,13 +576,83 @@ def csr_sort_rows(
 
 def first_bad_edge(u: np.ndarray, v: np.ndarray, n: int) -> int:
     """``-(i + 1)`` for the first edge i with ``u[i]`` or ``v[i]``
-    outside ``[0, n)``, else 0 (the chunk scan's bad-id status)."""
-    if u.size and (u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n):
-        return -(int(((u < 0) | (u >= n) | (v < 0) | (v >= n)).argmax()) + 1)
-    return 0
+    outside ``[0, n)``, else 0 (the chunk scan's bad-id status).
+
+    Read as uint64, a negative id is above every valid one, so one
+    ``max`` per array checks both ends of the range."""
+    if not u.size:
+        return 0
+    uu, vv = u.view(np.uint64), v.view(np.uint64)
+    if max(uu.max(), vv.max()) < n:
+        return 0
+    return -(int(((uu >= n) | (vv >= n)).argmax()) + 1)
 
 
-def scan_edges(out, in_, u, v, w, src, dst, weight, keep=None) -> Tuple[int, float]:
+def compress_survivors(u, v, w, src, dst, emit=None):
+    """The chunk's edges with ``src[u] and dst[v]``, in chunk order.
+
+    ``src``/``dst`` are bool masks of length n, or both None while
+    every node is alive.  With ``emit`` (an ``(ou, ov, ow)`` triple
+    holding at least ``u.size`` records) the survivors are written to
+    its first ``kept`` slots and returned as views of them; without,
+    they are fresh arrays (the chunk itself when all of it survives).
+    """
+    if src is not None:
+        live = src[u] & dst[v]
+        if not live.all():
+            u, v, w = u[live], v[live], w[live]
+    if emit is None:
+        return u, v, w
+    for x, o in zip((u, v, w), emit):
+        o[: x.size] = x
+    return tuple(o[: u.size] for o in emit)
+
+
+def _scan_numpy(out, in_, u, v, w, src, dst, weight, emit, scratch):
+    """The numpy body of :func:`scan_edges`, with the C loop's bits.
+
+    One ``np.add.at`` (sequential, in index order) per counter array,
+    and an ``np.add.accumulate`` over ``weight, w0, w1, ...`` for the
+    running weight.  Undirected scans (``out is in_``) interleave the
+    indices ``u0, v0, u1, v1, ...`` so each edge adds to its two
+    endpoints in the order the C loop does.  The interleaved buffers
+    live in ``scratch`` (a list) and are reused by every later chunk no
+    longer than this one.
+    """
+    n = out.size
+    interleave = out is in_
+    if src is not None or not interleave:
+        # The masks are indexed by id, so the ids are checked first;
+        # an all-alive undirected chunk checks its interleaved copy.
+        bad = first_bad_edge(u, v, n)
+        if bad:
+            return bad, weight
+    u, v, w = compress_survivors(u, v, w, src, dst, emit)
+    size = u.size
+    if not scratch or scratch[1].size < 2 * size + 1:
+        scratch[:] = [np.empty(2 * size, np.int64), np.empty(2 * size + 1)]
+    index, values = scratch
+    # values = [weight, w0, w0, w1, w1, ...]: the even slots are the
+    # running sum's terms, the odd/even pairs after slot 0 the
+    # interleaved weights.
+    running = values[: 2 * size + 1 : 2]
+    running[0], running[1:] = weight, w
+    if interleave:
+        pairs = index[: 2 * size]
+        pairs[0::2], pairs[1::2] = u, v
+        if src is None and size and pairs.view(np.uint64).max() >= n:
+            return first_bad_edge(u, v, n), weight
+        values[1 : 2 * size : 2] = running[1:]
+        np.add.at(out, pairs, values[1 : 2 * size + 1])
+    else:
+        np.add.at(out, u, w)
+        np.add.at(in_, v, w)
+    return int(size), float(np.add.accumulate(running, out=running)[-1])
+
+
+def scan_edges(
+    out, in_, u, v, w, src, dst, weight, emit=None, scratch=None
+) -> Tuple[int, float]:
     """Add one chunk's surviving edges into degree counters, in stream order.
 
     Edge i survives when ``src[u[i]] and dst[v[i]]`` (bool masks of
@@ -591,45 +662,44 @@ def scan_edges(out, in_, u, v, w, src, dst, weight, keep=None) -> Tuple[int, flo
     order the edges are read makes every sum independent of the chunk
     boundaries, and the C loop and the numpy code give the same bits.
     ``u``/``v``/``w`` are read in place (strided record fields too);
-    ``out``/``in_`` are contiguous float64.  With masks, a uint8
-    ``keep`` buffer receives the survivor mask.  Returns ``(kept,
-    weight)``, or :func:`first_bad_edge`'s status as ``kept`` for an id
-    outside ``[0, n)`` (the counters are then partly updated).
+    ``out``/``in_`` are contiguous float64.  Every array is checked
+    (:class:`~repro.errors.GraphError`) before anything is written.
+
+    ``emit=(ou, ov, ow)`` — contiguous int64/int64/float64 arrays of at
+    least ``u.size`` records — receives the survivors in its first
+    ``kept`` slots, in stream order (the compaction sink's buffer).
+    ``scratch`` is a list the numpy fallback keeps its buffers in; pass
+    the same one for every chunk of a scan.  Returns ``(kept, weight)``, or
+    :func:`first_bad_edge`'s status as ``kept`` for an id outside
+    ``[0, n)`` (the counters and ``emit`` are then partly written).
     """
     n = out.size
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    lib = get_backend()
     if not (u.ndim == 1 and u.shape == v.shape == w.shape and in_.size == n):
         raise GraphError("scan_edges: u/v/w and out/in_ must match in length")
-    if lib is None:
-        bad = first_bad_edge(u, v, n)
-        if bad:
-            return bad, weight
-        if src is not None:
-            live = src[u] & dst[v]
-            if keep is not None:
-                keep[: live.size] = live
-            if not live.all():
-                u, v, w = u[live], v[live], w[live]
-        if out is in_:
-            np.add.at(out, np.column_stack((u, v)).ravel(), np.repeat(w, 2))
-        else:
-            np.add.at(out, u, w)
-            np.add.at(in_, v, w)
-        return int(u.size), float(np.add.accumulate(np.r_[weight, w])[-1])
+    ou, ov, ow = (None, None, None) if emit is None else emit
     for a, dtype, size in ((out, np.float64, n), (in_, np.float64, n),
                            (src, np.bool_, n), (dst, np.bool_, n),
-                           (keep, np.uint8, u.size)):
+                           (ou, np.int64, u.size), (ov, np.int64, u.size),
+                           (ow, np.float64, u.size)):
         if a is not None and not (a.dtype == dtype and a.flags.c_contiguous
                                   and a.size >= size):
-            raise GraphError(f"scan_edges: expects contiguous {dtype.__name__} arrays")
+            raise GraphError(
+                f"scan_edges: expects contiguous {dtype.__name__} arrays "
+                f"of at least {size} entries (counters, masks, emit)"
+            )
+    lib = get_backend()
+    if lib is None:
+        scratch = [] if scratch is None else scratch
+        return _scan_numpy(out, in_, u, v, w, src, dst, weight, emit, scratch)
     total = ctypes.c_double(weight)
     kept = lib.repro_scan_edges(
         u.ctypes.data, u.strides[0], v.ctypes.data, v.strides[0],
         w.ctypes.data, w.strides[0], u.size, n,
         *(None if a is None else a.ctypes.data for a in (src, dst, out, in_)),
-        ctypes.byref(total), None if keep is None else keep.ctypes.data,
+        ctypes.byref(total),
+        *(None if a is None else a.ctypes.data for a in (ou, ov, ow)),
     )
     return int(kept), total.value

@@ -954,14 +954,18 @@ int repro_csr_sort_rows(const int32_t *indptr, int64_t n, int32_t *indices,
  * out == in and src == dst, so no pointer is restrict.  Additions only
  * (nothing to contract into an FMA), so the numpy fallback (np.add.at)
  * gives the same bits and no sum depends on the chunking.  us/vs/ws
- * are read through byte strides; keep, when non-NULL, receives the
- * survivor mask.  Returns the survivor count, or -(i + 1) when u[i] or
- * v[i] is the first id outside [0, n) (the caller discards the pass). */
+ * are read through byte strides.  When ou is non-NULL, each survivor's
+ * (u, v, w) is also written to the next free slot of ou/ov/ow, in
+ * stream order (the compaction sink's buffer; the caller sizes them to
+ * hold len records).  Returns the survivor count, or -(i + 1) when
+ * u[i] or v[i] is the first id outside [0, n) (the caller discards the
+ * pass). */
 int64_t repro_scan_edges(const char *us, int64_t u_stride, const char *vs,
                          int64_t v_stride, const char *ws, int64_t w_stride,
                          int64_t len, int64_t n, const uint8_t *src,
                          const uint8_t *dst, double *out, double *in,
-                         double *weight, uint8_t *keep) {
+                         double *weight, int64_t *ou, int64_t *ov,
+                         double *ow) {
     double total = *weight;
     int64_t kept = 0;
     for (int64_t i = 0; i < len; i++) {
@@ -971,15 +975,17 @@ int64_t repro_scan_edges(const char *us, int64_t u_stride, const char *vs,
             *weight = total;
             return -(i + 1);
         }
-        int live = (!src || src[a]) && (!dst || dst[b]);
-        if (keep)
-            keep[i] = (uint8_t)live;
-        if (!live)
+        if ((src && !src[a]) || (dst && !dst[b]))
             continue;
         double w = *(const double *)(ws + i * w_stride);
         out[a] += w;
         in[b] += w;
         total += w;
+        if (ou) {
+            ou[kept] = a;
+            ov[kept] = b;
+            ow[kept] = w;
+        }
         kept++;
     }
     *weight = total;

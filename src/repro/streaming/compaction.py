@@ -21,13 +21,20 @@ Mechanics
   whether a sink should ride along (``due()``/``open_sink()``), swaps
   the engine's scan source on ``finish()``, and deletes superseded
   spill directories (``close()`` removes everything it created).
-* Sinks are adaptive: records accumulate in memory and the sink
+* Sinks take survivors straight from the scan: per chunk, the scan
+  asks ``reserve(chunk size)`` for an ``(u, v, w)`` triple, its body
+  (the C chunk scan, or its numpy fallback) writes the chunk's
+  survivors to the first ``kept`` slots in stream order, and
+  ``commit(kept)`` takes them — no keep mask, no gather, no copy.
+* Sinks are adaptive: records land in one preallocated in-memory
+  buffer of ``min(source records, memory_edges)`` slots, and the sink
   upgrades itself to a spill-backed
   :class:`~repro.store.shards.ShardWriter` store (written with skip
   summaries on, so late passes also skip dead shards without opening
   them) only once the survivor count crosses the policy's
   ``memory_edges`` cap — survivor counts are unknown before the scan,
-  so the sink adapts rather than guessing.
+  so the sink adapts rather than guessing.  Below the cap, the buffer's
+  filled prefix *is* the rewritten source.
 
 Rewritten sources hold **dense engine indices** (``dense_ids=True``),
 not original labels — the engines' scanners skip the label → index
@@ -64,12 +71,16 @@ DEFAULT_MIN_EDGES = 4096
 
 #: Survivor counts at or below this use the in-memory array sink
 #: instead of a spill store.  Sized so the first rewrite of a
-#: ~20M-edge store stays resident (~120 MiB of arrays, double that
-#: transiently while the sink concatenates) — still well under such a
-#: store's own footprint — while the first rewrite of a genuinely huge
-#: store spills.  A spill write costs a disk pass over the survivors;
-#: the array sink costs one concatenate.
+#: ~20M-edge store stays resident (~120 MiB of arrays, written once by
+#: the scan itself) — still well under such a store's own footprint —
+#: while the first rewrite of a genuinely huge store spills.  A spill
+#: write costs a disk pass over the survivors; the array sink costs
+#: nothing beyond the scan's own writes.
 DEFAULT_MEMORY_EDGES = 5_000_000
+
+#: Records per ``append_arrays`` call when a memory sink that crossed
+#: its cap replays its buffer into the spill writer (~6 MiB a slice).
+_REPLAY_SLICE = 1 << 18
 
 #: Spill-sink writer buffer: smaller than the store default so a
 #: rewrite's transient memory (held cap + writer buffers) stays
@@ -143,76 +154,106 @@ class CompactionPolicy:
         )
 
 
-class _MemorySink:
-    """Accumulates surviving records in memory, spilling past a cap.
+def _empty_records(size: int):
+    """An uninitialised ``(u, v, w)`` int64/int64/float64 triple."""
+    return (
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.float64),
+    )
 
-    Survivor counts are not reliably predictable before the scan (the
-    node-shrink trigger fires with only stale kept-record counts), so
-    the sink adapts instead of guessing: records accumulate as resident
-    array references until ``limit`` is crossed, at which point a spill
-    sink from ``spill_factory`` takes over and the accumulated chunks
-    are replayed into it — one bounded extra pass over at most
-    ``limit`` records.
+
+class _MemorySink:
+    """Survivors written in place into one preallocated buffer, spilling
+    past a cap.
+
+    The scan asks ``reserve(chunk size)`` for an ``(u, v, w)`` triple,
+    its chunk body writes the survivors to the first ``kept`` slots, and
+    ``commit(kept)`` takes them.  While the chunk fits, the triple is a
+    window of the sink's own buffer at its fill mark, so the survivors
+    are written once and never copied again.  ``capacity`` is at most
+    the spill cap and the source's record count (``np.empty``: only the
+    pages written are committed).  Survivor counts are not reliably
+    predictable before the scan (the node-shrink trigger fires with only
+    stale kept-record counts), so a chunk that might cross the capacity
+    is scanned into a chunk-sized staging triple instead, reused across
+    chunks.  If its survivors do cross it, a spill sink from
+    ``spill_factory`` takes over: the filled buffer is replayed into it
+    in bounded slices and dropped, and every later chunk goes through
+    the staging triple to the spill sink.
     """
 
-    def __init__(self, limit: Optional[int] = None, spill_factory=None) -> None:
-        self._u: List["np.ndarray"] = []
-        self._v: List["np.ndarray"] = []
-        self._w: List["np.ndarray"] = []
-        self._limit = limit if spill_factory is not None else None
+    def __init__(self, capacity: int, spill_factory) -> None:
+        self._records = _empty_records(capacity)
+        self._filled = 0
+        self._staging = _empty_records(0)
+        self._staged = False
         self._spill_factory = spill_factory
         self._spill = None
-        self.edges_written = 0
 
     @property
     def spilled(self) -> bool:
         return self._spill is not None
 
-    def append(self, u, v, w) -> None:
-        if self._spill is not None:
-            self._spill.append(u, v, w)
-            self.edges_written += int(u.size)
+    @property
+    def edges_written(self) -> int:
+        return self._spill.edges_written if self._spill is not None else self._filled
+
+    def reserve(self, size: int):
+        start = self._filled
+        self._staged = (
+            self._spill is not None or start + size > self._records[0].size
+        )
+        if not self._staged:
+            return tuple(a[start : start + size] for a in self._records)
+        if self._staging[0].size < size:
+            self._staging = _empty_records(size)
+        return tuple(a[:size] for a in self._staging)
+
+    def commit(self, kept: int) -> None:
+        if not self._staged:
+            self._filled += kept  # written in place
             return
-        # Held arrays are either fresh mask extractions or read-only
-        # memmap views; both stay valid for the sink's lifetime.
-        self._u.append(u)
-        self._v.append(v)
-        self._w.append(w)
-        self.edges_written += int(u.size)
-        if self._limit is not None and self.edges_written > self._limit:
-            self._spill = self._spill_factory()
-            # Replay held chunks into the writer, releasing each as it
-            # goes so peak memory stays ~the cap, not cap + writer copy.
-            while self._u:
-                self._spill.append(self._u.pop(0), self._v.pop(0), self._w.pop(0))
-            self._v = []
-            self._w = []
+        survivors = tuple(a[:kept] for a in self._staging)
+        end = self._filled + kept
+        if self._spill is None and end <= self._records[0].size:
+            for a, chunk in zip(self._records, survivors):
+                a[self._filled : end] = chunk
+            self._filled = end
+            return
+        if self._spill is None:
+            self._upgrade()
+        self._spill.append(*survivors)
+
+    def _upgrade(self) -> None:
+        """Hand the filled buffer to a fresh spill sink and drop it."""
+        self._spill = self._spill_factory()
+        filled, self._records = self._records, None
+        for start in range(0, self._filled, _REPLAY_SLICE):
+            end = min(start + _REPLAY_SLICE, self._filled)
+            self._spill.append(*(a[start:end] for a in filled))
 
     def finish(self, num_nodes: int, accounting) -> EdgeStream:
         if self._spill is not None:
             return self._spill.finish(num_nodes, accounting)
-        if self._u:
-            u = np.concatenate(self._u)
-            v = np.concatenate(self._v)
-            w = np.concatenate(self._w)
-        else:
-            u = v = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.float64)
+        u, v, w = (a[: self._filled] for a in self._records)
         return ArrayEdgeStream(
             u, v, w, num_nodes=num_nodes, dense_ids=True, accounting=accounting
         )
 
     def abort(self) -> None:
-        """Drop held chunks; abort any spill writer (interrupted scan)."""
-        self._u = []
-        self._v = []
-        self._w = []
+        """Drop the buffers; abort any spill writer (interrupted scan)."""
+        self._records = self._staging = None
         if self._spill is not None:
             self._spill.abort()
 
 
 class _SpillSink:
-    """Streams surviving records into a fresh on-disk shard store."""
+    """Streams surviving records into a fresh on-disk shard store.
+
+    ``append`` hands each batch to the writer, which copies it into its
+    shard buffers, so the memory sink in front of it can reuse one
+    staging triple for every chunk."""
 
     spilled = True
 
@@ -346,13 +387,14 @@ class Compactor:
     def open_sink(self):
         """A sink for the next scan's surviving records.
 
-        Always starts in memory and upgrades itself to a spill store
-        past ``policy.memory_edges`` — the survivor count is unknown
-        until the scan runs.
+        Always starts in memory, in one buffer of ``min(source records,
+        policy.memory_edges)`` slots (:meth:`due` only fires once the
+        source's record count is known), and upgrades itself to a spill
+        store once more than ``policy.memory_edges`` records survive —
+        the survivor count is unknown until the scan runs.
         """
-        return _MemorySink(
-            limit=self.policy.memory_edges, spill_factory=self._new_spill
-        )
+        capacity = min(self._source_len, self.policy.memory_edges)
+        return _MemorySink(capacity, spill_factory=self._new_spill)
 
     def _new_spill(self) -> "_SpillSink":
         path = tempfile.mkdtemp(prefix="compact-", dir=self.policy.spill_dir)

@@ -26,11 +26,13 @@ integer ids, one dict lookup per endpoint for any other hashable label
 body is a C loop (numpy fallback, same bits) that bounds-checks every
 id, tests the alive masks and adds each surviving edge's weight to its
 degree counters and the running weight one edge at a time, in stream
-order.  Every float sum is therefore the same sequence of additions
-whatever the chunk boundaries: a relabelled input, a memory-compacted
-pass and a one-chunk array pass give bit-identical node sets, traces
-and densities on any weights.  Threshold scans are one vectorized mask
-over the maintained alive bitmap.
+order — and, with a compaction sink open, writes each survivor into
+the sink's buffer in the same loop.  Every float sum is therefore the
+same sequence of additions whatever the chunk boundaries: a
+relabelled input, a memory-compacted pass and a one-chunk array pass
+give bit-identical node sets, traces and densities on any weights.
+Threshold scans are one vectorized mask over the maintained alive
+bitmap.
 
 All three engines additionally accept a ``compaction=`` control (see
 :mod:`repro.streaming.compaction`): when the surviving-edge fraction
@@ -61,7 +63,7 @@ from .._validation import (
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
-from ..kernels.native import first_bad_edge, scan_edges
+from ..kernels.native import compress_survivors, first_bad_edge, scan_edges
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
@@ -83,10 +85,10 @@ class _StreamScanner:
     and ``dense_ids`` rewrites are not mapped at all; the per-chunk
     body bounds-checks their ids.
 
-    Scans may fuse a *compaction sink*: every surviving chunk is also
-    appended to the sink (in dense index space), so the rewrite costs
-    zero extra read passes (:func:`_compacting_scan` owns the sink's
-    lifecycle).  ``last_scanned``/``last_kept`` record the most recent
+    Scans may fuse a *compaction sink*: the per-chunk body writes every
+    survivor straight into the sink's buffer (in dense index space), so
+    the rewrite costs zero extra read passes (:func:`_compacting_scan`
+    owns the sink's lifecycle).  ``last_scanned``/``last_kept`` record the most recent
     scan's record counts for the compaction trigger.
     """
 
@@ -193,14 +195,15 @@ class _StreamScanner:
 
         Each chunk's int labels are mapped unless they are already dense
         (the body bounds-checks those), then ``body(u, v, w, src, dst,
-        weight, keep)`` accumulates the survivors and returns ``(kept,
+        weight, emit)`` accumulates the survivors and returns ``(kept,
         weight)``: the survivor count (``-(i + 1)`` for a bad id at index
         i) and the running weight.  The masks reach the body as None
-        while every node is alive.  With a ``sink`` and a dead node,
-        ``keep`` is a uint8 buffer for the body's survivor mask; the
-        survivors (dense index space) go to the sink, the chunk itself
-        when all of it survives.  Undirected scans pass ``src is dst``.
-        Returns the surviving edge weight.
+        while every node is alive.  With a ``sink``, ``emit`` is the
+        ``(u, v, w)`` triple ``sink.reserve(chunk size)`` hands out: the
+        body writes the chunk's survivors (dense index space) to its
+        first ``kept`` slots, in stream order, and ``sink.commit(kept)``
+        takes them.  Undirected scans pass ``src is dst``.  Returns the
+        surviving edge weight.
         """
         from ..kernels.csr import lookup_indices
 
@@ -223,20 +226,15 @@ class _StreamScanner:
             if map_ids:
                 u = lookup_indices(self._order, self._sorted, u, self._missing)
                 v = lookup_indices(self._order, self._sorted, v, self._missing)
-            keep = None
-            if sink is not None and src is not None:
-                keep = _np.empty(u.size, dtype=_np.uint8)
-            kept, weight = body(u, v, w, src, dst, weight, keep)
+            emit = None if sink is None else sink.reserve(u.size)
+            kept, weight = body(u, v, w, src, dst, weight, emit)
             if kept < 0:
                 i = -kept - 1
                 raise self._missing(u[i] if not 0 <= u[i] < self.n else v[i])
             scanned += int(u.size)
             kept_edges += kept
-            if sink is not None and kept:
-                if kept < u.size:
-                    keep = keep.view(bool)
-                    u, v, w = u[keep], v[keep], w[keep]
-                sink.append(u, v, w)
+            if sink is not None:
+                sink.commit(kept)
         self.last_scanned = scanned
         self.last_kept = kept_edges
         return weight
@@ -247,11 +245,12 @@ class _StreamScanner:
         """Degrees of alive nodes and surviving weight, one stream pass
         of the C chunk scan (:func:`~repro.kernels.native.scan_edges`:
         edge by edge in stream order, so no sum depends on the chunk
-        boundaries).  With a ``sink``, every surviving record is also
-        appended to it (dense index space) — the fused compaction write.
+        boundaries).  With a ``sink``, the same loop also writes every
+        surviving record to it (dense index space) — the fused
+        compaction write.
         """
         degrees = _np.zeros(self.n, dtype=_np.float64)
-        body = partial(scan_edges, degrees, degrees)
+        body = partial(scan_edges, degrees, degrees, scratch=[])
         return degrees, self.scan(stream, alive, alive, body, sink)
 
     def scan_directed(
@@ -260,7 +259,7 @@ class _StreamScanner:
         """w(E(i,T)), w(E(S,j)), and w(E(S,T)), one stream pass."""
         out_to_t = _np.zeros(self.n, dtype=_np.float64)
         in_from_s = _np.zeros(self.n, dtype=_np.float64)
-        body = partial(scan_edges, out_to_t, in_from_s)
+        body = partial(scan_edges, out_to_t, in_from_s, scratch=[])
         return out_to_t, in_from_s, self.scan(stream, in_s, in_t, body, sink)
 
 
@@ -358,16 +357,11 @@ class _UndirectedPassState:
         per chunk."""
         alive = self._alive_arr
 
-        def body(u, v, w, src, dst, weight, keep):
+        def body(u, v, w, src, dst, weight, emit):
             bad = first_bad_edge(u, v, self.n)
             if bad:
                 return bad, weight
-            if src is not None:
-                live = src[u] & dst[v]
-                if keep is not None:
-                    keep[:] = live
-                if not live.all():  # a whole surviving chunk is not copied
-                    u, v, w = u[live], v[live], w[live]
+            u, v, w = compress_survivors(u, v, w, src, dst, emit)
             if reduce is not None:
                 merge(reduce(u, v, w))
             return int(u.size), weight + float(w.sum())

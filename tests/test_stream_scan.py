@@ -19,17 +19,26 @@ uncompacted one in the last float bits.
 
 The C loop and its numpy fallback also give the same bits on each
 scan, and both raise :class:`~repro.errors.StreamError` for an id
-outside the node universe.
+outside the node universe.  Both write a compaction pass's survivors
+straight into the sink's buffer; the tests below also cover a memory
+sink that spills in the middle of a scan, the sink's abort on a bad id,
+and a short ``emit`` buffer refused before anything is written.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import StreamError
+from repro.errors import GraphError, StreamError
 from repro.kernels import native
 from repro.store import ShardedEdgeStore
+from repro.streaming import compaction
 from repro.streaming.compaction import CompactionPolicy
-from repro.streaming.engine import _StreamScanner, stream_densest_subgraph
+from repro.streaming.engine import (
+    _StreamScanner,
+    stream_densest_subgraph,
+    stream_densest_subgraph_atleast_k,
+    stream_densest_subgraph_directed,
+)
 from repro.streaming.stream import (
     ArrayEdgeStream,
     MemoryEdgeStream,
@@ -95,6 +104,34 @@ def test_memory_compaction_matches_uncompacted(store, epsilon):
 
 
 @on_both_tiers
+def test_memory_compaction_matches_uncompacted_atleast_k(store):
+    plain = ShardEdgeStream(store)
+    compacted = ShardEdgeStream(store)
+    a = stream_densest_subgraph_atleast_k(plain, 50, 0.1)
+    b = stream_densest_subgraph_atleast_k(
+        compacted, 50, 0.1, compaction=CompactionPolicy(threshold=1.0)
+    )
+    assert_identical(a, b)
+    assert compacted.accounting.bytes_scanned < plain.accounting.bytes_scanned
+
+
+@on_both_tiers
+def test_memory_compaction_matches_uncompacted_directed(directed_store):
+    plain = ShardEdgeStream(directed_store)
+    compacted = ShardEdgeStream(directed_store)
+    a = stream_densest_subgraph_directed(plain, 2.0, 0.1)
+    b = stream_densest_subgraph_directed(
+        compacted, 2.0, 0.1, compaction=CompactionPolicy(threshold=1.0)
+    )
+    assert (a.s_nodes, a.t_nodes) == (b.s_nodes, b.t_nodes)
+    assert a.density == b.density
+    assert a.passes == b.passes
+    assert a.best_pass == b.best_pass
+    assert a.trace == b.trace
+    assert compacted.accounting.bytes_scanned < plain.accounting.bytes_scanned
+
+
+@on_both_tiers
 @pytest.mark.parametrize("epsilon", EPSILONS)
 def test_store_matches_one_array_chunk(store, epsilon):
     arrays = ArrayEdgeStream(*store.edge_arrays(), num_nodes=N)
@@ -143,11 +180,21 @@ def _on_tier(monkeypatch, tier, fn):
 
 
 class _ListSink:
+    """Hands out a fresh triple per chunk and keeps what is committed."""
+
     def __init__(self):
         self.chunks = []
 
-    def append(self, u, v, w):
-        self.chunks.append((np.array(u), np.array(v), np.array(w)))
+    def reserve(self, size):
+        self._emit = (
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.float64),
+        )
+        return self._emit
+
+    def commit(self, kept):
+        self.chunks.append(tuple(a[:kept] for a in self._emit))
 
     def survivors(self):
         return tuple(np.concatenate(c) for c in zip(*self.chunks))
@@ -226,6 +273,107 @@ def test_sink_gets_exactly_the_survivors(store):
     np.testing.assert_array_equal(sw, w[live])
     assert scanner.last_kept == int(live.sum())
     assert weight == pytest.approx(float(w[live].sum()), rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# The memory sink's spill upgrade and its abort path
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def dyadic_store(tmp_path_factory):
+    """Quarter-integer weights, 64 shards of ~2.3k edges each (the
+    first rewrite keeps ~8.7k edges)."""
+    u, v, _ = _edges(seed=14)
+    w = np.random.default_rng(15).integers(1, 13, size=u.size) / 4.0
+    path = tmp_path_factory.mktemp("scan") / "dyadic"
+    return ShardedEdgeStore.write(
+        str(path), (u, v, w), directed=False, num_shards=64, num_nodes=N
+    )
+
+
+@on_both_tiers
+def test_memory_sink_spills_mid_scan(monkeypatch, tmp_path, dyadic_store):
+    chunk = max(dyadic_store.manifest.shard_edges)
+    upgrades = []
+    original = compaction._MemorySink._upgrade
+
+    def recording_upgrade(sink):
+        upgrades.append(sink.edges_written)
+        original(sink)
+
+    monkeypatch.setattr(compaction._MemorySink, "_upgrade", recording_upgrade)
+    spill_root = tmp_path / "spill"
+    spill_root.mkdir()
+    # Above one chunk, below the first rewrite's survivors: the sink
+    # fills its buffer for a few chunks, then replays it into a store.
+    memory_edges = 2 * chunk
+    policy = CompactionPolicy(
+        threshold=1.0, memory_edges=memory_edges, spill_dir=str(spill_root)
+    )
+    plain = stream_densest_subgraph(ShardEdgeStream(dyadic_store), 0.1)
+    compacted = stream_densest_subgraph(
+        ShardEdgeStream(dyadic_store), 0.1, compaction=policy
+    )
+    assert_identical(plain, compacted)
+    assert upgrades and all(chunk <= n <= memory_edges for n in upgrades)
+    assert list(spill_root.iterdir()) == []
+
+
+class _BadIdShardStream(ShardEdgeStream):
+    """Turns one id of chunk 3 into ``N + 5`` from pass 2 on — the
+    first pass that carries a compaction sink at threshold 1.0."""
+
+    def edge_array_chunks(self, alive=None, dst_alive=None):
+        chunks = super().edge_array_chunks(alive, dst_alive)
+        if self.accounting.passes_made < 2:
+            return chunks
+
+        def corrupted():
+            for i, (u, v, w) in enumerate(chunks):
+                if i == 3:
+                    v = np.array(v)
+                    v[-1] = N + 5
+                yield u, v, w
+
+        return corrupted()
+
+
+@on_both_tiers
+@pytest.mark.parametrize("memory_edges", [0, 10**6])
+def test_bad_id_aborts_the_sink(monkeypatch, tmp_path, store, memory_edges):
+    aborted = []
+    original = compaction._MemorySink.abort
+
+    def recording_abort(sink):
+        aborted.append(sink.spilled)
+        original(sink)
+
+    monkeypatch.setattr(compaction._MemorySink, "abort", recording_abort)
+    spill_root = tmp_path / "spill"
+    spill_root.mkdir()
+    policy = CompactionPolicy(
+        threshold=1.0, min_edges=0, memory_edges=memory_edges,
+        spill_dir=str(spill_root),
+    )
+    with pytest.raises(StreamError, match=rf"endpoint {N + 5} outside"):
+        stream_densest_subgraph(_BadIdShardStream(store), 0.1, compaction=policy)
+    assert aborted == [memory_edges == 0]
+    assert list(spill_root.iterdir()) == []
+
+
+@on_both_tiers
+@pytest.mark.parametrize("short", [0, 1, 2])
+def test_scan_edges_rejects_short_emit(short):
+    u = np.array([0, 1, 2], dtype=np.int64)
+    v = np.array([1, 2, 3], dtype=np.int64)
+    w = np.array([0.5, 1.5, 2.5])
+    emit = [np.full(3, -7, dtype=np.int64), np.full(3, -7, dtype=np.int64),
+            np.full(3, -7.0)]
+    emit[short] = emit[short][:2]
+    degrees = np.zeros(N)
+    with pytest.raises(GraphError, match="at least 3 entries"):
+        native.scan_edges(degrees, degrees, u, v, w, None, None, 0.0, tuple(emit))
+    assert not degrees.any()
+    assert all((a == -7).all() for a in emit)
 
 
 # ----------------------------------------------------------------------
