@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Type, runtime_checkable
 
-from ..errors import SolverError
+from ..errors import EmptyGraphError, SolverError
 from .context import ExecutionContext
 from .problems import MODE_GRAPH, MODE_SHARDS, MODE_STREAM, PROBLEM_KINDS, Problem
 from .solution import Solution
@@ -279,6 +279,8 @@ def solve(
     SolverError
         Unknown backend name, or a backend that cannot solve this
         problem kind / input mode.
+    EmptyGraphError
+        The input has no nodes, whichever backend was asked.
 
     Examples
     --------
@@ -322,4 +324,6 @@ def solve(
                 f"backend {solver.name!r} does not accept {problem.input_mode!r} "
                 f"input (it accepts: {', '.join(sorted(caps.input_modes))})"
             )
+    if problem.num_nodes == 0:
+        raise EmptyGraphError("the problem's input has no nodes")
     return solver.solve(problem, **options)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Hashable, List
 
 from ..errors import EmptyGraphError
-from ..exact.peeling import charikar_peeling
-from ..graph.cores import peeling_order
+from ..exact.peeling import charikar_order, charikar_peeling, suffix_weights
 from ..graph.undirected import UndirectedGraph
 from .result import DensestSubgraphResult
 from .trace import PassRecord
@@ -75,34 +74,23 @@ def greedy_densest_subgraph(
 
 
 def _greedy_trace(graph: UndirectedGraph) -> List[PassRecord]:
-    """Per-removal trace of the (unweighted) greedy peel."""
-    order = peeling_order(graph)
-    # Replay the removals, tracking degree/weight incrementally.
-    alive = {u: True for u in graph.nodes()}
-    weight = graph.total_weight
-    count = graph.num_nodes
-    records: List[PassRecord] = []
-    for step, node in enumerate(order, start=1):
-        weight_before = weight
-        count_before = count
-        density_before = weight / count if count else 0.0
-        removed_weight = sum(
-            graph.edge_weight(node, v) for v in graph.neighbors(node) if alive[v]
+    """Per-removal trace of the greedy peel, replaying the same order
+    and suffix weights :func:`charikar_peeling` picks its answer from,
+    so ``trace[best_pass - 1].density_after`` is the answer's density."""
+    order = charikar_order(graph)
+    weights = suffix_weights(graph, order)
+    n = len(order)
+    return [
+        PassRecord(
+            pass_index=step,
+            nodes_before=n - step + 1,
+            edges_before=weights[step - 1],
+            density_before=weights[step - 1] / (n - step + 1),
+            threshold=weights[step - 1] - weights[step],
+            removed=1,
+            nodes_after=n - step,
+            edges_after=weights[step],
+            density_after=weights[step] / (n - step) if step < n else 0.0,
         )
-        alive[node] = False
-        weight -= removed_weight
-        count -= 1
-        records.append(
-            PassRecord(
-                pass_index=step,
-                nodes_before=count_before,
-                edges_before=weight_before,
-                density_before=density_before,
-                threshold=removed_weight,
-                removed=1,
-                nodes_after=count,
-                edges_after=weight,
-                density_after=weight / count if count else 0.0,
-            )
-        )
-    return records
+        for step in range(1, n + 1)
+    ]

@@ -5,7 +5,11 @@ whose induced degree is at most 2(1+ε)·ρ(S); the best intermediate S is
 returned.  Lemma 3 shows the result is a (2+2ε)-approximation and
 Lemma 4 shows the loop makes O(log_{1+ε} n) passes.
 
-This module is the in-memory reference implementation; the streaming
+This module is the in-memory reference implementation.  Its one peel
+loop, :func:`_peel`, also runs Algorithm 2
+(:func:`repro.core.densest_subgraph_atleast_k`), which differs only in
+its removal rule (the lowest-degree batch of the threshold set) and its
+stop rule (|S| ≥ k).  The streaming
 engine (:mod:`repro.streaming.engine`) and MapReduce driver
 (:mod:`repro.mapreduce.densest`) recompute the same per-pass quantities
 under their respective execution models and are tested to match it
@@ -35,6 +39,7 @@ edge weights throughout, which is the generalization Lemma 6 relies on.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, List, Optional
 
 from .._tolerances import peel_cutoff
@@ -42,7 +47,7 @@ from .._validation import check_epsilon
 from ..errors import EmptyGraphError
 from ..graph.undirected import UndirectedGraph
 from ..kernels import resolve_engine
-from ._compact import CompactUndirected
+from ._compact import CompactUndirected, drop_killed
 from .result import DensestSubgraphResult
 from .trace import PassRecord
 
@@ -112,14 +117,38 @@ def densest_subgraph(
     if graph.num_nodes == 0:
         raise EmptyGraphError("graph has no nodes")
 
+    return _peel(graph, epsilon, engine, max_passes=max_passes)
+
+
+def _peel(
+    graph,
+    epsilon: float,
+    engine: str,
+    k: Optional[int] = None,
+    *,
+    stop_below_k: bool = True,
+    max_passes: Optional[int] = None,
+) -> DensestSubgraphResult:
+    """The undirected peel loop behind Algorithms 1 and 2.
+
+    With ``k`` None (Algorithm 1) each pass removes the whole threshold
+    set.  With an int ``k`` (Algorithm 2) it removes only the
+    ε/(1+ε)·|S| lowest-degree members of it, a set counts as the best
+    only while it has at least k nodes, and (with ``stop_below_k``)
+    peeling stops once |S| < k.  The vectorized tiers run their own
+    copy of this loop (:func:`repro.kernels.peel._peel` and the C
+    kernels); this one is the pure-Python reference.
+    """
     resolved = resolve_engine(engine, graph)
     if resolved != "python":
         from ..kernels import peel_functions
 
         csr = _as_csr(graph)
-        out = peel_functions(resolved).peel_undirected(
-            csr, epsilon, max_passes=max_passes
-        )
+        kernels = peel_functions(resolved)
+        if k is None:
+            out = kernels.peel_undirected(csr, epsilon, max_passes=max_passes)
+        else:
+            out = kernels.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
         return DensestSubgraphResult(
             nodes=frozenset(csr.to_labels(out.best_indices)),
             density=out.best_density,
@@ -131,6 +160,7 @@ def densest_subgraph(
 
     compact = CompactUndirected(_as_dict_graph(graph))
     n = compact.num_nodes
+    min_size = 1 if k is None else k
     alive = [True] * n
     alive_nodes = list(range(n))
     degrees = compact.initial_degrees()
@@ -146,9 +176,12 @@ def densest_subgraph(
     trace: List[PassRecord] = []
     pass_index = 0
     factor = 2.0 * (1.0 + epsilon)
+    batch_fraction = epsilon / (1.0 + epsilon)
 
     while remaining_nodes > 0:
         if max_passes is not None and pass_index >= max_passes:
+            break
+        if stop_below_k and remaining_nodes < min_size:
             break
         pass_index += 1
         density = remaining_weight / remaining_nodes
@@ -158,14 +191,17 @@ def densest_subgraph(
         # proportional to |S|, not the original node count.  An
         # edgeless S is removed whole (see peel_cutoff).
         cutoff = peel_cutoff(threshold, remaining_edges)
-        to_remove = []
-        survivors = []
-        for i in alive_nodes:
-            if degrees[i] <= cutoff:
-                to_remove.append(i)
-            else:
-                survivors.append(i)
-        alive_nodes = survivors
+        to_remove = [i for i in alive_nodes if degrees[i] <= cutoff]
+        if k is not None:
+            # Algorithm 2: A(S) ⊆ Ã(S) with |A(S)| = ε/(1+ε)·|S|, the
+            # lowest-degree candidates.  Rounding: at most
+            # floor(ε/(1+ε)·|S|) per Theorem 9's size argument, but at
+            # least 1 so the loop always progresses.
+            batch_size = max(1, math.floor(batch_fraction * remaining_nodes))
+            batch_size = min(batch_size, len(to_remove))
+            to_remove.sort(key=lambda i: degrees[i])
+            del to_remove[batch_size:]
+        alive_nodes = drop_killed(alive_nodes, to_remove)
         nodes_before = remaining_nodes
         weight_before = remaining_weight
         # S ← S \ A(S): kill nodes one at a time.  When the first endpoint
@@ -177,11 +213,11 @@ def densest_subgraph(
             remaining_nodes -= 1
             nbrs = compact.neighbors[i]
             wts = compact.weights[i]
-            for k in range(len(nbrs)):
-                j = nbrs[k]
+            for idx in range(len(nbrs)):
+                j = nbrs[idx]
                 if alive[j]:
-                    degrees[j] -= wts[k]
-                    remaining_weight -= wts[k]
+                    degrees[j] -= wts[idx]
+                    remaining_weight -= wts[idx]
                     remaining_edges -= 1
         if remaining_edges == 0:
             remaining_weight = 0.0
@@ -202,8 +238,9 @@ def densest_subgraph(
                 density_after=density_after,
             )
         )
-        # if ρ(S) > ρ(S̃): S̃ ← S (paper lines 5-6).
-        if density_after > best_density:
+        # if |S| ≥ k and ρ(S) > ρ(S̃): S̃ ← S (paper lines 5-6 of
+        # Algorithm 1, 6-7 of Algorithm 2).
+        if remaining_nodes >= min_size and density_after > best_density:
             best_density = density_after
             best_nodes = list(alive_nodes)
             best_pass = pass_index

@@ -22,9 +22,8 @@ from typing import Hashable, Set, Tuple
 
 from .._validation import check_positive_int
 from ..errors import ParameterError
-from ..graph.cores import peeling_order
 from ..graph.undirected import UndirectedGraph
-from .peeling import _weighted_peeling_order
+from .peeling import charikar_order, suffix_weights
 
 Node = Hashable
 
@@ -49,25 +48,14 @@ def greedy_suffix_atleast_k(
             f"k={k} exceeds the graph's {graph.num_nodes} nodes; no feasible set"
         )
     graph.require_nonempty()
-    if graph.is_weighted():
-        order = _weighted_peeling_order(graph)
-    else:
-        order = peeling_order(graph)
+    order = charikar_order(graph)
+    weights = suffix_weights(graph, order)
 
     best_density = -1.0
     best_start = 0
-    weight_inside = 0.0
-    present: Set[Node] = set()
     n = len(order)
-    for i in range(n - 1, -1, -1):
-        node = order[i]
-        for nbr in graph.neighbors(node):
-            if nbr in present:
-                weight_inside += graph.edge_weight(node, nbr)
-        present.add(node)
-        if len(present) < k:
-            continue
-        density = weight_inside / len(present)
+    for i in range(n - k, -1, -1):
+        density = weights[i] / (n - i)
         if density > best_density:
             best_density = density
             best_start = i

@@ -40,11 +40,37 @@ def charikar_peeling(graph: UndirectedGraph) -> Tuple[Set[Node], float]:
     ([0, 1, 2, 3], 1.5)
     """
     graph.require_nonempty()
+    return _best_suffix(graph, charikar_order(graph))
+
+
+def charikar_order(graph: UndirectedGraph) -> List[Node]:
+    """The greedy removal order :func:`charikar_peeling` takes its
+    suffixes from: min weighted degree on weighted graphs, the
+    Matula–Beck bucket order on unweighted ones."""
     if graph.is_weighted():
-        order = _weighted_peeling_order(graph)
-    else:
-        order = peeling_order(graph)
-    return _best_suffix(graph, order)
+        return _weighted_peeling_order(graph)
+    return peeling_order(graph)
+
+
+def suffix_weights(graph: UndirectedGraph, order: List[Node]) -> List[float]:
+    """``weights[i]`` is the edge weight inside ``order[i:]`` (so
+    ``weights[len(order)]`` is 0.0), summed back to front in O(n + m).
+
+    Every consumer of a greedy order reads its suffix weights from
+    here, so a trace of the order and the answer picked from it agree
+    to the last bit.
+    """
+    weights = [0.0] * (len(order) + 1)
+    present: Set[Node] = set()
+    for i in range(len(order) - 1, -1, -1):
+        node = order[i]
+        weight_inside = weights[i + 1]
+        for nbr in graph.neighbors(node):
+            if nbr in present:
+                weight_inside += graph.edge_weight(node, nbr)
+        present.add(node)
+        weights[i] = weight_inside
+    return weights
 
 
 def _weighted_peeling_order(graph: UndirectedGraph) -> List[Node]:
@@ -75,17 +101,12 @@ def _weighted_peeling_order(graph: UndirectedGraph) -> List[Node]:
 
 def _best_suffix(graph: UndirectedGraph, order: List[Node]) -> Tuple[Set[Node], float]:
     """Densest suffix of a removal order, computed back-to-front in O(n + m)."""
+    weights = suffix_weights(graph, order)
+    n = len(order)
     best_density = 0.0
-    best_start = len(order)
-    weight_inside = 0.0
-    present: Set[Node] = set()
-    for i in range(len(order) - 1, -1, -1):
-        node = order[i]
-        for nbr in graph.neighbors(node):
-            if nbr in present:
-                weight_inside += graph.edge_weight(node, nbr)
-        present.add(node)
-        density = weight_inside / len(present)
+    best_start = n
+    for i in range(n - 1, -1, -1):
+        density = weights[i] / (n - i)
         if density > best_density:
             best_density = density
             best_start = i

@@ -10,7 +10,9 @@ whole peel).  Node sets, pass counts and traces match the numpy
 kernels.  When the library cannot be built or loaded — and for empty
 graphs — the wrappers fall back to :mod:`repro.kernels.peel`
 transparently; ``available_backend()`` reports what a call would
-actually use.
+actually use.  The two undirected wrappers share one helper,
+:func:`_peel_c`, which owns the per-thread scratch, the trace-buffer
+retry and the trace decode for both C kernels.
 
 The same library backs three stable O(m) sorts, each with a wrapper
 here: :func:`stable_argsort` (the MapReduce shuffle partition and
@@ -205,24 +207,53 @@ def _graph_ptrs(csr) -> Tuple[int, ...]:
     return cached[1]
 
 
-def _decode_undirected_trace(trace: np.ndarray, passes: int) -> Tuple[PassRecord, ...]:
+def _peel_c(csr: CSRGraph, kernel, *params) -> PeelOutcome:
+    """Run an undirected C peel and decode its outcome.
+
+    ``kernel`` is ``repro_peel_undirected`` or ``repro_peel_atleast_k``
+    and ``params`` its arguments between the graph's ``n, total_weight``
+    and the bucket count.  The per-thread scratch is reset before each
+    call, and the call is retried with a larger trace buffer until the
+    trace fits.
+    """
+    n = csr.num_nodes
+    csr_ptrs = _graph_ptrs(csr)
+    cap = min(n, 4096) + 1
+    while True:
+        deg, alive, best_alive, *_, trace, scratch_ptrs = _undirected_scratch(n, cap)
+        np.copyto(deg, csr.degrees)
+        alive.fill(1)
+        best_alive.fill(1)
+        status, best_density, best_pass, passes = _run(
+            kernel, *csr_ptrs, n, csr.total_weight, *params, NUM_BUCKETS,
+            *scratch_ptrs, trace.shape[0],
+        )
+        if status == 0:
+            break
+        cap = min(max(cap * 4, cap + 1), n + 1)
     # One bulk tolist() instead of per-cell numpy scalar reads: deep
     # peels record dozens of passes and the scalar path dominates the
     # decode cost.
-    rows = trace[:passes].tolist()
-    return tuple(
-        PassRecord(
-            pass_index=i + 1,
-            nodes_before=int(t[0]),
-            edges_before=t[1],
-            density_before=t[2],
-            threshold=t[3],
-            removed=int(t[4]),
-            nodes_after=int(t[5]),
-            edges_after=t[6],
-            density_after=t[7],
-        )
-        for i, t in enumerate(rows)
+    rows = trace[: int(passes)].tolist()
+    return PeelOutcome(
+        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
+        best_density=float(best_density),
+        passes=int(passes),
+        best_pass=int(best_pass),
+        trace=tuple(
+            PassRecord(
+                pass_index=i + 1,
+                nodes_before=int(t[0]),
+                edges_before=t[1],
+                density_before=t[2],
+                threshold=t[3],
+                removed=int(t[4]),
+                nodes_after=int(t[5]),
+                edges_after=t[6],
+                density_after=t[7],
+            )
+            for i, t in enumerate(rows)
+        ),
     )
 
 
@@ -234,32 +265,11 @@ def peel_undirected(
 ) -> PeelOutcome:
     """Algorithm 1 via the C kernels (numpy fallback)."""
     lib = get_backend()
-    n = csr.num_nodes
-    if lib is None or n == 0:
+    if lib is None or csr.num_nodes == 0:
         return peel.peel_undirected(csr, epsilon, max_passes=max_passes)
-    factor = 2.0 * (1.0 + epsilon)
-    mp = -1 if max_passes is None else int(max_passes)
-    csr_ptrs = _graph_ptrs(csr)
-    cap = min(n, 4096) + 1
-    while True:
-        deg, alive, best_alive, *_, trace, scratch_ptrs = _undirected_scratch(n, cap)
-        np.copyto(deg, csr.degrees)
-        alive.fill(1)
-        best_alive.fill(1)
-        status, best_density, best_pass, passes = _run(
-            lib.repro_peel_undirected,
-            *csr_ptrs, n, csr.total_weight, factor, THRESHOLD_EPS, mp,
-            NUM_BUCKETS, *scratch_ptrs, trace.shape[0],
-        )
-        if status == 0:
-            break
-        cap = min(max(cap * 4, cap + 1), n + 1)
-    return PeelOutcome(
-        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
-        best_density=float(best_density),
-        passes=int(passes),
-        best_pass=int(best_pass),
-        trace=_decode_undirected_trace(trace, int(passes)),
+    return _peel_c(
+        csr, lib.repro_peel_undirected, 2.0 * (1.0 + epsilon), THRESHOLD_EPS,
+        -1 if max_passes is None else int(max_passes),
     )
 
 
@@ -272,33 +282,12 @@ def peel_atleast_k(
 ) -> PeelOutcome:
     """Algorithm 2 via the C kernels (numpy fallback)."""
     lib = get_backend()
-    n = csr.num_nodes
-    if lib is None or n == 0:
+    if lib is None or csr.num_nodes == 0:
         return peel.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
-    factor = 2.0 * (1.0 + epsilon)
-    batch_fraction = epsilon / (1.0 + epsilon)
-    csr_ptrs = _graph_ptrs(csr)
-    cap = min(n, 4096) + 1
-    while True:
-        deg, alive, best_alive, *_, trace, scratch_ptrs = _undirected_scratch(n, cap)
-        np.copyto(deg, csr.degrees)
-        alive.fill(1)
-        best_alive.fill(1)
-        status, best_density, best_pass, passes = _run(
-            lib.repro_peel_atleast_k,
-            *csr_ptrs, n, csr.total_weight, factor, batch_fraction,
-            THRESHOLD_EPS, int(k), 1 if stop_below_k else 0, NUM_BUCKETS,
-            *scratch_ptrs, trace.shape[0],
-        )
-        if status == 0:
-            break
-        cap = min(max(cap * 4, cap + 1), n + 1)
-    return PeelOutcome(
-        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
-        best_density=float(best_density),
-        passes=int(passes),
-        best_pass=int(best_pass),
-        trace=_decode_undirected_trace(trace, int(passes)),
+    return _peel_c(
+        csr, lib.repro_peel_atleast_k, 2.0 * (1.0 + epsilon),
+        epsilon / (1.0 + epsilon), THRESHOLD_EPS, int(k),
+        1 if stop_below_k else 0,
     )
 
 

@@ -9,6 +9,12 @@ masks and ``np.bincount`` degree updates instead of Python inner
 loops.  The parity suite (``tests/test_kernels_parity.py``) asserts
 the two engines return identical node sets and matching traces.
 
+Algorithms 1 and 2 share one loop, :func:`_peel`: Algorithm 2 is
+Algorithm 1 with its removal cut to :func:`lowest_batch` of the
+threshold set and its stop rule |S| ≥ k.  :func:`lowest_batch` is the
+one array spelling of that batch rule; the streaming, MapReduce and
+sketch engines call it too.
+
 The removal step is where the vectorization pays off.  The Python loop
 kills nodes one at a time and subtracts each incident edge exactly
 once (when its first endpoint dies).  Here the whole frontier is
@@ -96,14 +102,46 @@ def _remove_frontier_undirected(
     return removed_weight, int(nbr.size) - num_internal // 2
 
 
-def peel_undirected(
+def batch_size(epsilon: float, size: int) -> int:
+    """Algorithm 2's removal quota: ⌊ε/(1+ε)·|S|⌋ for ``size`` = |S|,
+    but at least one node so every pass makes progress."""
+    return max(1, math.floor(epsilon / (1.0 + epsilon) * size))
+
+
+def lowest_batch(
+    candidates: np.ndarray, keys: np.ndarray, epsilon: float, size: int
+) -> np.ndarray:
+    """Algorithm 2's removal batch: the min(|candidates|,
+    :func:`batch_size`) ``candidates`` with the lowest ``keys``
+    (``keys[i]`` belongs to ``candidates[i]``), lowest first.
+
+    The sort is stable, so equal keys keep candidate order — ascending
+    index, the reference loop's tie-break.  Every engine that spells
+    Algorithm 2 on arrays (these kernels, the streaming and MapReduce
+    drivers, and the sketch engine's low-estimate fallback) calls this.
+    """
+    count = min(candidates.size, batch_size(epsilon, size))
+    return candidates[np.argsort(keys, kind="stable")[:count]]
+
+
+def _peel(
     csr: CSRGraph,
     epsilon: float,
+    k: Optional[int] = None,
     *,
+    stop_below_k: bool = True,
     max_passes: Optional[int] = None,
 ) -> PeelOutcome:
-    """Algorithm 1 (undirected peel), vectorized."""
+    """The undirected peel loop behind Algorithms 1 and 2, vectorized.
+
+    With ``k`` None (Algorithm 1) each pass removes the whole threshold
+    set.  With an int ``k`` (Algorithm 2) it removes only the
+    :func:`lowest_batch` of it, a set counts as the best only while it
+    has at least k nodes, and (with ``stop_below_k``) peeling stops once
+    |S| < k.
+    """
     n = csr.num_nodes
+    min_size = 1 if k is None else k
     alive = np.ones(n, dtype=bool)
     degrees = csr.degrees.astype(np.float64, copy=True)
     remaining_nodes = n
@@ -125,6 +163,8 @@ def peel_undirected(
     while remaining_nodes > 0:
         if max_passes is not None and pass_index >= max_passes:
             break
+        if stop_below_k and remaining_nodes < min_size:
+            break
         pass_index += 1
         density = remaining_weight / remaining_nodes
         threshold = factor * density
@@ -133,6 +173,12 @@ def peel_undirected(
         )
         remove_mask &= alive
         removed = np.flatnonzero(remove_mask)
+        if k is not None:
+            # Only the lowest batch leaves; the mask keeps just it.
+            batch = lowest_batch(removed, degrees[removed], epsilon, remaining_nodes)
+            remove_mask[removed] = False
+            remove_mask[batch] = True
+            removed = batch
         nodes_before = remaining_nodes
         weight_before = remaining_weight
         if removed.size:
@@ -160,7 +206,7 @@ def peel_undirected(
                 density_after=density_after,
             )
         )
-        if density_after > best_density:
+        if remaining_nodes >= min_size and density_after > best_density:
             best_density = density_after
             best_indices = np.flatnonzero(alive)
             best_pass = pass_index
@@ -172,6 +218,16 @@ def peel_undirected(
         best_pass=best_pass,
         trace=tuple(trace),
     )
+
+
+def peel_undirected(
+    csr: CSRGraph,
+    epsilon: float,
+    *,
+    max_passes: Optional[int] = None,
+) -> PeelOutcome:
+    """Algorithm 1 (undirected peel), vectorized."""
+    return _peel(csr, epsilon, max_passes=max_passes)
 
 
 def peel_atleast_k(
@@ -187,84 +243,7 @@ def peel_atleast_k(
     set are removed; ties break by index, matching the reference's
     stable sort.
     """
-    n = csr.num_nodes
-    alive = np.ones(n, dtype=bool)
-    degrees = csr.degrees.astype(np.float64, copy=True)
-    remaining_nodes = n
-    remaining_weight = csr.total_weight
-    remaining_edges = csr.num_edges
-
-    best_indices = np.arange(n, dtype=np.int64)
-    best_density = remaining_weight / remaining_nodes
-    best_pass = 0
-
-    trace: List[PassRecord] = []
-    pass_index = 0
-    factor = 2.0 * (1.0 + epsilon)
-    batch_fraction = epsilon / (1.0 + epsilon)
-    # Reusable scratch: the candidate mask is overwritten per pass; the
-    # removal mask stays all-False between passes and only the batch's
-    # entries are set and reset, so no per-pass O(n) zeroing either.
-    candidate_mask = np.empty(n, dtype=bool)
-    remove_mask = np.zeros(n, dtype=bool)
-
-    while remaining_nodes > 0:
-        if stop_below_k and remaining_nodes < k:
-            break
-        pass_index += 1
-        density = remaining_weight / remaining_nodes
-        threshold = factor * density
-        np.less_equal(
-            degrees, peel_cutoff(threshold, remaining_edges), out=candidate_mask
-        )
-        candidate_mask &= alive
-        candidates = np.flatnonzero(candidate_mask)
-        batch_size = max(1, math.floor(batch_fraction * remaining_nodes))
-        batch_size = min(batch_size, int(candidates.size))
-        order = np.argsort(degrees[candidates], kind="stable")
-        removed = candidates[order[:batch_size]]
-
-        nodes_before = remaining_nodes
-        weight_before = remaining_weight
-        if removed.size:
-            remove_mask[removed] = True
-            weight, edges = _remove_frontier_undirected(
-                csr, removed, remove_mask, alive, degrees
-            )
-            remove_mask[removed] = False
-            remaining_weight -= weight
-            remaining_edges -= edges
-            if remaining_edges == 0:
-                remaining_weight = 0.0
-            remaining_nodes -= int(removed.size)
-        density_after = (
-            remaining_weight / remaining_nodes if remaining_nodes > 0 else 0.0
-        )
-        trace.append(
-            PassRecord(
-                pass_index=pass_index,
-                nodes_before=nodes_before,
-                edges_before=weight_before,
-                density_before=density,
-                threshold=threshold,
-                removed=int(removed.size),
-                nodes_after=remaining_nodes,
-                edges_after=remaining_weight,
-                density_after=density_after,
-            )
-        )
-        if remaining_nodes >= k and density_after > best_density:
-            best_density = density_after
-            best_indices = np.flatnonzero(alive)
-            best_pass = pass_index
-
-    return PeelOutcome(
-        best_indices=best_indices,
-        best_density=best_density,
-        passes=pass_index,
-        best_pass=best_pass,
-        trace=tuple(trace),
-    )
+    return _peel(csr, epsilon, k, stop_below_k=stop_below_k)
 
 
 def _max_degree_rule_arrays(

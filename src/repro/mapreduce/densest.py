@@ -28,6 +28,10 @@ snapshot's index), exactly as the CSR layer factorizes labels.  Either
 way the driver maps results back through ``labels[i]``, so callers see
 their own labels.
 
+Algorithms 1 and 2 run one driver loop, :func:`_peel_undirected`: a
+pass removes the whole threshold set, or (Algorithm 2) only its
+:func:`~repro.kernels.peel.lowest_batch`, stopping once |S| < k.
+
 The driver keeps O(n) state as dense arrays (alive bitmap, degrees
 scattered from the degree job's output batch) and makes the same
 threshold decisions as :func:`repro.core.densest_subgraph` /
@@ -48,12 +52,13 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .._tolerances import THRESHOLD_EPS
-from .._validation import check_epsilon, check_positive_float
+from .._validation import check_epsilon, check_positive_float, check_positive_int
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import MapReduceError
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
+from ..kernels.peel import lowest_batch
 from .columnar import ColumnarKV
 from .cost import CostModel
 from .job import JobCounters, MapReduceJob
@@ -319,27 +324,27 @@ class MapReduceRunReport:
 
 
 # ----------------------------------------------------------------------
-# Undirected driver (Algorithm 1 in MapReduce)
+# Undirected drivers (Algorithms 1 and 2 in MapReduce)
 # ----------------------------------------------------------------------
-def mr_densest_subgraph(
-    graph: UndirectedGraph,
-    epsilon: float = 0.5,
-    *,
-    runtime: Optional[MapReduceRuntime] = None,
+def _peel_undirected(
+    graph, epsilon: float, runtime: Optional[MapReduceRuntime], k: Optional[int] = None
 ) -> MapReduceRunReport:
-    """Algorithm 1 as a chain of MapReduce rounds (§5.2).
+    """The one undirected peel loop behind Algorithms 1 and 2.
 
     Per pass: one degree round, then the two-round removal filter.
-    Returns the same node set, density, and per-pass trace as
-    :func:`repro.core.densest_subgraph`.  ``graph`` may be a dict graph
-    or a :class:`~repro.kernels.CSRGraph` snapshot with any hashable
-    labels (see the module docstring on keys).
+    With ``k`` None (Algorithm 1) each pass removes the whole threshold
+    set.  With an int ``k`` (Algorithm 2) it removes only the
+    :func:`~repro.kernels.peel.lowest_batch` of it (ties broken by
+    ``graph.nodes()`` order), a set counts as the best only while it
+    has at least k nodes, and peeling stops once |S| < k.
     """
-    epsilon = check_epsilon(epsilon)
     if runtime is None:
         runtime = MapReduceRuntime()
     labels, keys, order, sorted_keys, edges = _columnar_state(graph)
     n = len(labels)
+    min_size = 1 if k is None else k
+    if min_size > n:
+        raise MapReduceError(f"k={k} exceeds the graph's {n} nodes")
     alive = np.ones(n, dtype=bool)
     remaining = n
 
@@ -352,17 +357,18 @@ def mr_densest_subgraph(
     rounds_per_pass: List[List[JobCounters]] = []
     pass_index = 0
 
-    while remaining > 0:
-        pass_index += 1
-        pass_rounds: List[JobCounters] = []
-
-        # Round 1: degrees (and, via their sum, the surviving weight).
+    def degree_round():
+        """Degrees (and, via their sum, the surviving weight)."""
         degree_out, counters = runtime.run(DEGREE_JOB, edges)
-        pass_rounds.append(counters)
         degrees = _scatter_by_key(
             order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
         )
-        weight = float(degrees.sum()) / 2.0
+        return degrees, float(degrees.sum()) / 2.0, counters
+
+    while remaining >= min_size:
+        pass_index += 1
+        degrees, weight, counters = degree_round()
+        pass_rounds: List[JobCounters] = [counters]
         density = weight / remaining
 
         if pending is not None:
@@ -377,8 +383,9 @@ def mr_densest_subgraph(
             best_density = density
 
         threshold = factor * density
-        remove_mask = alive & (degrees <= threshold + THRESHOLD_EPS)
-        removed = int(remove_mask.sum())
+        removed = np.flatnonzero(alive & (degrees <= threshold + THRESHOLD_EPS))
+        if k is not None:
+            removed = lowest_batch(removed, degrees[removed], epsilon, remaining)
 
         pending = {
             "pass_index": pass_index,
@@ -386,17 +393,17 @@ def mr_densest_subgraph(
             "edges_before": weight,
             "density_before": density,
             "threshold": threshold,
-            "removed": removed,
-            "nodes_after": remaining - removed,
+            "removed": int(removed.size),
+            "nodes_after": remaining - int(removed.size),
         }
-        alive &= ~remove_mask
-        remaining -= removed
+        alive[removed] = False
+        remaining -= int(removed.size)
 
         # Rounds 2-3: drop edges incident to removed nodes.  The first
         # round filters on the first endpoint and re-keys on the
         # second, the second round filters on the (new) first key and
         # re-keys back.
-        marked = keys[remove_mask]
+        marked = keys[removed]
         half_filtered, counters = runtime.run(
             REMOVAL_JOB, _with_markers(edges, marked)
         )
@@ -407,12 +414,22 @@ def mr_densest_subgraph(
         pass_rounds.append(counters)
         rounds_per_pass.append(pass_rounds)
 
-    if pending is not None:
-        trace.append(PassRecord(edges_after=0.0, density_after=0.0, **pending))
+    # The loop ran at least once (n ≥ k), so the last pass is pending.
+    if remaining == 0:
+        edges_after, density_after = 0.0, 0.0
+    else:
+        # |S| fell below k; value the final state with one more degree
+        # round so the trace is complete (a set below k cannot win).
+        _, edges_after, counters = degree_round()
+        rounds_per_pass[-1].append(counters)
+        density_after = edges_after / remaining
+    trace.append(
+        PassRecord(edges_after=edges_after, density_after=density_after, **pending)
+    )
 
     result = DensestSubgraphResult(
         nodes=frozenset(labels[i] for i in np.flatnonzero(best_mask)),
-        density=best_density if best_density is not None else 0.0,
+        density=best_density,
         passes=pass_index,
         epsilon=epsilon,
         best_pass=best_pass,
@@ -421,9 +438,23 @@ def mr_densest_subgraph(
     return MapReduceRunReport(result=result, rounds_per_pass=rounds_per_pass)
 
 
-# ----------------------------------------------------------------------
-# Size-constrained driver (Algorithm 2 in MapReduce)
-# ----------------------------------------------------------------------
+def mr_densest_subgraph(
+    graph: UndirectedGraph,
+    epsilon: float = 0.5,
+    *,
+    runtime: Optional[MapReduceRuntime] = None,
+) -> MapReduceRunReport:
+    """Algorithm 1 as a chain of MapReduce rounds (§5.2).
+
+    Per pass: one degree round, then the two-round removal filter.
+    Returns the same node set, density, and per-pass trace as
+    :func:`repro.core.densest_subgraph`.  ``graph`` may be a dict graph
+    or a :class:`~repro.kernels.CSRGraph` snapshot with any hashable
+    labels (see the module docstring on keys).
+    """
+    return _peel_undirected(graph, check_epsilon(epsilon), runtime)
+
+
 def mr_densest_subgraph_atleast_k(
     graph: UndirectedGraph,
     k: int,
@@ -439,119 +470,9 @@ def mr_densest_subgraph_atleast_k(
     threshold set (ties broken by ``graph.nodes()`` order) and stops
     once |S| < k, matching :func:`repro.core.densest_subgraph_atleast_k`.
     """
-    from .._validation import check_positive_int
-
     epsilon = check_epsilon(epsilon)
     check_positive_int(k, "k")
-    if runtime is None:
-        runtime = MapReduceRuntime()
-    labels, keys, order, sorted_keys, edges = _columnar_state(graph)
-    n = len(labels)
-    if k > n:
-        raise MapReduceError(f"k={k} exceeds the graph's {n} nodes")
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-
-    best_mask = alive.copy()
-    best_density: Optional[float] = None
-    best_pass = 0
-    factor = 2.0 * (1.0 + epsilon)
-    batch_fraction = epsilon / (1.0 + epsilon)
-    pending: Optional[dict] = None
-    trace: List[PassRecord] = []
-    rounds_per_pass: List[List[JobCounters]] = []
-    pass_index = 0
-
-    def _scatter_degrees(degree_out) -> np.ndarray:
-        return _scatter_by_key(
-            order, sorted_keys, n, degree_out.keys, degree_out.columns["w"]
-        )
-
-    while remaining >= k and remaining > 0:
-        pass_index += 1
-        pass_rounds: List[JobCounters] = []
-        degree_out, counters = runtime.run(DEGREE_JOB, edges)
-        pass_rounds.append(counters)
-        degrees = _scatter_degrees(degree_out)
-        weight = float(degrees.sum()) / 2.0
-        density = weight / remaining
-
-        if pending is not None:
-            trace.append(
-                PassRecord(edges_after=weight, density_after=density, **pending)
-            )
-            if density > best_density:  # type: ignore[operator]
-                best_density = density
-                best_mask = alive.copy()
-                best_pass = pending["pass_index"]
-        if best_density is None:
-            best_density = density
-
-        threshold = factor * density
-        candidate_idx = np.flatnonzero(
-            alive & (degrees <= threshold + THRESHOLD_EPS)
-        )
-        batch_size = min(
-            candidate_idx.size, max(1, math.floor(batch_fraction * remaining))
-        )
-        # Stable sort by degree breaks ties in graph.nodes() order, the
-        # core peel's tie-break.
-        by_degree = np.argsort(degrees[candidate_idx], kind="stable")
-        remove_idx = candidate_idx[by_degree[:batch_size]]
-
-        pending = {
-            "pass_index": pass_index,
-            "nodes_before": remaining,
-            "edges_before": weight,
-            "density_before": density,
-            "threshold": threshold,
-            "removed": int(remove_idx.size),
-            "nodes_after": remaining - int(remove_idx.size),
-        }
-        alive[remove_idx] = False
-        remaining -= int(remove_idx.size)
-
-        marked = keys[remove_idx]
-        half_filtered, counters = runtime.run(
-            REMOVAL_JOB, _with_markers(edges, marked)
-        )
-        pass_rounds.append(counters)
-        edges, counters = runtime.run(
-            REMOVAL_JOB, _with_markers(half_filtered, marked)
-        )
-        pass_rounds.append(counters)
-        rounds_per_pass.append(pass_rounds)
-
-    if pending is not None:
-        if remaining == 0:
-            edges_after, density_after = 0.0, 0.0
-        else:
-            # |S| fell below k; value the final state with one more
-            # degree round so the trace is complete (cannot win).
-            degree_out, counters = runtime.run(DEGREE_JOB, edges)
-            if rounds_per_pass:
-                rounds_per_pass[-1].append(counters)
-            edges_after = float(_scatter_degrees(degree_out).sum()) / 2.0
-            density_after = edges_after / remaining
-            if remaining >= k and density_after > (best_density or 0.0):
-                best_density = density_after
-                best_mask = alive.copy()
-                best_pass = pending["pass_index"]
-        trace.append(
-            PassRecord(
-                edges_after=edges_after, density_after=density_after, **pending
-            )
-        )
-
-    result = DensestSubgraphResult(
-        nodes=frozenset(labels[i] for i in np.flatnonzero(best_mask)),
-        density=best_density if best_density is not None else 0.0,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
-    )
-    return MapReduceRunReport(result=result, rounds_per_pass=rounds_per_pass)
+    return _peel_undirected(graph, epsilon, runtime, k)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,14 @@ happens — the same values, one pass later, as the in-memory reference
 in :mod:`repro.core`.  The test suite asserts the engines return
 identical sets and traces to the reference implementations.
 
+The undirected engines share one pass loop, :func:`_peel_undirected`.
+Algorithm 1 removes each pass's whole threshold set; Algorithm 2
+removes its :func:`~repro.kernels.peel.lowest_batch` and stops once
+|S| < k; the sketch engine (:mod:`repro.streaming.sketch_engine`)
+passes its own per-pass measurement (a fresh Count-Sketch) and
+removal rule.  The density, threshold, trace, best-set and checkpoint
+bookkeeping exist once.
+
 Every engine — the three here and the sketch engine — scans through
 one loop, :meth:`_StreamScanner.scan`: edges are pulled in bounded
 chunks (so the between-pass state stays O(n) + O(chunk)), endpoint
@@ -64,6 +72,7 @@ from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
 from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
 from ..kernels.native import compress_survivors, first_bad_edge, scan_edges
+from ..kernels.peel import lowest_batch
 from .memory import MemoryAccountant
 from .stream import EdgeStream
 
@@ -377,21 +386,25 @@ class _UndirectedPassState:
         )
         return result
 
-    def threshold_candidates(self, degrees, cutoff: float) -> List[int]:
+    def threshold_candidates(self, degrees, cutoff: float) -> "_np.ndarray":
         """Alive indices with degree <= cutoff, ascending."""
-        return _np.flatnonzero(self._alive_arr & (degrees <= cutoff)).tolist()
+        return _np.flatnonzero(self._alive_arr & (degrees <= cutoff))
 
-    def kill(self, to_remove: List[int]) -> None:
-        """Remove nodes from the alive set."""
-        if to_remove:
+    def kill(self, to_remove: "_np.ndarray") -> None:
+        """Remove nodes (an index array) from the alive set."""
+        if len(to_remove):
             self._alive_arr[to_remove] = False
         self.remaining -= len(to_remove)
         if self._compactor is not None:
             self._compactor.note_nodes(self.remaining)
 
-    def alive_indices(self) -> List[int]:
+    def alive_array(self) -> "_np.ndarray":
         """Indices of currently alive nodes, ascending."""
-        return _np.flatnonzero(self._alive_arr).tolist()
+        return _np.flatnonzero(self._alive_arr)
+
+    def alive_indices(self) -> List[int]:
+        """:meth:`alive_array` as a list (the best-set snapshot)."""
+        return self.alive_array().tolist()
 
     def restore(self, alive: "_np.ndarray", remaining: int) -> None:
         """Adopt a checkpoint's alive mask.
@@ -413,44 +426,153 @@ class _UndirectedPassState:
             self._compactor.close()
 
 
-def _load_engine_checkpoint(config, kind, params, state, stream):
-    """Resume helper shared by the undirected engines.
+def _peel_undirected(
+    state: _UndirectedPassState,
+    epsilon: float,
+    measure,
+    *,
+    k: int = 1,
+    select=None,
+    max_passes: Optional[int] = None,
+    control=None,
+    checkpoint=None,
+    kind: Optional[str] = None,
+    params: Optional[dict] = None,
+) -> DensestSubgraphResult:
+    """The one undirected peel loop of the semi-streaming engines.
 
-    Returns the loaded state dict (already applied to ``state`` and the
-    stream accounting) or ``None`` when no checkpoint exists.
+    ``measure(pass_index)`` makes the pass's counted scan and returns
+    ``(degrees, weight)``: a length-n array of (exact or estimated)
+    degrees of the alive nodes and the exact surviving weight.
+    ``measure(None)`` values the final set after a truncated run (one
+    counted pass, no rewrite, degrees unused).  Each pass's threshold
+    set (alive nodes with degree ≤ 2(1+ε)·ρ(S), ascending) is removed
+    whole, or ``select(degrees, candidates, remaining)`` picks the
+    removal from it.  Peeling runs while |S| ≥ ``k`` and, with
+    ``max_passes``, for at most that many passes; a set counts as the
+    best only while it has at least ``k`` nodes.  ``checkpoint`` saves
+    and resumes under ``kind``/``params``; ``state`` is closed on exit.
     """
-    from .checkpoint import load_peel_checkpoint, restore_accounting
-
-    loaded = load_peel_checkpoint(config, kind=kind, params=params, n=state.n)
-    if loaded is None:
-        return None
-    state.restore(loaded["alive"], loaded["remaining"])
-    restore_accounting(stream.accounting, loaded["accounting"])
-    return loaded
-
-
-def _save_engine_checkpoint(
-    config, kind, params, state, stream,
-    pass_index, best_set, best_density, best_pass, pending, trace,
-):
-    """Persist one undirected peel's between-pass state."""
-    from .checkpoint import save_peel_checkpoint
-
-    save_peel_checkpoint(
-        config,
-        kind=kind,
-        params=params,
-        n=state.n,
-        pass_index=pass_index,
-        remaining=state.remaining,
-        alive=state._alive_arr,
-        best_set=best_set,
-        best_density=best_density,
-        best_pass=best_pass,
-        pending=pending,
-        trace=trace,
-        accounting=stream.accounting,
+    from .checkpoint import (
+        clear_checkpoint,
+        load_peel_checkpoint,
+        restore_accounting,
+        save_peel_checkpoint,
     )
+
+    source = state.stream  # the accounting lives on the caller's stream
+    best_set = None  # None = the full universe (no improvement yet)
+    best_density: Optional[float] = None
+    best_pass = 0
+    factor = 2.0 * (1.0 + epsilon)
+    pending: Optional[dict] = None  # trace fields awaiting "after" values
+    trace: List[PassRecord] = []
+    pass_index = 0
+
+    if checkpoint is not None:
+        loaded = load_peel_checkpoint(checkpoint, kind=kind, params=params, n=state.n)
+        if loaded is not None:
+            state.restore(loaded["alive"], loaded["remaining"])
+            restore_accounting(source.accounting, loaded["accounting"])
+            pass_index = loaded["pass_index"]
+            best_set = loaded["best_set"]
+            best_density = loaded["best_density"]
+            best_pass = loaded["best_pass"]
+            pending = loaded["pending"]
+            trace = loaded["trace"]
+
+    try:
+        while state.remaining >= k:
+            if max_passes is not None and pass_index >= max_passes:
+                break
+            if control is not None:
+                control.check_pass(pass_index + 1)
+            pass_index += 1
+            degrees, weight = measure(pass_index)
+            density = weight / state.remaining
+            if pending is not None:
+                trace.append(
+                    PassRecord(edges_after=weight, density_after=density, **pending)
+                )
+                if density > best_density:  # type: ignore[operator]
+                    best_density = density
+                    best_set = state.alive_indices()
+                    best_pass = pending["pass_index"]
+            if best_density is None:
+                best_density = density  # ρ(V), the paper's initial S̃
+            threshold = factor * density
+            to_remove = state.threshold_candidates(degrees, threshold + THRESHOLD_EPS)
+            if select is not None:
+                to_remove = select(degrees, to_remove, state.remaining)
+            pending = {
+                "pass_index": pass_index,
+                "nodes_before": state.remaining,
+                "edges_before": weight,
+                "density_before": density,
+                "threshold": threshold,
+                "removed": len(to_remove),
+                "nodes_after": state.remaining - len(to_remove),
+            }
+            state.kill(to_remove)
+            if checkpoint is not None and pass_index % checkpoint.every == 0:
+                save_peel_checkpoint(
+                    checkpoint,
+                    kind=kind,
+                    params=params,
+                    n=state.n,
+                    pass_index=pass_index,
+                    remaining=state.remaining,
+                    alive=state._alive_arr,
+                    best_set=best_set,
+                    best_density=best_density,
+                    best_pass=best_pass,
+                    pending=pending,
+                    trace=trace,
+                    accounting=source.accounting,
+                )
+
+        if pending is not None:
+            if state.remaining == 0:
+                edges_after, density_after = 0.0, 0.0
+            else:
+                # max_passes truncation, or |S| dropped below k: one
+                # extra counted pass values the final set so the trace
+                # is complete (Figure-6.2-style plots want the endpoint).
+                _, edges_after = measure(None)
+                density_after = edges_after / state.remaining
+                if state.remaining >= k and density_after > (best_density or 0.0):
+                    best_density = density_after
+                    best_set = state.alive_indices()
+                    best_pass = pending["pass_index"]
+            trace.append(
+                PassRecord(
+                    edges_after=edges_after, density_after=density_after, **pending
+                )
+            )
+    finally:
+        state.close()
+
+    if checkpoint is not None and not checkpoint.keep:
+        clear_checkpoint(checkpoint)
+
+    return DensestSubgraphResult(
+        nodes=(
+            frozenset(state.labels)
+            if best_set is None
+            else frozenset(state.labels[i] for i in best_set)
+        ),
+        density=best_density if best_density is not None else 0.0,
+        passes=pass_index,
+        epsilon=epsilon,
+        best_pass=best_pass,
+        trace=tuple(trace),
+    )
+
+
+def _exact_measure(state: _UndirectedPassState):
+    """The exact engines' per-pass measurement: one C chunk scan of
+    exact degrees (no rewrite when valuing the final set)."""
+    return lambda pass_index: state.scan(compact=pass_index is not None)
 
 
 def stream_densest_subgraph(
@@ -507,105 +629,15 @@ def stream_densest_subgraph(
     checkpoint = CheckpointConfig.coerce(checkpoint)
     state = _UndirectedPassState(stream, CompactionPolicy.coerce(compaction))
     _charge_exact_memory(accountant, state.n)
-
-    best_set = None  # None = the full universe (no improvement yet)
-    best_density: Optional[float] = None
-    best_pass = 0
-    factor = 2.0 * (1.0 + epsilon)
-    pending: Optional[dict] = None  # trace fields awaiting "after" values
-    trace: List[PassRecord] = []
-    pass_index = 0
-
-    ckpt_params = {"epsilon": epsilon, "max_passes": max_passes}
-    if checkpoint is not None:
-        loaded = _load_engine_checkpoint(
-            checkpoint, "stream-densest", ckpt_params, state, stream
-        )
-        if loaded is not None:
-            pass_index = loaded["pass_index"]
-            best_set = loaded["best_set"]
-            best_density = loaded["best_density"]
-            best_pass = loaded["best_pass"]
-            pending = loaded["pending"]
-            trace = loaded["trace"]
-
-    try:
-        while state.remaining > 0:
-            if max_passes is not None and pass_index >= max_passes:
-                break
-            if control is not None:
-                control.check_pass(pass_index + 1)
-            pass_index += 1
-            degrees, weight = state.scan()
-            density = weight / state.remaining
-            if pending is not None:
-                trace.append(
-                    PassRecord(
-                        edges_after=weight, density_after=density, **pending
-                    )
-                )
-                if density > best_density:  # type: ignore[operator]
-                    best_density = density
-                    best_set = state.alive_indices()
-                    best_pass = pending["pass_index"]
-            if best_density is None:
-                best_density = density  # ρ(V), the paper's initial S̃
-            threshold = factor * density
-            cutoff = threshold + THRESHOLD_EPS
-            to_remove = state.threshold_candidates(degrees, cutoff)
-            pending = {
-                "pass_index": pass_index,
-                "nodes_before": state.remaining,
-                "edges_before": weight,
-                "density_before": density,
-                "threshold": threshold,
-                "removed": len(to_remove),
-                "nodes_after": state.remaining - len(to_remove),
-            }
-            state.kill(to_remove)
-            if checkpoint is not None and pass_index % checkpoint.every == 0:
-                _save_engine_checkpoint(
-                    checkpoint, "stream-densest", ckpt_params, state, stream,
-                    pass_index, best_set, best_density, best_pass, pending,
-                    trace,
-                )
-
-        if pending is not None:
-            if state.remaining == 0:
-                edges_after, density_after = 0.0, 0.0
-            else:
-                # max_passes truncation: one extra counted pass values the
-                # final surviving subgraph (no rewrite — the run ends here).
-                degrees, edges_after = state.scan(compact=False)
-                density_after = edges_after / state.remaining
-                if density_after > (best_density or 0.0):
-                    best_density = density_after
-                    best_set = state.alive_indices()
-                    best_pass = pending["pass_index"]
-            trace.append(
-                PassRecord(
-                    edges_after=edges_after, density_after=density_after, **pending
-                )
-            )
-    finally:
-        state.close()
-
-    if checkpoint is not None and not checkpoint.keep:
-        from .checkpoint import clear_checkpoint
-
-        clear_checkpoint(checkpoint)
-
-    return DensestSubgraphResult(
-        nodes=(
-            frozenset(state.labels)
-            if best_set is None
-            else frozenset(state.labels[i] for i in best_set)
-        ),
-        density=best_density if best_density is not None else 0.0,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
+    return _peel_undirected(
+        state,
+        epsilon,
+        _exact_measure(state),
+        max_passes=max_passes,
+        control=control,
+        checkpoint=checkpoint,
+        kind="stream-densest",
+        params={"epsilon": epsilon, "max_passes": max_passes},
     )
 
 
@@ -639,105 +671,18 @@ def stream_densest_subgraph_atleast_k(
     if k > state.n:
         raise ParameterError(f"k={k} exceeds the universe of {state.n} nodes")
     _charge_exact_memory(accountant, state.n)
-
-    best_set = state.alive_indices()
-    best_density: Optional[float] = None
-    best_pass = 0
-    factor = 2.0 * (1.0 + epsilon)
-    batch_fraction = epsilon / (1.0 + epsilon)
-    pending: Optional[dict] = None
-    trace: List[PassRecord] = []
-    pass_index = 0
-
-    ckpt_params = {"epsilon": epsilon, "k": k}
-    if checkpoint is not None:
-        loaded = _load_engine_checkpoint(
-            checkpoint, "stream-densest-atleast-k", ckpt_params, state, stream
-        )
-        if loaded is not None:
-            pass_index = loaded["pass_index"]
-            best_set = loaded["best_set"]
-            best_density = loaded["best_density"]
-            best_pass = loaded["best_pass"]
-            pending = loaded["pending"]
-            trace = loaded["trace"]
-
-    try:
-        while state.remaining >= k and state.remaining > 0:
-            if control is not None:
-                control.check_pass(pass_index + 1)
-            pass_index += 1
-            degrees, weight = state.scan()
-            density = weight / state.remaining
-            if pending is not None:
-                trace.append(
-                    PassRecord(edges_after=weight, density_after=density, **pending)
-                )
-                if density > best_density:  # type: ignore[operator]
-                    best_density = density
-                    best_set = state.alive_indices()
-                    best_pass = pending["pass_index"]
-            if best_density is None:
-                best_density = density
-            threshold = factor * density
-            cutoff = threshold + THRESHOLD_EPS
-            candidates = state.threshold_candidates(degrees, cutoff)
-            batch_size = min(
-                len(candidates), max(1, math.floor(batch_fraction * state.remaining))
-            )
-            candidates.sort(key=lambda i: degrees[i])
-            to_remove = candidates[:batch_size]
-            pending = {
-                "pass_index": pass_index,
-                "nodes_before": state.remaining,
-                "edges_before": weight,
-                "density_before": density,
-                "threshold": threshold,
-                "removed": len(to_remove),
-                "nodes_after": state.remaining - len(to_remove),
-            }
-            state.kill(to_remove)
-            if checkpoint is not None and pass_index % checkpoint.every == 0:
-                _save_engine_checkpoint(
-                    checkpoint, "stream-densest-atleast-k", ckpt_params, state,
-                    stream, pass_index, best_set, best_density, best_pass,
-                    pending, trace,
-                )
-
-        if pending is not None:
-            if state.remaining == 0:
-                edges_after, density_after = 0.0, 0.0
-            else:
-                # |S| dropped below k; value the final set with one counted
-                # pass so the trace is complete (it can no longer win, but
-                # Figure-6.2-style plots want the endpoint).  No rewrite —
-                # the run ends here.
-                _, edges_after = state.scan(compact=False)
-                density_after = edges_after / state.remaining
-                if state.remaining >= k and density_after > (best_density or 0.0):
-                    best_density = density_after
-                    best_set = state.alive_indices()
-                    best_pass = pending["pass_index"]
-            trace.append(
-                PassRecord(
-                    edges_after=edges_after, density_after=density_after, **pending
-                )
-            )
-    finally:
-        state.close()
-
-    if checkpoint is not None and not checkpoint.keep:
-        from .checkpoint import clear_checkpoint
-
-        clear_checkpoint(checkpoint)
-
-    return DensestSubgraphResult(
-        nodes=frozenset(state.labels[i] for i in best_set),
-        density=best_density if best_density is not None else 0.0,
-        passes=pass_index,
-        epsilon=epsilon,
-        best_pass=best_pass,
-        trace=tuple(trace),
+    return _peel_undirected(
+        state,
+        epsilon,
+        _exact_measure(state),
+        k=k,
+        select=lambda degrees, candidates, remaining: lowest_batch(
+            candidates, degrees[candidates], epsilon, remaining
+        ),
+        control=control,
+        checkpoint=checkpoint,
+        kind="stream-densest-atleast-k",
+        params={"epsilon": epsilon, "k": k},
     )
 
 

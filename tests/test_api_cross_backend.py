@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.graph.directed import DirectedGraph
 from repro.graph.generators import (
+    circulant,
     clique,
     disjoint_union,
     gnm_random,
@@ -107,19 +108,30 @@ class TestUndirectedAgreement:
 
 
 class TestAtLeastKAgreement:
-    @pytest.mark.parametrize("make_graph", UNDIRECTED_GRAPHS)
+    @pytest.mark.parametrize(
+        "make_graph",
+        # The ring is all ties: every pass's batch is decided by the
+        # index tie-break alone.
+        UNDIRECTED_GRAPHS + [pytest.param(lambda: circulant(50, 2), id="ring-50")],
+    )
     @pytest.mark.parametrize("k", [5, 20])
     def test_batch_peel_backends_identical(self, make_graph, k):
         graph = make_graph()
-        problem = DensestAtLeastK(graph, k=k, epsilon=0.5)
-        backends = _by_semantics(problem, "batch-peel")
-        assert {"core", "streaming", "mapreduce"} <= set(backends)
-        reference = solve(problem, backend="core")
-        assert reference.size >= k
-        for name in backends:
-            solution = solve(problem, backend=name)
-            assert solution.nodes == reference.nodes, name
-            assert solution.density == pytest.approx(reference.density), name
+        for epsilon in (0.0, 0.5):
+            problem = DensestAtLeastK(graph, k=k, epsilon=epsilon)
+            backends = _by_semantics(problem, "batch-peel")
+            assert {"core", "streaming", "mapreduce"} <= set(backends)
+            reference = solve(problem, backend="core")
+            assert reference.size >= k
+            for name in backends:
+                solution = solve(problem, backend=name)
+                label = (name, epsilon)
+                assert solution.nodes == reference.nodes, label
+                assert solution.density == reference.density, label
+                assert solution.cost.passes == reference.cost.passes, label
+                assert (
+                    solution.densities_by_pass() == reference.densities_by_pass()
+                ), label
 
     def test_greedy_dominated_by_bruteforce(self):
         graph = disjoint_union([clique(5), star(10, offset=50)])

@@ -15,10 +15,11 @@ from repro.api import (
     solve,
 )
 from repro.api import registry as registry_module
-from repro.errors import ParameterError, SolverError
+from repro.errors import EmptyGraphError, ParameterError, SolverError
 from repro.graph.directed import DirectedGraph
 from repro.graph.generators import clique, disjoint_union, gnm_random, star
-from repro.streaming.stream import GraphEdgeStream
+from repro.graph.undirected import UndirectedGraph
+from repro.streaming.stream import DirectedGraphEdgeStream, GraphEdgeStream
 
 
 @pytest.fixture
@@ -252,6 +253,29 @@ class TestRegistration:
             assert solve(problem, backend="test-constant").backend == "test-constant"
         finally:
             registry_module._REGISTRY.pop("test-constant", None)
+
+
+class TestEmptyInput:
+    _PROBLEMS = {
+        "densest_subgraph": lambda inp: DensestSubgraph(inp),
+        "densest_at_least_k": lambda inp: DensestAtLeastK(inp, k=1),
+        "directed_densest": lambda inp: DirectedDensest(inp),
+    }
+
+    @pytest.mark.parametrize("backend", ["auto", *backend_names()])
+    def test_zero_nodes_raise_empty_graph_error(self, backend):
+        caps = get_backend("core" if backend == "auto" else backend).capabilities()
+        for kind in sorted(caps.problems):
+            if kind == "directed_densest":
+                graph, stream_cls = DirectedGraph(), DirectedGraphEdgeStream
+            else:
+                graph, stream_cls = UndirectedGraph(), GraphEdgeStream
+            inputs = [graph]
+            if "stream" in caps.input_modes:
+                inputs.append(stream_cls(graph))
+            for inp in inputs:
+                with pytest.raises(EmptyGraphError):
+                    solve(self._PROBLEMS[kind](inp), backend=backend)
 
 
 class TestBruteForceGuard:

@@ -34,6 +34,23 @@ class TestGreedyWrapper:
             if i > 0:
                 assert record.nodes_before == result.trace[i - 1].nodes_after
 
+    def test_weighted_trace_reaches_answer(self):
+        # A light K5 and a heavy 3-leaf star: the weighted greedy peels
+        # the clique first, so the trace must follow that order and its
+        # best pass must carry the answer's density exactly.
+        g = UndirectedGraph()
+        for u in range(5):
+            for v in range(u + 1, 5):
+                g.add_edge(u, v, 0.1)
+        for leaf in (101, 102, 103):
+            g.add_edge(100, leaf, 50.0)
+        result = greedy_densest_subgraph(g, record_trace=True)
+        assert result.nodes == frozenset({100, 101, 102, 103})
+        assert result.density == 37.5
+        assert result.best_pass == 5
+        assert result.trace[result.best_pass - 1].density_after == result.density
+        assert result.trace[-1].nodes_after == 0
+
     def test_edgeless(self):
         g = UndirectedGraph()
         g.add_nodes_from(range(3))
